@@ -255,9 +255,7 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    from .corpus import encode_example
-    from .decoding import beam_search
-    from .tokens import EOS_ID
+    from .evaluation import decode_corpus
     from .trainer import load_checkpoint
 
     started = _now()
@@ -269,14 +267,12 @@ def cmd_generate(args):
 
     out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
+    preds = decode_corpus(
+        ckpt.params, ckpt.model_config, examples, corpus.lexicon, vocab,
+        beam_size=args.beam, length_norm=args.length_norm,
+    )
     with open(out, "w", encoding="ascii") as f:
-        for i, ex in enumerate(examples):
-            enc = encode_example(ex, corpus.lexicon, vocab, ckpt.model_config.max_src_len)
-            ranked = beam_search(
-                ckpt.params, ckpt.model_config, enc.src_ids,
-                beam_size=args.beam, length_norm=args.length_norm,
-            )
-            pred = vocab.detokenize([t for t in ranked[0] if t != EOS_ID])
+        for i, pred in enumerate(preds):
             f.write(json.dumps({"example_id": i, "prediction": pred}, sort_keys=True) + "\n")
     config = {"beam": args.beam, "length_norm": args.length_norm, "split": args.split, "limit": args.limit}
     write_manifest(
@@ -292,15 +288,25 @@ def cmd_generate(args):
 
 
 def _read_predictions(path, n_expected):
+    """Token lists by example_id from a JSONL file; malformed lines raise EvalError."""
+    from .evaluation import EvalError
+
     preds = {}
-    with open(path, encoding="ascii") as f:
-        for line in f:
-            if line.strip():
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
-                preds[int(rec["example_id"])] = list(rec["prediction"])
+                example_id, prediction = int(rec["example_id"]), rec["prediction"]
+            except (ValueError, KeyError, TypeError) as e:
+                raise EvalError(f"{path}:{lineno}: malformed prediction line: {e!r}") from None
+            if not isinstance(prediction, list):
+                raise EvalError(f"{path}:{lineno}: prediction must be a list of tokens")
+            preds[example_id] = prediction
     missing = [i for i in range(n_expected) if i not in preds]
     if missing:
-        raise KeyError(f"predictions file {path} is missing example_id {missing[0]}")
+        raise EvalError(f"predictions file {path} is missing example_id {missing[0]}")
     return [preds[i] for i in range(n_expected)]
 
 
@@ -372,23 +378,38 @@ def cmd_evaluate(args):
 # ablate
 
 
+CHILD_POLL_S = 0.05
+
+
 def _run_children(cmds, jobs):
-    """Run command lines with at most ``jobs`` concurrent subprocesses."""
+    """Run command lines with at most ``jobs`` concurrent subprocesses.
+
+    Whichever child exits first is noticed first.  On a failure, or if this
+    process is interrupted, the children still running are terminated and
+    waited on before the error propagates.
+    """
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     env.setdefault("OMP_NUM_THREADS", "1")
     pending = list(cmds)
-    running = []
-    while pending or running:
-        while pending and len(running) < jobs:
-            cmd = pending.pop(0)
-            running.append((cmd, subprocess.Popen(cmd, env=env)))
-        cmd, proc = running.pop(0)
-        code = proc.wait()
-        if code != 0:
-            for _, p in running:
-                p.terminate()
-            raise RuntimeError(f"subprocess failed with exit {code}: {' '.join(map(str, cmd))}")
+    running = {}
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                cmd = pending.pop(0)
+                running[subprocess.Popen(cmd, env=env)] = cmd
+            done = [p for p in running if p.poll() is not None]
+            if not done:
+                time.sleep(CHILD_POLL_S)
+            for proc in done:
+                cmd = running.pop(proc)
+                if proc.returncode != 0:
+                    raise RuntimeError(f"subprocess failed with exit {proc.returncode}: {' '.join(map(str, cmd))}")
+    finally:
+        for proc in running:
+            proc.terminate()
+        for proc in running:
+            proc.wait()
 
 
 def cmd_ablate(args):

@@ -1,4 +1,4 @@
-"""Contrastive sample construction and the two contrastive losses.
+"""Contrastive sample construction and the batched CoLo objective.
 
 One training example yields five tuple serializations: the original, a
 synonym-surface positive, and three negatives (entity swap, aspect
@@ -12,6 +12,9 @@ Margins are dynamic: each negative's teacher-forced LM loss for the
 original reference is ranked descending, and the margin is gamma times the
 rank, so the negative that most easily still produces the reference gets
 the largest margin.  Those LM losses are detached; margins are constants.
+
+There is one loss path, :func:`total_loss_batch`: the LM loss plus both
+hinges for a batch, each the batch mean.  A single example is a batch of one.
 """
 
 import math
@@ -154,23 +157,6 @@ def margin_schedule(gamma, lm_losses) -> MarginSchedule:
     return MarginSchedule(gamma, {k: gamma * r for k, r in zip(order, ranks)})
 
 
-def hinge_margin_loss(p_plus, p_minus):
-    """Sum over (p+, p-) pairs of max(0, p- - p+ + margin(p-)).
-
-    ``p_plus`` is a list of scalar tensors; ``p_minus`` a list of
-    (scalar tensor, margin float) pairs.  Margins are constants; gradient
-    flows only through the similarities.
-    """
-    if not p_plus or not p_minus:
-        raise ValueError("hinge_margin_loss needs non-empty positive and negative sets")
-    total = None
-    for sp in p_plus:
-        for sn, margin in p_minus:
-            term = T.relu(T.add(T.sub(sn, sp), Tensor(np.asarray(margin, dtype=sn.dtype))))
-            total = term if total is None else T.add(total, term)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # batched loss machinery
 
@@ -296,26 +282,34 @@ def total_loss_batch(
         else:
             q, k_pos = z, block["pos"]
             k_neg = {kind: block[kind] for kind in neg_types}
-        ce = T.mean_(_hinge_rows(q, k_pos, k_neg, xi, neg_types, dtype))
+        ce = T.mean_(_hinge_rows(*_cosines(q, k_pos, k_neg), xi))
 
     cd = _zero_scalar(dtype)
     if use_cd:
         z_y = M.project_dec(params, _pool(dec_states, label_mask))
         pz = M.project_enc(params, z)
         pn = {kind: M.project_enc(params, block[kind]) for kind in neg_types}
-        cd = T.mean_(_hinge_rows(z_y, pz, pn, xi, neg_types, dtype))
+        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, pn), xi))
 
     total = T.add(T.add(lm, ce), cd)
     return LossBreakdown(lm, ce, cd, total)
 
 
-def _hinge_rows(anchor, positive, negatives, xi, neg_types, dtype):
-    """Per-example hinge totals over the selected negatives, (B,)."""
-    s_pos = T.cosine_rows(anchor, positive)
+def _cosines(anchor, positive, negatives):
+    """Row cosines of the (B, d) anchor to its positive and to each negative kind."""
+    return T.cosine_rows(anchor, positive), {kind: T.cosine_rows(anchor, n) for kind, n in negatives.items()}
+
+
+def _hinge_rows(s_pos, s_neg, xi):
+    """Per-example hinge totals, (B,): sum over kinds of max(0, s- - s+ + margin).
+
+    ``s_pos`` is the (B,) positive cosine, ``s_neg`` maps each negative kind
+    to its (B,) cosine and ``xi`` maps it to (B,) margin constants; gradient
+    flows only through the similarities.
+    """
     per_ex = None
-    for kind in neg_types:
-        s_neg = T.cosine_rows(anchor, negatives[kind])
-        term = T.relu(T.add(T.sub(s_neg, s_pos), Tensor(xi[kind].astype(dtype))))
+    for kind, s in s_neg.items():
+        term = T.relu(T.add(T.sub(s, s_pos), Tensor(xi[kind].astype(s_pos.dtype))))
         per_ex = term if per_ex is None else T.add(per_ex, term)
     return per_ex
 
@@ -340,90 +334,3 @@ def _margin_constants(params, cfg, neg_state_data, neg_mask, tgt_in, labels, lab
         for kind in neg_types:
             xi[kind][i] = schedule.margins[kind]
     return xi
-
-
-# ---------------------------------------------------------------------------
-# single-example spec surfaces
-
-
-def margin_lm_losses(params, cfg, cset, example, lexicon, vocab, neg_types=NEG_ORDER):
-    """Detached LM loss of each negative serialization deriving the reference."""
-    losses = {}
-    with no_grad():
-        tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(example.reference)])
-        for kind in neg_types:
-            states, mask = _encode_variant(
-                params, cfg, [cset.negative(kind)], [example], lexicon, vocab, [None], False, None
-            )
-            nll, _ = M.nll_per_example(params, cfg, states, mask, tgt_in, labels, label_mask)
-            losses[kind] = float(nll.data[0])
-    return losses
-
-
-def contrastive_encoding_loss(params, cfg, cset, schedule, example, lexicon, vocab, project_in_ce=False):
-    """Margin loss between the original's pooled encoding, its positive, and negatives."""
-    kinds = [k for k in NEG_ORDER if k in schedule.margins]
-    enc, mask = _encode_variant(params, cfg, [cset.original], [example], lexicon, vocab, [None], False, None)
-    pos, pmask = _encode_variant(
-        params, cfg, [cset.positive], [example], lexicon, vocab, [cset.positive_surfaces], False, None
-    )
-    z = T.reshape(_pool(enc, mask), (-1,))
-    z_p = T.reshape(_pool(pos, pmask), (-1,))
-    if project_in_ce:
-        z, z_p = M.project_enc(params, z), M.project_enc(params, z_p)
-    p_minus = []
-    for kind in kinds:
-        neg, nmask = _encode_variant(params, cfg, [cset.negative(kind)], [example], lexicon, vocab, [None], False, None)
-        z_n = T.reshape(_pool(neg, nmask), (-1,))
-        if project_in_ce:
-            z_n = M.project_enc(params, z_n)
-        p_minus.append((T.cosine_similarity(z, z_n), schedule.margins[kind]))
-    return hinge_margin_loss([T.cosine_similarity(z, z_p)], p_minus)
-
-
-def contrastive_decoding_loss(params, cfg, cset, schedule, example, lexicon, vocab):
-    """Margin loss between the pooled decoder output and encoder-side representations."""
-    kinds = [k for k in NEG_ORDER if k in schedule.margins]
-    enc, mask = _encode_variant(params, cfg, [cset.original], [example], lexicon, vocab, [None], False, None)
-    tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(example.reference)])
-    _, dec_states = M.nll_per_example(params, cfg, enc, mask, tgt_in, labels, label_mask)
-    z_y = M.project_dec(params, T.reshape(_pool(dec_states, label_mask), (-1,)))
-    pz = M.project_enc(params, T.reshape(_pool(enc, mask), (-1,)))
-    p_minus = []
-    for kind in kinds:
-        neg, nmask = _encode_variant(params, cfg, [cset.negative(kind)], [example], lexicon, vocab, [None], False, None)
-        zn = M.project_enc(params, T.reshape(_pool(neg, nmask), (-1,)))
-        p_minus.append((T.cosine_similarity(z_y, zn), schedule.margins[kind]))
-    return hinge_margin_loss([T.cosine_similarity(z_y, pz)], p_minus)
-
-
-def total_loss(
-    params,
-    cfg,
-    example,
-    lexicon,
-    vocab,
-    rng,
-    gamma=0.01,
-    use_ce=True,
-    use_cd=True,
-    neg_types=NEG_ORDER,
-    project_in_ce=False,
-) -> LossBreakdown:
-    """Full objective for one example; builds the contrastive set itself."""
-    cset = build_contrastive_set(example.tuple, lexicon, rng)
-    breakdown = total_loss_batch(
-        params,
-        cfg,
-        [example],
-        [cset],
-        lexicon,
-        vocab,
-        gamma=gamma,
-        use_ce=use_ce,
-        use_cd=use_cd,
-        neg_types=neg_types,
-        project_in_ce=project_in_ce,
-        train=False,
-    )
-    return breakdown

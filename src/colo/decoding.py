@@ -1,11 +1,13 @@
 """Inference-time generation: greedy and beam search.
 
 Decoding runs on a tape-free numpy path with per-layer key/value caches, so
-each step costs one row of attention instead of re-running the whole prefix;
-tests pin its logits against the teacher-forced training path.  The search
+each step costs one row of attention instead of re-running the whole prefix.
+That stepper repeats the decoder forward of ``model.decode_states_batch``;
+a test pins its logits against the teacher-forced training path.  The search
 routines are written against a small stepper protocol (``start`` / ``step``
 / ``select``) so unit tests can swap in hand-set probability tables and
-brute-force enumerate optima.
+brute-force enumerate optima.  ``greedy_decode`` and ``beam_search`` are the
+model-facing entry points; both decode one source sequence.
 """
 
 from dataclasses import dataclass
@@ -224,11 +226,7 @@ def greedy_decode(params, cfg, src_ids):
     return greedy_steps(stepper, cfg.max_tgt_len).generated()
 
 
-def beam_search_hypotheses(params, cfg, src_ids, beam_size=5, length_norm=1.0):
-    stepper = TransformerStepper(params, cfg, src_ids)
-    return beam_steps(stepper, beam_size, cfg.max_tgt_len, length_norm=length_norm)
-
-
 def beam_search(params, cfg, src_ids, beam_size=5, length_norm=1.0):
     """Ranked generated-token sequences (best first)."""
-    return [h.generated() for h in beam_search_hypotheses(params, cfg, src_ids, beam_size, length_norm)]
+    stepper = TransformerStepper(params, cfg, src_ids)
+    return [h.generated() for h in beam_steps(stepper, beam_size, cfg.max_tgt_len, length_norm=length_norm)]

@@ -1,41 +1,17 @@
-"""Numeric kernels with numba-compiled fast paths and pure-numpy fallbacks.
+"""Numeric kernels: the row reductions and elementwise updates behind the tape ops.
 
-The hot inner loops of training are row reductions (layer norm, softmax and
-cross-entropy backward) and the elementwise Adam update.  For those, a fused
-numba kernel avoids the chain of numpy temporaries and wins on CPU.  The
-exp/tanh-heavy forwards (softmax, cross-entropy, gelu) stay numpy in both
-backends: numba compiles them to scalar libm calls with no SIMD, which loses
-to numpy's vectorized ufuncs.
-
-Backend selection: set ``COLO_BACKEND=numpy`` to force the pure-numpy path
-(also used automatically when numba is not importable).  ``benchmarks/
-bench_kernels.py`` compares the two.
+One numpy backend.  Callers look each kernel up as ``kernels.<name>`` at call
+time, so a profiler can wrap these names from outside.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_ENV = os.environ.get("COLO_BACKEND", "auto")
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValueError(f"COLO_BACKEND must be auto|numba|numpy, got {_ENV!r}")
-if _ENV == "numba" and not HAS_NUMBA:
-    raise RuntimeError("COLO_BACKEND=numba but numba is not importable")
-BACKEND = "numpy" if (_ENV == "numpy" or not HAS_NUMBA) else "numba"
 
 
 # ---------------------------------------------------------------------------
 # layer norm
 
 
-def layer_norm_fwd_numpy(x, gain, bias, eps):
+def layer_norm_fwd(x, gain, bias, eps):
     """Row-wise layer norm on a 2-D array.
 
     Returns (out, xhat, rstd); xhat and rstd are cached for the backward pass.
@@ -48,8 +24,7 @@ def layer_norm_fwd_numpy(x, gain, bias, eps):
     return out.astype(x.dtype, copy=False), xhat.astype(x.dtype, copy=False), rstd[:, 0].astype(x.dtype, copy=False)
 
 
-def layer_norm_bwd_numpy(gy, xhat, rstd, gain):
-    d = xhat.shape[1]
+def layer_norm_bwd(gy, xhat, rstd, gain):
     gxhat = gy * gain
     m1 = gxhat.mean(axis=1, keepdims=True)
     m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
@@ -59,64 +34,8 @@ def layer_norm_bwd_numpy(gy, xhat, rstd, gain):
     return dx.astype(xhat.dtype, copy=False), dgain, dbias
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _layer_norm_fwd_nb(x, gain, bias, eps):
-        n, d = x.shape
-        out = np.empty_like(x)
-        xhat = np.empty_like(x)
-        rstd = np.empty(n, dtype=x.dtype)
-        for i in range(n):
-            mu = 0.0
-            for j in range(d):
-                mu += x[i, j]
-            mu /= d
-            var = 0.0
-            for j in range(d):
-                t = x[i, j] - mu
-                var += t * t
-            var /= d
-            r = 1.0 / np.sqrt(var + eps)
-            rstd[i] = r
-            for j in range(d):
-                h = (x[i, j] - mu) * r
-                xhat[i, j] = h
-                out[i, j] = h * gain[j] + bias[j]
-        return out, xhat, rstd
-
-    @njit(cache=True)
-    def _layer_norm_bwd_nb(gy, xhat, rstd, gain):
-        n, d = gy.shape
-        dx = np.empty_like(gy)
-        dgain = np.zeros(d, dtype=gy.dtype)
-        dbias = np.zeros(d, dtype=gy.dtype)
-        for i in range(n):
-            m1 = 0.0
-            m2 = 0.0
-            for j in range(d):
-                g = gy[i, j] * gain[j]
-                m1 += g
-                m2 += g * xhat[i, j]
-            m1 /= d
-            m2 /= d
-            r = rstd[i]
-            for j in range(d):
-                g = gy[i, j] * gain[j]
-                dx[i, j] = r * (g - m1 - xhat[i, j] * m2)
-                dgain[j] += gy[i, j] * xhat[i, j]
-                dbias[j] += gy[i, j]
-        return dx, dgain, dbias
-
-    def layer_norm_fwd_numba(x, gain, bias, eps):
-        return _layer_norm_fwd_nb(x, gain, bias, eps)
-
-    def layer_norm_bwd_numba(gy, xhat, rstd, gain):
-        return _layer_norm_bwd_nb(np.ascontiguousarray(gy), xhat, rstd, gain)
-
-
 # ---------------------------------------------------------------------------
-# softmax (forward is numpy in both backends; see module docstring)
+# softmax
 
 
 def softmax_fwd(x):
@@ -126,27 +45,9 @@ def softmax_fwd(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_bwd_numpy(gy, p):
+def softmax_bwd(gy, p):
     dot = (gy * p).sum(axis=1, keepdims=True)
     return p * (gy - dot)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _softmax_bwd_nb(gy, p):
-        n, d = gy.shape
-        dx = np.empty_like(gy)
-        for i in range(n):
-            dot = 0.0
-            for j in range(d):
-                dot += gy[i, j] * p[i, j]
-            for j in range(d):
-                dx[i, j] = p[i, j] * (gy[i, j] - dot)
-        return dx
-
-    def softmax_bwd_numba(gy, p):
-        return _softmax_bwd_nb(np.ascontiguousarray(gy), np.ascontiguousarray(p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,32 +69,15 @@ def xent_fwd(logits, targets):
     return nll, probs
 
 
-def xent_bwd_numpy(gnll, probs, targets):
+def xent_bwd(gnll, probs, targets):
     dx = probs * gnll[:, None]
     rows = np.arange(probs.shape[0])
     dx[rows, targets] -= gnll
     return dx
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _xent_bwd_nb(gnll, probs, targets):
-        n, v = probs.shape
-        dx = np.empty_like(probs)
-        for i in range(n):
-            g = gnll[i]
-            for j in range(v):
-                dx[i, j] = probs[i, j] * g
-            dx[i, targets[i]] -= g
-        return dx
-
-    def xent_bwd_numba(gnll, probs, targets):
-        return _xent_bwd_nb(np.ascontiguousarray(gnll), probs, targets)
-
-
 # ---------------------------------------------------------------------------
-# gelu (tanh approximation; numpy in both backends)
+# gelu (tanh approximation)
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -215,69 +99,9 @@ def gelu_bwd(gy, x):
 # Adam update (in place on flat float32/float64 views)
 
 
-def adam_step_numpy(p, g, m, v, lr, beta1, beta2, eps, c1, c2):
+def adam_step(p, g, m, v, lr, beta1, beta2, eps, c1, c2):
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _adam_step_nb(p, g, m, v, lr, beta1, beta2, eps, c1, c2):
-        for i in range(p.shape[0]):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
-
-    def adam_step_numba(p, g, m, v, lr, beta1, beta2, eps, c1, c2):
-        _adam_step_nb(p, np.ascontiguousarray(g), m, v, lr, beta1, beta2, eps, c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-NUMPY_IMPLS = {
-    "layer_norm_fwd": layer_norm_fwd_numpy,
-    "layer_norm_bwd": layer_norm_bwd_numpy,
-    "softmax_bwd": softmax_bwd_numpy,
-    "xent_bwd": xent_bwd_numpy,
-    "adam_step": adam_step_numpy,
-}
-
-if HAS_NUMBA:
-    NUMBA_IMPLS = {
-        "layer_norm_fwd": layer_norm_fwd_numba,
-        "layer_norm_bwd": layer_norm_bwd_numba,
-        "softmax_bwd": softmax_bwd_numba,
-        "xent_bwd": xent_bwd_numba,
-        "adam_step": adam_step_numba,
-    }
-else:  # pragma: no cover
-    NUMBA_IMPLS = {}
-
-_ACTIVE = NUMBA_IMPLS if BACKEND == "numba" else NUMPY_IMPLS
-
-layer_norm_fwd = _ACTIVE["layer_norm_fwd"]
-layer_norm_bwd = _ACTIVE["layer_norm_bwd"]
-softmax_bwd = _ACTIVE["softmax_bwd"]
-xent_bwd = _ACTIVE["xent_bwd"]
-adam_step = _ACTIVE["adam_step"]
-
-
-def warmup():
-    """Trigger JIT compilation of all active kernels (no-op on numpy)."""
-    for dtype in (np.float32, np.float64):
-        x = np.ones((2, 3), dtype=dtype)
-        g = np.ones(3, dtype=dtype)
-        out, xhat, rstd = layer_norm_fwd(x, g, np.zeros(3, dtype=dtype), 1e-5)
-        layer_norm_bwd(x, xhat, rstd, g)
-        p = softmax_fwd(x)
-        softmax_bwd(x, p)
-        t = np.zeros(2, dtype=np.int64)
-        nll, probs = xent_fwd(x, t)
-        xent_bwd(nll, probs, t)
-        flat = np.ones(4, dtype=dtype)
-        adam_step(flat.copy(), flat, flat.copy(), flat.copy(), 0.1, 0.9, 0.999, 1e-8, 0.1, 0.001)

@@ -1,10 +1,10 @@
 """Small transformer encoder-decoder with pooled relation embeddings.
 
 Pre-LN layers, learned absolute positions, embeddings tied three ways
-(encoder input, decoder input, LM head).  Forward functions take a batch
-of id arrays and return tape tensors; single-example wrappers expose the
-per-sequence surface.  Two feed-forward projection heads (one per side)
-map pooled representations before similarity scoring.
+(encoder input, decoder input, LM head).  Every forward function takes a
+padded (B, T) id batch plus its mask and returns tape tensors; a single
+sequence is a batch of one.  Two feed-forward projection heads (one per
+side) map (B, d) pooled representations before similarity scoring.
 """
 
 from dataclasses import dataclass
@@ -14,20 +14,10 @@ import numpy as np
 from . import rng as rngmod
 from . import tensor as T
 from . import tokens as tok
-from .corpus import EncodedExample
 from .tensor import Tensor
 
 ATTN_MASK_OFF = -1e9
 INIT_STD = 0.02
-
-# sequences processed per call, keyed by pass kind; tests reset and read this
-FORWARD_COUNTS = {"encode": 0, "decode": 0}
-
-
-def reset_forward_counts():
-    FORWARD_COUNTS["encode"] = 0
-    FORWARD_COUNTS["decode"] = 0
-
 
 class LengthError(Exception):
     """Input sequence exceeds the configured maximum length."""
@@ -56,14 +46,6 @@ class ModelConfig:
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-@dataclass
-class RelationEmbedding:
-    """Pooled representation of one tuple serialization or decoded text."""
-
-    vector: Tensor
-    source: str  # original | positive | neg_ES | neg_AS | neg_OS | decoder_output
 
 
 class ParameterSet:
@@ -248,7 +230,6 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
         raise LengthError("encode_batch expects a (B, T) id array")
     if src_ids.shape[1] > cfg.max_src_len:
         raise LengthError(f"source length {src_ids.shape[1]} > max_src_len {cfg.max_src_len}")
-    FORWARD_COUNTS["encode"] += src_ids.shape[0]
     mask = _key_mask(src_mask)
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
@@ -267,7 +248,6 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
         raise LengthError(f"target length {tgt_in.shape[1]} > max_tgt_len+1 {cfg.max_tgt_len + 1}")
     if not np.all(tgt_in[:, 0] == tok.BOS_ID):
         raise ValueError("decoder input must begin with BOS")
-    FORWARD_COUNTS["decode"] += tgt_in.shape[0]
     t = tgt_in.shape[1]
     self_mask = _causal_mask(t) + _key_mask(tgt_mask)
     cross_mask = _key_mask(enc_mask)
@@ -285,54 +265,14 @@ def lm_head(params, states):
     return T.matmul(states, T.swapaxes(params["emb.tok"], 0, 1))
 
 
-def decode_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, train=False, rng=None):
-    states = decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, train, rng)
-    return lm_head(params, states)
-
-
-def encode(params, cfg, src_ids, src_mask=None):
-    """Single-sequence encoder surface: (T,) ids -> (T, d) states."""
-    src_ids = np.asarray(src_ids)
-    if src_mask is None:
-        src_mask = np.ones(len(src_ids), dtype=bool)
-    states = encode_batch(params, cfg, src_ids[None, :], np.asarray(src_mask)[None, :])
-    return T.reshape(states, states.shape[1:])
-
-
-def decode(params, cfg, enc_states, enc_mask, tgt_in_ids):
-    """Single-sequence decoder surface: (T_tgt,) ids -> (T_tgt, V) logits."""
-    tgt_in = np.asarray(tgt_in_ids)
-    if enc_states.ndim == 2:
-        enc_states = T.reshape(enc_states, (1,) + enc_states.shape)
-    if enc_mask is None:
-        enc_mask = np.ones(enc_states.shape[1], dtype=bool)
-    logits = decode_batch(
-        params,
-        cfg,
-        enc_states,
-        np.asarray(enc_mask)[None, :],
-        tgt_in[None, :],
-        np.ones((1, len(tgt_in)), dtype=bool),
-    )
-    return T.reshape(logits, logits.shape[1:])
-
-
 # ---------------------------------------------------------------------------
-# pooling and projections
+# projections
 
 
-def relation_embedding(states, mask, source="original") -> RelationEmbedding:
-    return RelationEmbedding(T.masked_mean_pool(states, mask), source)
-
-
-def _project(params, side, e):
-    x = e.vector if isinstance(e, RelationEmbedding) else e
-    single = x.ndim == 1
-    if single:
-        x = T.reshape(x, (1, x.shape[0]))
+def _project(params, side, x):
+    """Side-specific two-layer tanh head over (B, d) pooled representations."""
     h = T.tanh(T.add(T.matmul(x, params[f"proj.{side}.w1"]), params[f"proj.{side}.b1"]))
-    out = T.add(T.matmul(h, params[f"proj.{side}.w2"]), params[f"proj.{side}.b2"])
-    return T.reshape(out, (out.shape[1],)) if single else out
+    return T.add(T.matmul(h, params[f"proj.{side}.w2"]), params[f"proj.{side}.b2"])
 
 
 def project_enc(params, e):
@@ -387,11 +327,3 @@ def nll_per_example(params, cfg, enc_states, enc_mask, tgt_in, labels, label_mas
     per_example = T.div(T.sum_(T.mul(nll, mf), axis=1), counts)
     return per_example, states
 
-
-def lm_loss(params, cfg, example: EncodedExample):
-    """Teacher-forced mean NLL of one example's reference given its source."""
-    src, smask = pad_sources([example.src_ids])
-    tgt_in, labels, lmask = make_target_arrays([example.ref_ids])
-    enc = encode_batch(params, cfg, src, smask)
-    per_example, _ = nll_per_example(params, cfg, enc, smask, tgt_in, labels, lmask)
-    return T.reshape(per_example, ())

@@ -27,6 +27,7 @@ ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"COLO"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_PREAMBLE_LEN = 16  # magic, u32 version, u64 header length
 
 QUICK_EVAL_LM_EXAMPLES = 64
 QUICK_EVAL_DECODE_EXAMPLES = 16
@@ -185,16 +186,18 @@ def load_checkpoint(path) -> Checkpoint:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic header")
+    if len(raw) < CHECKPOINT_PREAMBLE_LEN:
+        raise CheckpointError(f"{path}: truncated preamble ({len(raw)} bytes)")
     version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
-    header_end = 16 + header_len
+    header_end = CHECKPOINT_PREAMBLE_LEN + header_len
     if len(raw) < header_end:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16:header_end].decode("ascii"))
-    except json.JSONDecodeError as e:
+        header = json.loads(raw[CHECKPOINT_PREAMBLE_LEN:header_end].decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
 
     payload = raw[header_end:]

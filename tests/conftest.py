@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,17 @@ def tiny_model_params(tiny_model_cfg):
 @pytest.fixture(scope="session")
 def tiny_model_params64(tiny_model_cfg):
     return M.init_params(tiny_model_cfg, seed=0, dtype=np.float64)
+
+
+def _counted(fn, rows, kind, arg, *args, **kwargs):
+    rows[kind] += len(args[arg])
+    return fn(*args, **kwargs)
+
+
+@pytest.fixture
+def pass_rows(monkeypatch):
+    """Sequences run through each model pass, counted by wrapping the functions the benchmark tracer wraps."""
+    rows = {"encode": 0, "decode": 0}
+    for kind, name, arg in (("encode", "encode_batch", 2), ("decode", "decode_states_batch", 4)):
+        monkeypatch.setattr(M, name, functools.partial(_counted, getattr(M, name), rows, kind, arg))
+    return rows

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from colo import contrastive as K
-from colo import model as M
 from colo import tensor as T
 from colo.corpus import ClrTuple, build_lexicon, CorpusConfig
 from colo.rng import derive_rng
@@ -175,63 +174,67 @@ def test_margins_are_plain_floats():
 
 
 # ---------------------------------------------------------------------------
-# hinge loss
+# hinge loss: the per-row hinge training runs, fed hand-set cosines
 
 
-def scalar(x):
+def rows(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def hinge(s_pos, negs):
+    """K._hinge_rows over rows of cosines; ``negs`` maps kind -> (negative cosines, margins)."""
+    xi = {kind: np.asarray(m, dtype=np.float64) for kind, (_, m) in negs.items()}
+    return K._hinge_rows(rows(s_pos), {kind: rows(s) for kind, (s, _) in negs.items()}, xi)
+
+
 def test_hinge_inactive():
-    loss = K.hinge_margin_loss([scalar(0.9)], [(scalar(0.1), 0.01)])
-    assert loss.item() == pytest.approx(0.0)
+    loss = hinge([0.9], {"ES": ([0.1], [0.01])})
+    assert loss.data.tolist() == [0.0]
 
 
 def test_hinge_active_arithmetic():
-    loss = K.hinge_margin_loss([scalar(0.2)], [(scalar(0.5), 0.03)])
-    assert loss.item() == pytest.approx(0.33)
+    loss = hinge([0.2], {"ES": ([0.5], [0.03])})
+    assert loss.data == pytest.approx([0.33])
 
 
 def test_hinge_triple_hand_oracle():
-    p_plus = [0.5]
-    p_minus = [(0.49, 0.02), (0.6, 0.01), (0.1, 0.03)]
-    expected = sum(max(0.0, sn - sp + m) for sp in p_plus for sn, m in p_minus)
-    loss = K.hinge_margin_loss([scalar(v) for v in p_plus], [(scalar(s), m) for s, m in p_minus])
-    assert loss.item() == pytest.approx(expected) == pytest.approx(0.12)
+    s_pos = [0.5, 0.9]
+    negs = {"ES": ([0.49, 0.1], [0.02, 0.02]), "AS": ([0.6, 0.2], [0.01, 0.01]), "OS": ([0.1, 0.3], [0.03, 0.03])}
+    expected = [sum(max(0.0, s[r] - s_pos[r] + m[r]) for s, m in negs.values()) for r in range(2)]
+    assert expected == pytest.approx([0.12, 0.0])
+    assert hinge(s_pos, negs).data == pytest.approx(expected)
 
 
 def test_hinge_zero_iff_all_margins_satisfied():
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        pos = rng.uniform(-1, 1, size=2)
-        neg = rng.uniform(-1, 1, size=3)
-        margins = rng.uniform(0.0, 0.1, size=3)
-        loss = K.hinge_margin_loss(
-            [scalar(p) for p in pos], [(scalar(n), float(m)) for n, m in zip(neg, margins)]
-        ).item()
-        satisfied = all(p - n >= m for p in pos for n, m in zip(neg, margins))
-        assert (loss == 0.0) == satisfied
+    n = 300
+    s_pos = rng.uniform(-1, 1, size=n)
+    negs = {kind: (rng.uniform(-1, 1, size=n), rng.uniform(0.0, 0.1, size=n)) for kind in K.NEG_ORDER}
+    loss = hinge(s_pos, negs).data
+    satisfied = np.all([s_pos - s >= m for s, m in negs.values()], axis=0)
+    assert np.array_equal(loss == 0.0, satisfied)
+    assert 0 < satisfied.sum() < n
 
 
 def test_hinge_monotone_in_negative_similarity():
-    base = K.hinge_margin_loss([scalar(0.4)], [(scalar(0.3), 0.02)]).item()
-    higher = K.hinge_margin_loss([scalar(0.4)], [(scalar(0.45), 0.02)]).item()
+    base = hinge([0.4], {"ES": ([0.3], [0.02])}).data[0]
+    higher = hinge([0.4], {"ES": ([0.45], [0.02])}).data[0]
     assert higher >= base
 
 
-def test_hinge_empty_sets_rejected():
-    with pytest.raises(ValueError):
-        K.hinge_margin_loss([], [(scalar(0.1), 0.01)])
+def test_hinge_empty_sets_rejected(tiny_bundle, tiny_model_cfg, tiny_model_params):
+    with pytest.raises(ValueError, match="at least one negative"):
+        loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 0, 0, neg_types=())
 
 
 def test_hinge_gradient_flows_through_similarities():
-    sp = Tensor(np.asarray(0.2), requires_grad=True, dtype=np.float64)
-    sn = Tensor(np.asarray(0.5), requires_grad=True, dtype=np.float64)
+    sp = Tensor(np.asarray([0.2]), requires_grad=True, dtype=np.float64)
+    sn = Tensor(np.asarray([0.5]), requires_grad=True, dtype=np.float64)
     with Tape():
-        loss = K.hinge_margin_loss([sp], [(sn, 0.03)])
-        backward(loss)
-    assert sp.grad == pytest.approx(-1.0)
-    assert sn.grad == pytest.approx(1.0)
+        loss = K._hinge_rows(sp, {"ES": sn}, {"ES": np.asarray([0.03])})
+        backward(T.sum_(loss))
+    assert sp.grad == pytest.approx([-1.0])
+    assert sn.grad == pytest.approx([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,69 +242,56 @@ def test_hinge_gradient_flows_through_similarities():
 
 
 def test_ce_geometry_orthogonal_negatives_zero_loss():
-    z = scalar([1.0, 0.0, 0.0])
-    z_p = scalar([1.0, 0.0, 0.0])
-    negs = [scalar([0.0, 1.0, 0.0]), scalar([0.0, 0.0, 1.0])]
-    p_plus = [T.cosine_similarity(z, z_p)]
-    p_minus = [(T.cosine_similarity(z, n), m) for n, m in zip(negs, (0.01, 0.03))]
-    assert K.hinge_margin_loss(p_plus, p_minus).item() == pytest.approx(0.0)
+    z = rows([[1.0, 0.0, 0.0]])
+    negs = {"ES": rows([[0.0, 1.0, 0.0]]), "AS": rows([[0.0, 0.0, 1.0]])}
+    xi = {"ES": np.asarray([0.01]), "AS": np.asarray([0.03])}
+    assert K._hinge_rows(*K._cosines(z, rows([[1.0, 0.0, 0.0]]), negs), xi).data == pytest.approx([0.0])
 
 
 def test_ce_geometry_negative_equal_to_anchor():
-    z = scalar([1.0, 0.0])
-    z_p = scalar([0.0, 1.0])
-    p_plus = [T.cosine_similarity(z, z_p)]
-    p_minus = [(T.cosine_similarity(z, scalar([1.0, 0.0])), 0.02)]
-    assert K.hinge_margin_loss(p_plus, p_minus).item() == pytest.approx(1.02)
+    z = rows([[1.0, 0.0]])
+    s_pos, s_neg = K._cosines(z, rows([[0.0, 1.0]]), {"ES": rows([[1.0, 0.0]])})
+    assert K._hinge_rows(s_pos, s_neg, {"ES": np.asarray([0.02])}).data == pytest.approx([1.02])
 
 
 # ---------------------------------------------------------------------------
 # end-to-end losses on the tiny corpus
 
 
+def loss1(params, cfg, bundle, i, seed, **kwargs):
+    """total_loss_batch on a batch of one: example ``i`` with its contrastive set drawn from ``seed``."""
+    lexicon, examples, vocab = bundle
+    cset = K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(seed))
+    return K.total_loss_batch(params, cfg, [examples[i]], [cset], lexicon, vocab, train=False, **kwargs)
+
+
 def test_total_loss_lm_only(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    lexicon, examples, vocab = tiny_bundle
-    breakdown = K.total_loss(
-        tiny_model_params, tiny_model_cfg, examples[0], lexicon, vocab, derive_rng(0),
-        use_ce=False, use_cd=False,
-    )
+    breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 0, 0, use_ce=False, use_cd=False)
     vals = breakdown.values()
     assert vals["ce"] == 0.0 and vals["cd"] == 0.0
     assert vals["total"] == pytest.approx(vals["lm"])
 
 
 def test_total_loss_components_add_exactly(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    lexicon, examples, vocab = tiny_bundle
-    breakdown = K.total_loss(
-        tiny_model_params, tiny_model_cfg, examples[1], lexicon, vocab, derive_rng(1)
-    )
+    breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 1, 1)
     lm, ce, cd, total = (breakdown.lm.data, breakdown.ce.data, breakdown.cd.data, breakdown.total.data)
     assert total == (lm + ce) + cd
     assert lm >= 0 and ce >= 0 and cd >= 0
 
 
-def test_total_loss_forward_counts(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    lexicon, examples, vocab = tiny_bundle
-    M.reset_forward_counts()
-    K.total_loss(tiny_model_params, tiny_model_cfg, examples[2], lexicon, vocab, derive_rng(2))
-    assert M.FORWARD_COUNTS == {"encode": 5, "decode": 4}
+def test_total_loss_forward_counts(tiny_bundle, tiny_model_cfg, tiny_model_params, pass_rows):
+    loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 2, 2)
+    assert pass_rows == {"encode": 5, "decode": 4}
 
-    M.reset_forward_counts()
-    K.total_loss(
-        tiny_model_params, tiny_model_cfg, examples[2], lexicon, vocab, derive_rng(2),
-        use_ce=False, use_cd=False,
-    )
-    assert M.FORWARD_COUNTS == {"encode": 1, "decode": 1}
+    pass_rows.update(encode=0, decode=0)
+    loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 2, 2, use_ce=False, use_cd=False)
+    assert pass_rows == {"encode": 1, "decode": 1}
 
 
 def test_cd_off_is_exact_zero_with_no_gradient(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    lexicon, examples, vocab = tiny_bundle
     tiny_model_params.zero_grads()
     with Tape():
-        breakdown = K.total_loss(
-            tiny_model_params, tiny_model_cfg, examples[3], lexicon, vocab, derive_rng(3),
-            use_ce=False, use_cd=False,
-        )
+        breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 3, 3, use_ce=False, use_cd=False)
         backward(breakdown.total)
     # projection nets sit on no LM path: no gradient when both losses are off
     assert tiny_model_params["proj.dec.w1"].grad is None
@@ -310,13 +300,9 @@ def test_cd_off_is_exact_zero_with_no_gradient(tiny_bundle, tiny_model_cfg, tiny
 
 
 def test_cd_gradient_reaches_projections_and_decoder(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    lexicon, examples, vocab = tiny_bundle
     tiny_model_params.zero_grads()
     with Tape():
-        breakdown = K.total_loss(
-            tiny_model_params, tiny_model_cfg, examples[4], lexicon, vocab, derive_rng(7),
-            use_ce=False, use_cd=True,
-        )
+        breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 4, 7, use_ce=False, use_cd=True)
         backward(breakdown.total)
     if float(breakdown.cd.data) > 0:
         assert np.abs(tiny_model_params["proj.dec.w1"].grad).sum() > 0
@@ -325,19 +311,12 @@ def test_cd_gradient_reaches_projections_and_decoder(tiny_bundle, tiny_model_cfg
 
 
 def test_ce_loss_gradient_matches_finite_differences(tiny_bundle, tiny_model_cfg, tiny_model_params64):
-    lexicon, examples, vocab = tiny_bundle
-    example = examples[5]
-    cset = K.build_contrastive_set(example.tuple, lexicon, derive_rng(9))
-    losses = K.margin_lm_losses(tiny_model_params64, tiny_model_cfg, cset, example, lexicon, vocab)
-    sched = K.margin_schedule(0.01, losses)
-
     wq = tiny_model_params64["enc.0.attn.wq"]
 
     def f(_):
-        return K.contrastive_encoding_loss(
-            tiny_model_params64, tiny_model_cfg, cset, sched, example, lexicon, vocab
-        )
+        return loss1(tiny_model_params64, tiny_model_cfg, tiny_bundle, 5, 9, use_cd=False).ce
 
+    assert float(f(wq).data) > 0
     err = T.finite_diff_check(f, wq, eps=1e-5)
     assert err < 1e-3
 

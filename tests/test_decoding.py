@@ -67,9 +67,11 @@ def decoder_fixture(tiny_bundle, tiny_model_cfg, tiny_model_params):
 def test_stepper_matches_teacher_forced_logits(decoder_fixture):
     params, cfg, src = decoder_fixture
     prefix = [tok.BOS_ID, 10, 11, 12, 13]
+    smask = np.ones((1, len(src)), dtype=bool)
     with no_grad():
-        enc = M.encode(params, cfg, src)
-        full = M.decode(params, cfg, enc, np.ones(len(src), dtype=bool), np.asarray(prefix, dtype=np.int32)).data
+        enc = M.encode_batch(params, cfg, np.asarray(src)[None, :], smask)
+        tgt = np.asarray(prefix, dtype=np.int32)[None, :]
+        full = M.lm_head(params, M.decode_states_batch(params, cfg, enc, smask, tgt, np.ones(tgt.shape, dtype=bool))).data[0]
     full_lp = full - full.max(axis=-1, keepdims=True)
     full_lp = full_lp - np.log(np.exp(full_lp).sum(axis=-1, keepdims=True))
 

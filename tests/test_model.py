@@ -4,7 +4,6 @@ import pytest
 from colo import model as M
 from colo import tensor as T
 from colo import tokens as tok
-from colo.corpus import EncodedExample
 from colo.rng import derive_rng
 from colo.tensor import Tape, Tensor, backward
 
@@ -32,6 +31,18 @@ def tiny_params(tiny_cfg):
 
 def ids(*xs):
     return np.array(xs, dtype=np.int32)
+
+
+def enc1(params, cfg, *src):
+    """encode_batch on a batch of one unpadded source: ((1, T, d) states, (1, T) mask)."""
+    mask = np.ones((1, len(src)), dtype=bool)
+    return M.encode_batch(params, cfg, ids(*src)[None, :], mask), mask
+
+
+def logits1(params, cfg, enc, tgt):
+    """Teacher-forced (1, T, V) logits of one target prefix over ``enc`` = enc1(...)."""
+    states = M.decode_states_batch(params, cfg, *enc, tgt[None, :], np.ones((1, len(tgt)), dtype=bool))
+    return M.lm_head(params, states)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +98,18 @@ def test_biases_zero_gains_one(tiny_params):
 
 
 def test_encode_shape(tiny_params, tiny_cfg):
-    out = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6))
-    assert out.shape == (3, tiny_cfg.d_model)
+    out, _ = enc1(tiny_params, tiny_cfg, 4, 5, 6)
+    assert out.shape == (1, 3, tiny_cfg.d_model)
 
 
 def test_encode_overlong_raises(tiny_params, tiny_cfg):
     with pytest.raises(M.LengthError):
-        M.encode(tiny_params, tiny_cfg, np.arange(20, dtype=np.int32) % 8)
+        enc1(tiny_params, tiny_cfg, *(np.arange(20) % 8))
 
 
 def test_encode_deterministic_without_dropout(tiny_params, tiny_cfg):
-    a = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6)).data
-    b = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6)).data
+    a = enc1(tiny_params, tiny_cfg, 4, 5, 6)[0].data
+    b = enc1(tiny_params, tiny_cfg, 4, 5, 6)[0].data
     assert a.tobytes() == b.tobytes()
 
 
@@ -118,35 +129,33 @@ def test_encode_padding_invariance(tiny_params, tiny_cfg):
 
 
 def test_decode_shape(tiny_params, tiny_cfg):
-    enc = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6))
-    tgt = ids(tok.BOS_ID, 8, 9, 10)
-    logits = M.decode(tiny_params, tiny_cfg, enc, np.ones(3, dtype=bool), tgt)
-    assert logits.shape == (4, tiny_cfg.vocab_size)
+    enc = enc1(tiny_params, tiny_cfg, 4, 5, 6)
+    logits = logits1(tiny_params, tiny_cfg, enc, ids(tok.BOS_ID, 8, 9, 10))
+    assert logits.shape == (1, 4, tiny_cfg.vocab_size)
 
 
 def test_decode_requires_bos(tiny_params, tiny_cfg):
-    enc = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6))
+    enc = enc1(tiny_params, tiny_cfg, 4, 5, 6)
     with pytest.raises(ValueError):
-        M.decode(tiny_params, tiny_cfg, enc, np.ones(3, dtype=bool), ids(8, 9))
+        logits1(tiny_params, tiny_cfg, enc, ids(8, 9))
 
 
 def test_decode_causality(tiny_params, tiny_cfg):
-    enc = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6))
-    mask = np.ones(3, dtype=bool)
-    base = M.decode(tiny_params, tiny_cfg, enc, mask, ids(tok.BOS_ID, 8, 9, 10)).data
+    enc = enc1(tiny_params, tiny_cfg, 4, 5, 6)
+    base = logits1(tiny_params, tiny_cfg, enc, ids(tok.BOS_ID, 8, 9, 10)).data[0]
     for t in range(3):
         mutated = [tok.BOS_ID, 8, 9, 10]
         mutated[t + 1] = 21
-        got = M.decode(tiny_params, tiny_cfg, enc, mask, ids(*mutated)).data
+        got = logits1(tiny_params, tiny_cfg, enc, ids(*mutated)).data[0]
         assert np.allclose(base[: t + 1], got[: t + 1], atol=1e-6), f"position {t}"
 
 
 def test_decode_overlong_raises(tiny_params, tiny_cfg):
-    enc = M.encode(tiny_params, tiny_cfg, ids(4, 5))
+    enc = enc1(tiny_params, tiny_cfg, 4, 5)
     tgt = np.full(tiny_cfg.max_tgt_len + 2, 4, dtype=np.int32)
     tgt[0] = tok.BOS_ID
     with pytest.raises(M.LengthError):
-        M.decode(tiny_params, tiny_cfg, enc, np.ones(2, dtype=bool), tgt)
+        logits1(tiny_params, tiny_cfg, enc, tgt)
 
 
 def test_zero_layer_decoder_reduces_to_embedding_head(tiny_cfg):
@@ -163,9 +172,8 @@ def test_zero_layer_decoder_reduces_to_embedding_head(tiny_cfg):
         proj_hidden=12,
     )
     params = M.init_params(cfg, seed=3)
-    enc = M.encode(params, cfg, ids(4, 5))
     tgt = ids(tok.BOS_ID, 7, 9)
-    logits = M.decode(params, cfg, enc, np.ones(2, dtype=bool), tgt).data
+    logits = logits1(params, cfg, enc1(params, cfg, 4, 5), tgt).data[0]
 
     emb = params["emb.tok"].data
     pos = params["emb.pos_dec"].data
@@ -183,25 +191,25 @@ def test_zero_layer_decoder_reduces_to_embedding_head(tiny_cfg):
 
 def test_embedding_tying_single_storage(tiny_cfg):
     params = M.init_params(tiny_cfg, seed=2)
-    src = ids(4, 5)
     tgt = ids(tok.BOS_ID, 6)
-    enc0 = M.encode(params, tiny_cfg, src).data.copy()
-    logits0 = M.decode(params, tiny_cfg, M.encode(params, tiny_cfg, src), np.ones(2, dtype=bool), tgt).data.copy()
+    enc_before = enc1(params, tiny_cfg, 4, 5)
+    logits_before = logits1(params, tiny_cfg, enc_before, tgt).data.copy()
     # non-uniform bump (a constant row shift would cancel in layer norm)
     params["emb.tok"].data[4, 0] += 0.5
     params["emb.tok"].data[6, 1] -= 0.5
-    enc1 = M.encode(params, tiny_cfg, src).data
-    logits1 = M.decode(params, tiny_cfg, M.encode(params, tiny_cfg, src), np.ones(2, dtype=bool), tgt).data
-    assert not np.allclose(enc0, enc1)
-    assert not np.allclose(logits0, logits1)
+    enc_after = enc1(params, tiny_cfg, 4, 5)
+    logits_after = logits1(params, tiny_cfg, enc_after, tgt).data
+    assert not np.allclose(enc_before[0].data, enc_after[0].data)
+    assert not np.allclose(logits_before, logits_after)
 
 
 def test_tied_embedding_accumulates_all_paths(tiny_cfg):
     params = M.init_params(tiny_cfg, seed=4)
-    ex = EncodedExample(ids(4, 5, 6), ids(8, 9))
+    tgt_in, labels, lmask = M.make_target_arrays([ids(8, 9)])
     with Tape():
-        loss = M.lm_loss(params, tiny_cfg, ex)
-        backward(loss)
+        enc, smask = enc1(params, tiny_cfg, 4, 5, 6)
+        nll, _ = M.nll_per_example(params, tiny_cfg, enc, smask, tgt_in, labels, lmask)
+        backward(T.mean_(nll))
     assert params["emb.tok"].grad is not None
     # rows used by encoder input, decoder input, and every row via the head
     assert np.abs(params["emb.tok"].grad).sum() > 0
@@ -212,18 +220,18 @@ def test_tied_embedding_accumulates_all_paths(tiny_cfg):
 
 
 def test_projections_differ_and_shapes(tiny_params, tiny_cfg):
-    v = Tensor(np.random.default_rng(0).standard_normal(tiny_cfg.d_model).astype(np.float32))
+    v = Tensor(np.random.default_rng(0).standard_normal((3, tiny_cfg.d_model)).astype(np.float32))
     pe = M.project_enc(tiny_params, v)
     pd = M.project_dec(tiny_params, v)
-    assert pe.shape == (tiny_cfg.d_model,)
-    assert pd.shape == (tiny_cfg.d_model,)
+    assert pe.shape == (3, tiny_cfg.d_model)
+    assert pd.shape == (3, tiny_cfg.d_model)
     assert not np.allclose(pe.data, pd.data)
 
 
 def test_projection_gradient(tiny_cfg):
     params = M.init_params(tiny_cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal(tiny_cfg.d_model), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.standard_normal((2, tiny_cfg.d_model)), requires_grad=True, dtype=np.float64)
 
     def f(v):
         return T.sum_(M.project_enc(params, v))
@@ -232,11 +240,12 @@ def test_projection_gradient(tiny_cfg):
 
 
 def test_relation_embedding_is_masked_pool(tiny_params, tiny_cfg):
-    states = M.encode(tiny_params, tiny_cfg, ids(4, 5, 6, tok.PAD_ID), np.array([True, True, True, False]))
-    emb = M.relation_embedding(states, np.array([True, True, True, False]), source="original")
-    manual = states.data[:3].mean(axis=0)
-    assert np.allclose(emb.vector.data, manual, atol=1e-6)
-    assert emb.source == "original"
+    # the pooled relation embedding the losses score: a mean over unpadded encoder states
+    src, mask = M.pad_sources([ids(4, 5, 6), ids(7, 8, 9, 10)])
+    states = M.encode_batch(tiny_params, tiny_cfg, src, mask)
+    pooled = T.masked_mean_pool(states, mask)
+    assert np.allclose(pooled.data[0], states.data[0, :3].mean(axis=0), atol=1e-6)
+    assert np.allclose(pooled.data[1], states.data[1].mean(axis=0), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +256,10 @@ def test_lm_loss_near_uniform_at_init():
     cfg = M.ModelConfig(vocab_size=256)
     params = M.init_params(cfg, seed=0)
     rng = np.random.default_rng(3)
-    ex = EncodedExample(
-        rng.integers(8, 256, size=10).astype(np.int32),
-        rng.integers(8, 256, size=12).astype(np.int32),
-    )
-    loss = M.lm_loss(params, cfg, ex).item()
-    assert abs(loss - np.log(256)) < 0.5
+    tgt_in, labels, lmask = M.make_target_arrays([rng.integers(8, 256, size=12).astype(np.int32)])
+    enc, smask = enc1(params, cfg, *rng.integers(8, 256, size=10))
+    nll, _ = M.nll_per_example(params, cfg, enc, smask, tgt_in, labels, lmask)
+    assert abs(nll.data[0] - np.log(256)) < 0.5
 
 
 def test_lm_loss_pad_invariant(tiny_params, tiny_cfg):
@@ -287,11 +294,10 @@ def test_dropout_changes_output_and_eval_is_deterministic(tiny_cfg):
     assert e1.tobytes() == e2.tobytes()
 
 
-def test_forward_counters(tiny_params, tiny_cfg):
-    M.reset_forward_counts()
+def test_forward_counters(tiny_params, tiny_cfg, pass_rows):
     src = np.array([[4, 5, 6], [7, 8, 9]], dtype=np.int32)
     mask = np.ones((2, 3), dtype=bool)
     enc = M.encode_batch(tiny_params, tiny_cfg, src, mask)
     tgt_in, labels, lmask = M.make_target_arrays([ids(8, 9), ids(10,)])
     M.nll_per_example(tiny_params, tiny_cfg, enc, mask, tgt_in, labels, lmask)
-    assert M.FORWARD_COUNTS == {"encode": 2, "decode": 2}
+    assert pass_rows == {"encode": 2, "decode": 2}

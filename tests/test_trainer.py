@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colo import model as M
 from colo import trainer as TR
@@ -208,3 +210,34 @@ def test_training_decreases_lm_loss(corpus, tiny_model_cfg):
     first = np.mean([r["lm"] for r in records[:3]])
     last = np.mean([r["lm"] for r in records[-3:]])
     assert last < first * 0.7
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """(bytes, header end, directory) of a saved checkpoint of a 15-array model."""
+    cfg = M.ModelConfig(vocab_size=8, d_model=4, n_heads=1, n_enc_layers=0, n_dec_layers=0, d_ff=4, max_src_len=2, max_tgt_len=2, proj_hidden=4)
+    params, path = M.init_params(cfg, seed=0), tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    TR.save_checkpoint(path, TR.Checkpoint(cfg, params, TR.AdamState.init(params), TR.TrainConfig(), {"seed": 0, "step": 0}, 0))
+    raw = path.read_bytes()
+    return raw, TR.CHECKPOINT_PREAMBLE_LEN + int(np.frombuffer(raw[8:16], dtype="<u8")[0]), path.parent
+
+
+def _load_prefix(small_checkpoint, n):
+    raw, _, tmp = small_checkpoint
+    (tmp / "prefix.ckpt").write_bytes(raw[:n])
+    with pytest.raises(TR.CheckpointError):
+        TR.load_checkpoint(tmp / "prefix.ckpt")
+
+
+def test_checkpoint_every_prefix_below_header_end_rejected(small_checkpoint):
+    raw, header_end, tmp = small_checkpoint
+    TR.load_checkpoint(tmp / "model.ckpt")
+    for n in range(header_end):
+        _load_prefix(small_checkpoint, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_checkpoint_payload_prefixes_rejected(small_checkpoint, data):
+    raw, header_end, _ = small_checkpoint
+    _load_prefix(small_checkpoint, data.draw(st.integers(header_end, len(raw) - 1)))
