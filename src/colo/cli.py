@@ -7,6 +7,7 @@ input/output content digests, timestamps) next to its artifacts.  Exit codes:
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -183,9 +184,29 @@ def _model_config_from(resolved, vocab_size):
     return ModelConfig(vocab_size=vocab_size, **{k: resolved[k] for k in keys})
 
 
+# a resume may change how long it runs and how often it evaluates; every other
+# TrainConfig field shapes the trajectory and is taken from the checkpoint
+RESUME_FREE_FIELDS = ("epochs", "max_steps", "eval_every")
+
+
+def _resumed_configs(ckpt, resolved, explicit, vocab_size):
+    """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises."""
+    from .trainer import CheckpointError
+
+    saved = {**ckpt.train_config.to_dict(), **ckpt.model_config.to_dict()}
+    saved["neg_types"] = tuple(saved["neg_types"])
+    for key in sorted(explicit - set(RESUME_FREE_FIELDS)):
+        if resolved[key] != saved[key]:
+            raise CheckpointError(f"resume: {key} is {saved[key]!r} in the checkpoint, not {resolved[key]!r}")
+    if ckpt.model_config.vocab_size != vocab_size:
+        raise CheckpointError(f"resume: checkpoint vocabulary has {ckpt.model_config.vocab_size} tokens, corpus {vocab_size}")
+    tcfg = dataclasses.replace(ckpt.train_config, **{k: resolved[k] for k in RESUME_FREE_FIELDS})
+    return tcfg, ckpt.model_config
+
+
 def cmd_train(args):
     from .model import ModelConfig
-    from .trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
+    from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
     started = _now()
     train_defaults = {k: getattr(TrainConfig(), k) for k in TrainConfig.__dataclass_fields__}
@@ -217,21 +238,23 @@ def cmd_train(args):
     resolved["neg_types"] = tuple(resolved["neg_types"])
 
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
-    tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
-    mcfg = _model_config_from(resolved, len(vocab))
-
-    out = Path(args.out) if args.out else _default_out(tcfg.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out / "model.ckpt"
-    log_path = out / "train_log.jsonl"
-
     params = adam = None
     start_step = 0
     inputs = [corpus_path, lexicon_path]
     if args.resume:
         loaded = load_checkpoint(args.resume)
+        explicit = set(file_cfg) | {k for k, v in flags.items() if v is not None}
+        tcfg, mcfg = _resumed_configs(loaded, resolved, explicit, len(vocab))
         params, adam, start_step = loaded.params, loaded.adam, loaded.step
         inputs.append(Path(args.resume))
+    else:
+        tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
+        mcfg = _model_config_from(resolved, len(vocab))
+
+    out = Path(args.out) if args.out else _default_out(tcfg.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out / "model.ckpt"
+    log_path = out / "train_log.jsonl"
 
     with open(log_path, "w", encoding="ascii") as log_file:
         ckpt, _ = train(tcfg, corpus, mcfg, params=params, adam=adam, start_step=start_step, log_file=log_file)
@@ -544,7 +567,7 @@ def build_parser():
     t.add_argument("--no-cd", action="store_true", help="drop the contrastive decoding loss")
     t.add_argument("--neg-types", help="comma list from ES,AS,OS (default all)")
     t.add_argument("--project-in-ce", action="store_true")
-    t.add_argument("--resume", help="checkpoint to resume from")
+    t.add_argument("--resume", help="checkpoint to resume from; its model and training settings are kept")
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("generate", help="decode tuples from a corpus file")

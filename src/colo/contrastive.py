@@ -132,18 +132,8 @@ def rank_descending(values):
     return ranks
 
 
-@dataclass(frozen=True)
-class MarginSchedule:
-    gamma: float
-    margins: dict  # neg kind -> margin value
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-
-def margin_schedule(gamma, lm_losses) -> MarginSchedule:
-    """gamma times the descending rank of each negative's LM loss.
+def margin_schedule(gamma, lm_losses):
+    """Margins by negative kind: gamma times the descending rank of its LM loss.
 
     The smallest loss (the negative that most easily still generates the
     reference) ranks last and therefore gets the largest margin.
@@ -154,7 +144,7 @@ def margin_schedule(gamma, lm_losses) -> MarginSchedule:
     if set(lm_losses) - set(NEG_ORDER):
         raise ValueError(f"unknown negative kinds: {set(lm_losses) - set(NEG_ORDER)}")
     ranks = rank_descending([lm_losses[k] for k in order])
-    return MarginSchedule(gamma, {k: gamma * r for k, r in zip(order, ranks)})
+    return {k: gamma * r for k, r in zip(order, ranks)}
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +179,6 @@ def _encode_variant(params, cfg, tuples, examples, lexicon, vocab, alias_choices
     src_arr, mask = M.pad_sources(sources)
     states = M.encode_batch(params, cfg, src_arr, mask, train=train, rng=rng)
     return states, mask
-
-
-def _pool(states, mask):
-    return T.masked_mean_pool(states, mask)
 
 
 def total_loss_batch(
@@ -255,7 +241,7 @@ def total_loss_batch(
     states, mask = _encode_variant(
         params, cfg, tuples, examples * len(groups), lexicon, vocab, aliases, train, rng
     )
-    pooled = _pool(states, mask)
+    pooled = T.masked_mean_pool(states, mask)
     block = {g: T.slice0(pooled, i * b, (i + 1) * b) for i, g in enumerate(groups)}
     z = block["orig"]
     src_mask = mask[:b]
@@ -286,7 +272,7 @@ def total_loss_batch(
 
     cd = _zero_scalar(dtype)
     if use_cd:
-        z_y = M.project_dec(params, _pool(dec_states, label_mask))
+        z_y = M.project_dec(params, T.masked_mean_pool(dec_states, label_mask))
         pz = M.project_enc(params, z)
         pn = {kind: M.project_enc(params, block[kind]) for kind in neg_types}
         cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, pn), xi))
@@ -330,7 +316,7 @@ def _margin_constants(params, cfg, neg_state_data, neg_mask, tgt_in, labels, lab
         losses = nll.data.reshape(n, b)
     xi = {kind: np.empty(b, dtype=np.float64) for kind in neg_types}
     for i in range(b):
-        schedule = margin_schedule(gamma, {kind: float(losses[j][i]) for j, kind in enumerate(neg_types)})
+        margins = margin_schedule(gamma, {kind: float(losses[j][i]) for j, kind in enumerate(neg_types)})
         for kind in neg_types:
-            xi[kind][i] = schedule.margins[kind]
+            xi[kind][i] = margins[kind]
     return xi

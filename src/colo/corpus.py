@@ -593,19 +593,17 @@ def write_lexicon(path, lexicon: Lexicon):
 
 
 def read_lexicon(path) -> Lexicon:
-    with open(path, encoding="ascii") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"lexicon file {path}: {e}") from None
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
+        doc = json.loads(raw.decode("ascii"))
         opinions = {oid: rec["surfaces"] for oid, rec in doc["opinions"].items()}
         polarity = {oid: rec["polarity"] for oid, rec in doc["opinions"].items()}
         antonyms = {oid: rec["antonym"] for oid, rec in doc["opinions"].items()}
         lex = Lexicon(doc["entities"], doc["aspects"], opinions, polarity, antonyms, doc["attributes"])
-    except KeyError as e:
-        raise ParseError(f"lexicon file {path}: missing key {e}") from None
-    lex.validate()
+        lex.validate()
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, AttributeError, TypeError) as e:
+        raise ParseError(f"lexicon file {path}: {e!r}") from None
     return lex
 
 
@@ -624,19 +622,19 @@ def write_corpus(path, examples):
 
 def read_corpus(path):
     examples = []
-    with open(path, encoding="ascii") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("ascii"))
                 t = ClrTuple(*rec["tuple"])
                 profiles = (
                     EntityProfile(t.entity_a, rec["profiles"][0]),
                     EntityProfile(t.entity_b, rec["profiles"][1]),
                 )
                 ex = Example(t, profiles, list(rec["reference"]), rec["split"])
-            except (json.JSONDecodeError, KeyError, IndexError, TypeError, CorpusError) as e:
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError, CorpusError) as e:
                 raise ParseError(f"corpus file {path}, line {lineno}: {e}") from None
             examples.append(ex)
     return examples

@@ -305,13 +305,6 @@ def decode_corpus(params, cfg, examples, lexicon, vocab, beam_size=5, length_nor
     return preds
 
 
-def evaluate_corpus(params, cfg, examples, lexicon, vocab, beam_size=5, length_norm=1.0):
-    """Decode with beam search and compute the full report."""
-    preds = decode_corpus(params, cfg, examples, lexicon, vocab, beam_size, length_norm)
-    ppl = perplexity(params, cfg, examples, lexicon, vocab)
-    return metrics_report(preds, examples, lexicon, ppl=ppl), preds
-
-
 def write_report(path, report: EvalReport, extra=None):
     doc = dict(report.to_dict())
     doc["scaled"] = report.scaled()

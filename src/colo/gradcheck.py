@@ -1,6 +1,7 @@
 """Finite-difference verification suite for every differentiable op and the
 composite losses, run at float64.  Backs the ``colo gradcheck`` command."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ from .corpus import Corpus, CorpusConfig, Vocab, generate_corpus
 from .rng import derive_rng
 from .tensor import Tensor, finite_diff_check
 
-OP_THRESHOLD = 1e-4
+OP_THRESHOLD = 1e-5
 COMPOSITE_THRESHOLD = 1e-3
 
 
@@ -27,81 +28,69 @@ class CheckResult:
         return self.max_rel_err < self.threshold
 
 
-def _t(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+def _t(rng, *shape, requires_grad=True):
+    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad, dtype=np.float64)
 
 
-def _const(rng, *shape):
-    return Tensor(rng.standard_normal(shape), dtype=np.float64)
+def _pos(rng, *shape, requires_grad=True):
+    """Entries bounded away from zero, for div and sqrt."""
+    return Tensor(np.abs(rng.standard_normal(shape)) + 0.5, requires_grad=requires_grad, dtype=np.float64)
+
+
+def _wsum(y, w):
+    """Scalar that weights every output coordinate differently."""
+    return T.sum_(T.mul(y, w))
+
+
+def op_cases():
+    """(name, f, at) per primitive op, at float64: ``f`` maps the leaf ``at`` to a scalar.
+
+    Built fresh on each call, because a check writes into ``at.grad``.
+    """
+    rng = np.random.default_rng(2024)
+    leaf = functools.partial(_t, rng)
+    c = functools.partial(_t, rng, requires_grad=False)
+    w34, c34, b4, pos34 = c(3, 4), c(3, 4), c(4), _pos(rng, 3, 4, requires_grad=False)
+    b42, w32, w232, a54, w52, a234 = c(4, 2), c(3, 2), c(2, 3, 2), c(5, 4), c(5, 2), c(2, 3, 4)
+    w3, w43, w44, w36 = c(3), c(4, 3), c(4, 4), c(3, 6)
+    gain, bias, wln, x48 = c(8), c(8), c(4, 8), c(4, 8)
+    targets, w6 = np.array([3, 0, 7, 2, 9, 5]), c(6)
+    pmask, w28 = np.array([[True, False, True, True, False], [False, True, False, False, False]]), c(2, 8)
+    v36 = c(3, 6)
+    return [
+        ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
+        ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
+        ("mul", lambda x: _wsum(T.mul(x, c34), w34), leaf(3, 4)),
+        ("div", lambda x: _wsum(T.div(c34, x), w34), _pos(rng, 3, 4)),
+        ("div_numerator", lambda x: _wsum(T.div(x, pos34), w34), leaf(3, 4)),
+        ("neg", lambda x: _wsum(T.neg(x), w34), leaf(3, 4)),
+        ("sqrt", lambda x: _wsum(T.sqrt(x), w34), _pos(rng, 3, 4)),
+        ("tanh", lambda x: _wsum(T.tanh(x), w34), leaf(3, 4)),
+        ("relu", lambda x: _wsum(T.relu(x), w34), leaf(3, 4)),
+        ("gelu", lambda x: _wsum(T.gelu(x), w34), leaf(3, 4)),
+        ("matmul_2d", lambda x: _wsum(T.matmul(x, b42), w32), leaf(3, 4)),
+        ("matmul_batched", lambda x: _wsum(T.matmul(x, b42), w232), leaf(2, 3, 4)),
+        ("matmul_rhs", lambda x: _wsum(T.matmul(a54, x), w52), leaf(4, 2)),
+        # a 2-D right operand under a batched left one: its gradient sums over the batch
+        ("matmul_rhs_broadcast", lambda x: _wsum(T.matmul(a234, x), w232), leaf(4, 2)),
+        ("sum_axis", lambda x: _wsum(T.sum_(x, axis=1), w3), leaf(3, 4)),
+        ("reshape", lambda x: _wsum(T.reshape(x, (4, 3)), w43), leaf(3, 4)),
+        ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
+        ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
+        ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
+        ("softmax", lambda x: _wsum(T.softmax_last(x), w36), leaf(3, 6)),
+        ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
+        ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
+        ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
+        ("cross_entropy_rows", lambda x: _wsum(T.cross_entropy_rows(x, targets), w6), leaf(6, 11)),
+        ("masked_mean_pool", lambda x: _wsum(T.masked_mean_pool(x, pmask), w28), leaf(2, 5, 8)),
+        ("cosine_rows", lambda u: _wsum(T.cosine_rows(u, v36), w3), leaf(3, 6)),
+    ]
 
 
 def op_checks():
-    """(name, err) for each primitive op, float64 central differences."""
-    rng = np.random.default_rng(2024)
-    w = _const(rng, 3, 4)
-    cases = []
-
-    bias4 = _const(rng, 4)
-    other34 = _const(rng, 3, 4)
-    cases.append(("add_broadcast", finite_diff_check(lambda x: T.sum_(T.mul(T.add(x, bias4), w)), _t(rng, 3, 4))))
-    cases.append(("sub", finite_diff_check(lambda x: T.sum_(T.mul(T.sub(x, other34), w)), _t(rng, 3, 4))))
-    cases.append(("mul", finite_diff_check(lambda x: T.sum_(T.mul(T.mul(x, other34), w)), _t(rng, 3, 4))))
-    pos = Tensor(np.abs(np.random.default_rng(8).standard_normal((3, 4))) + 0.5, requires_grad=True, dtype=np.float64)
-    cases.append(("div", finite_diff_check(lambda x: T.sum_(T.mul(T.div(other34, x), w)), pos)))
-    cases.append(("neg", finite_diff_check(lambda x: T.sum_(T.mul(T.neg(x), w)), _t(rng, 3, 4))))
-    sq = Tensor(np.abs(np.random.default_rng(9).standard_normal((3, 4))) + 0.5, requires_grad=True, dtype=np.float64)
-    cases.append(("sqrt", finite_diff_check(lambda x: T.sum_(T.mul(T.sqrt(x), w)), sq)))
-    cases.append(("tanh", finite_diff_check(lambda x: T.sum_(T.mul(T.tanh(x), w)), _t(rng, 3, 4))))
-    off = Tensor(np.random.default_rng(10).standard_normal((3, 4)) + 0.7, requires_grad=True, dtype=np.float64)
-    cases.append(("relu", finite_diff_check(lambda x: T.sum_(T.mul(T.relu(x), w)), off)))
-    cases.append(("gelu", finite_diff_check(lambda x: T.sum_(T.mul(T.gelu(x), w)), _t(rng, 3, 4))))
-
-    b42 = _const(rng, 4, 2)
-    w32 = _const(rng, 3, 2)
-    cases.append(("matmul_2d", finite_diff_check(lambda x: T.sum_(T.mul(T.matmul(x, b42), w32)), _t(rng, 3, 4))))
-    wb = _const(rng, 2, 3, 2)
-    cases.append(("matmul_batched", finite_diff_check(lambda x: T.sum_(T.mul(T.matmul(x, b42), wb)), _t(rng, 2, 3, 4))))
-    a54 = _const(rng, 5, 4)
-    w52 = _const(rng, 5, 2)
-    cases.append(("matmul_rhs", finite_diff_check(lambda x: T.sum_(T.mul(T.matmul(a54, x), w52)), _t(rng, 4, 2))))
-
-    w3 = _const(rng, 3)
-    w43 = _const(rng, 4, 3)
-    cases.append(("sum_axis", finite_diff_check(lambda x: T.sum_(T.mul(T.sum_(x, axis=1), w3)), _t(rng, 3, 4))))
-    cases.append(("reshape", finite_diff_check(lambda x: T.sum_(T.mul(T.reshape(x, (4, 3)), w43)), _t(rng, 3, 4))))
-    cases.append(("swapaxes", finite_diff_check(lambda x: T.sum_(T.mul(T.swapaxes(x, 0, 1), w43)), _t(rng, 3, 4))))
-
-    table = _t(rng, 6, 4)
-    ids = np.array([0, 2, 2, 5])
-    w44 = _const(rng, 4, 4)
-    cases.append(("take_rows", finite_diff_check(lambda x: T.sum_(T.mul(T.take_rows(x, ids), w44)), table)))
-
-    w36 = _const(rng, 3, 6)
-    cases.append(("softmax", finite_diff_check(lambda x: T.sum_(T.mul(T.softmax_last(x), w36)), _t(rng, 3, 6))))
-
-    gain = _const(rng, 8)
-    bias = _const(rng, 8)
-    wln = _const(rng, 4, 8)
-    cases.append(("layer_norm_x", finite_diff_check(lambda x: T.sum_(T.mul(T.layer_norm(x, gain, bias), wln)), _t(rng, 4, 8))))
-    x_fixed = _const(rng, 4, 8)
-    cases.append(("layer_norm_gain", finite_diff_check(lambda g: T.sum_(T.mul(T.layer_norm(x_fixed, g, bias), wln)), _t(rng, 8))))
-    cases.append(("layer_norm_bias", finite_diff_check(lambda b: T.sum_(T.mul(T.layer_norm(x_fixed, gain, b), wln)), _t(rng, 8))))
-
-    targets = np.array([3, 0, 7, 2, 9, 5])
-    lmask = np.array([True, True, False, True, True, True])
-    cases.append(
-        ("softmax_cross_entropy", finite_diff_check(lambda x: T.softmax_cross_entropy(x, targets, lmask), _t(rng, 6, 11)))
-    )
-
-    pmask = np.array([True, False, True, True, False])
-    w8 = _const(rng, 8)
-    cases.append(
-        ("masked_mean_pool", finite_diff_check(lambda x: T.sum_(T.mul(T.masked_mean_pool(x, pmask), w8)), _t(rng, 5, 8)))
-    )
-
-    v_fixed = _const(rng, 6)
-    cases.append(("cosine_similarity", finite_diff_check(lambda u: T.cosine_similarity(u, v_fixed), _t(rng, 6))))
-    return cases
+    """(name, max relative error) for each case of :func:`op_cases`."""
+    return [(name, finite_diff_check(f, at)) for name, f, at in op_cases()]
 
 
 def _micro_fixture():
@@ -142,7 +131,7 @@ def _micro_fixture():
     return Corpus(lexicon, examples), vocab, mcfg, params
 
 
-def composite_checks(max_err_only=False):
+def composite_checks():
     """Check lm/ce/cd/total gradients for every parameter of a micro model."""
     corpus, vocab, mcfg, params = _micro_fixture()
     examples = corpus.examples[:2]

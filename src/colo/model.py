@@ -60,9 +60,6 @@ class ParameterSet:
     def __getitem__(self, name):
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
     def __len__(self):
         return len(self._tensors)
 

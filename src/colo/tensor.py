@@ -4,12 +4,11 @@ Define-by-run: operations executed inside a ``with Tape():`` block record
 their backward rules onto the active tape; :func:`backward` replays the tape
 in reverse and accumulates gradients additively into ``.grad`` buffers.
 Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
-gradient-check precision.  The tape stack is thread-local, so independent
-tapes may run concurrently as long as they share no tensors.
+gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
+...), with no operator overloading; pooling and similarity take batched
+operands only.  The tape stack is module state, for one thread.
 """
 
-import os
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -41,20 +40,10 @@ class VocabularyError(TensorError):
     """A target token id lies outside the vocabulary."""
 
 
-class NonFiniteError(TensorError):
-    """A forward operation produced NaN or Inf."""
-
-
 COSINE_EPS = 1e-8
-_CHECK_FINITE = os.environ.get("COLO_CHECK_FINITE", "0") == "1"
 
-_TLS = threading.local()
-
-
-def _tape_stack():
-    if not hasattr(_TLS, "stack"):
-        _TLS.stack = []
-    return _TLS.stack
+# innermost last; None marks a no_grad block
+_TAPES = []
 
 
 class Tape:
@@ -65,15 +54,14 @@ class Tape:
 
     @staticmethod
     def current():
-        stack = _tape_stack()
-        return stack[-1] if stack else None
+        return _TAPES[-1] if _TAPES else None
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -81,11 +69,11 @@ class Tape:
 @contextmanager
 def no_grad():
     """Suspend recording: ops inside run as plain numpy forward passes."""
-    _tape_stack().append(None)
+    _TAPES.append(None)
     try:
         yield
     finally:
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
 class Tensor:
@@ -128,9 +116,6 @@ class Tensor:
 
     # -- gradient plumbing --------------------------------------------
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -139,35 +124,6 @@ class Tensor:
             self.grad = g.copy()
         else:
             self.grad += g
-
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, dtype):
@@ -187,8 +143,6 @@ class _Op:
 
 def _make(out_data, inputs, bwd):
     """Wrap an op result; record it if a tape is active and grads are needed."""
-    if _CHECK_FINITE and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError("operation produced a non-finite value")
     out = Tensor(out_data)
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -451,11 +405,13 @@ def cross_entropy_rows(logits, targets):
 
 
 def masked_mean_pool(states, mask):
-    """Mean of the rows selected by a boolean mask.
+    """Per-sequence mean of the positions a boolean mask selects.
 
-    ``states`` is (T, d) with ``mask`` (T,), or batched (B, T, d) with
-    (B, T); masked-out rows contribute nothing.
+    ``states`` is (B, T, d) and ``mask`` (B, T); masked-out positions
+    contribute nothing, and the result is (B, d).
     """
+    if states.ndim != 3:
+        raise ShapeError(f"masked_mean_pool expects (B, T, d) states, got {states.shape}")
     m = np.asarray(mask, dtype=bool)
     if m.shape != states.shape[:-1]:
         raise ShapeError(f"mask shape {m.shape} does not match states {states.shape}")
@@ -463,11 +419,8 @@ def masked_mean_pool(states, mask):
     if np.any(counts == 0):
         raise EmptyPoolError("masked_mean_pool needs at least one unmasked position")
     mf = Tensor(m.astype(states.dtype)[..., None])
-    inv = Tensor((1.0 / counts).astype(states.dtype))
-    pooled = sum_(mul(states, mf), axis=-2)
-    if pooled.ndim == 1:
-        return mul(pooled, inv)
-    return mul(pooled, reshape(inv, (-1, 1)))
+    inv = Tensor((1.0 / counts).astype(states.dtype)[:, None])
+    return mul(sum_(mul(states, mf), axis=-2), inv)
 
 
 def maximum_floor(a, floor):
@@ -475,40 +428,17 @@ def maximum_floor(a, floor):
     return add(relu(sub(a, _as_tensor(floor, a.dtype))), _as_tensor(floor, a.dtype))
 
 
-def _cosine(u, v, axis):
-    nu = np.sqrt((u.data * u.data).sum(axis=axis))
-    nv = np.sqrt((v.data * v.data).sum(axis=axis))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
-    dot = sum_(mul(u, v), axis=axis)
-    denom = maximum_floor(mul(sqrt(sum_(mul(u, u), axis=axis)), sqrt(sum_(mul(v, v), axis=axis))), COSINE_EPS)
-    return div(dot, denom)
-
-
-def cosine_similarity(u, v):
-    """Cosine similarity of two 1-D tensors (scalar output, in [-1, 1])."""
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError("cosine_similarity expects matching 1-D tensors")
-    return _cosine(u, v, axis=None)
-
-
 def cosine_rows(u, v):
     """Row-wise cosine similarity of two (B, d) tensors, returning (B,)."""
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeError("cosine_rows expects matching 2-D tensors")
-    return _cosine(u, v, axis=-1)
-
-
-def softmax_cross_entropy(logits, targets, mask):
-    """Mean NLL over unmasked positions of a (T, V) logit matrix."""
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != (logits.shape[0],):
-        raise ShapeError("mask length must match the number of rows")
-    if not m.any():
-        raise EmptyPoolError("softmax_cross_entropy needs an unmasked position")
-    nll = cross_entropy_rows(logits, targets)
-    mf = Tensor(m.astype(logits.dtype))
-    return div(sum_(mul(nll, mf)), _as_tensor(float(m.sum()), logits.dtype))
+    nu = np.sqrt((u.data * u.data).sum(axis=-1))
+    nv = np.sqrt((v.data * v.data).sum(axis=-1))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
+    dot = sum_(mul(u, v), axis=-1)
+    denom = maximum_floor(mul(sqrt(sum_(mul(u, u), axis=-1)), sqrt(sum_(mul(v, v), axis=-1))), COSINE_EPS)
+    return div(dot, denom)
 
 
 # ---------------------------------------------------------------------------

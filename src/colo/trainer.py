@@ -19,7 +19,7 @@ from . import rng as rngmod
 from . import tokens as tok
 from .corpus import Vocab
 from .decoding import greedy_decode
-from .tensor import Tape, backward, no_grad
+from .tensor import Tape, Tensor, backward, no_grad
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -200,33 +200,50 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("model_config", "train_config", "adam_step", "rng", "step", "manifest"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
+    if not isinstance(header["manifest"], list):
+        raise CheckpointError(f"{path}: manifest is not a list")
+
     payload = raw[header_end:]
-    arrays = {}
+    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for entry in header["manifest"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
-        dt = np.dtype("<" + entry["dtype"])
-        arr = np.frombuffer(payload[start : start + nbytes], dtype=dt).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(dt.newbyteorder("="))
+        name, arr = _read_array(path, entry, payload)
+        kind, _, pname = name.partition("/")
+        if kind not in groups:
+            raise CheckpointError(f"{path}: unknown array {name!r}")
+        groups[kind][pname] = arr
 
-    mcfg = M.ModelConfig(**header["model_config"])
-    tcfg = TrainConfig.from_dict(header["train_config"])
-    from .tensor import Tensor
+    try:
+        mcfg = M.ModelConfig(**header["model_config"])
+        tcfg = TrainConfig.from_dict(header["train_config"])
+        rng_state = dict(header["rng"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config in header: {e}") from None
+    params = M.ParameterSet({n: Tensor(a, requires_grad=True) for n, a in groups["param"].items()})
+    adam = AdamState(m=groups["adam_m"], v=groups["adam_v"], step=header["adam_step"])
+    return Checkpoint(mcfg, params, adam, tcfg, rng_state, header["step"])
 
-    tensors = {}
-    m, v = {}, {}
-    for name, arr in arrays.items():
-        kind, pname = name.split("/", 1)
-        if kind == "param":
-            tensors[pname] = Tensor(arr.copy(), requires_grad=True)
-        elif kind == "adam_m":
-            m[pname] = arr.copy()
-        elif kind == "adam_v":
-            v[pname] = arr.copy()
-    params = M.ParameterSet(tensors)
-    adam = AdamState(m=m, v=v, step=header["adam_step"])
-    return Checkpoint(mcfg, params, adam, tcfg, dict(header["rng"]), header["step"])
+
+def _read_array(path, entry, payload):
+    """(name, array) for one manifest entry, checked against the payload."""
+    try:
+        name, tag, shape = str(entry["name"]), entry["dtype"], [int(n) for n in entry["shape"]]
+        start, nbytes = int(entry["offset"]), int(entry["nbytes"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed manifest entry: {e!r}") from None
+    if tag not in ("f4", "f8"):
+        raise CheckpointError(f"{path}: unknown dtype {tag!r} for {name}")
+    dt = np.dtype("<" + tag)
+    if min(shape, default=0) < 0 or math.prod(shape) * dt.itemsize != nbytes:
+        raise CheckpointError(f"{path}: {name} has shape {shape} but {nbytes} bytes")
+    if start < 0 or start + nbytes > len(payload):
+        raise CheckpointError(f"{path}: truncated payload at {name}")
+    arr = np.frombuffer(payload[start : start + nbytes], dtype=dt).reshape(shape)
+    return name, arr.astype(dt.newbyteorder("="))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import functools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -70,3 +72,17 @@ def pass_rows(monkeypatch):
     for kind, name, arg in (("encode", "encode_batch", 2), ("decode", "decode_states_batch", 4)):
         monkeypatch.setattr(M, name, functools.partial(_counted, getattr(M, name), rows, kind, arg))
     return rows
+
+
+def _rewrite_header(src, dst, edit):
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    blob = json.dumps(edit(json.loads(raw[16 : 16 + n]))).encode("ascii")
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
+    return dst
+
+
+@pytest.fixture
+def rewrite_header():
+    """``rewrite_header(src, dst, edit)`` copies a checkpoint with ``edit`` applied to its parsed header."""
+    return _rewrite_header

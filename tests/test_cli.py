@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -7,7 +8,9 @@ import time
 import pytest
 
 from colo import cli
+from colo import gradcheck as G
 from colo.evaluation import EvalError
+from colo.trainer import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +18,20 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert cli.main(["gen-data", "--n-examples", "30", "--seed", "1", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(tmp_path_factory, corpus_dir):
+    out = tmp_path_factory.mktemp("run")
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--max-steps", "1", "--eval-every", "0"]
+    assert cli.main(argv) == 0
+    return out / "model.ckpt"
+
+
+def _misshape_first_64(header):
+    entry = next(e for e in header["manifest"] if e["nbytes"] == 64 * 4)
+    entry["shape"] = [3, 5]
+    return header
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +43,82 @@ def test_evaluate_six_byte_checkpoint_is_data_error(tmp_path, corpus_dir, capsys
     ckpt.write_bytes(b"COLO\x01\x00")
     assert cli.main(["evaluate", "--ckpt", str(ckpt), "--corpus", str(corpus_dir)]) == cli.EXIT_DATA
     assert "truncated preamble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda h: [1, 2], "not a JSON object"), (_misshape_first_64, "has shape [3, 5] but 256 bytes")],
+    ids=["list-header", "shape-vs-nbytes"],
+)
+def test_evaluate_hand_edited_checkpoint_is_data_error(
+    tmp_path, corpus_dir, trained_ckpt, rewrite_header, capsys, edit, message
+):
+    ckpt = rewrite_header(trained_ckpt, tmp_path / "model.ckpt", edit)
+    assert cli.main(["evaluate", "--ckpt", str(ckpt), "--corpus", str(corpus_dir)]) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--d-model", "32", "d_model"), ("--lr", "0.5", "learning_rate"), ("--seed", "9", "seed")],
+    ids=["d_model", "lr", "seed"],
+)
+def test_resume_contradicting_checkpoint_is_data_error(tmp_path, corpus_dir, trained_ckpt, capsys, flag, value, field):
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--resume", str(trained_ckpt), flag, value]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"resume: {field} is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_on_other_vocabulary_is_data_error(tmp_path, trained_ckpt, capsys):
+    other = tmp_path / "corpus"
+    assert cli.main(["gen-data", "--n-examples", "30", "--seed", "1", "--entities", "25", "--out", str(other)]) == 0
+    argv = ["train", "--corpus", str(other), "--out", str(tmp_path / "run"), "--resume", str(trained_ckpt)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "checkpoint vocabulary" in capsys.readouterr().err
+
+
+def test_resume_takes_configs_from_checkpoint(tmp_path, corpus_dir, trained_ckpt):
+    # only how far to run changes; width, lr and seed come from the checkpoint
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--resume", str(trained_ckpt),
+            "--max-steps", "2", "--eval-every", "0"]
+    assert cli.main(argv) == 0
+    before, after = load_checkpoint(trained_ckpt), load_checkpoint(out / "model.ckpt")
+    assert after.step == 2
+    assert after.model_config == before.model_config
+    assert after.train_config.learning_rate == before.train_config.learning_rate
+
+
+def test_non_ascii_corpus_byte_is_data_error(tmp_path, corpus_dir, capsys):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    with open(bad / "corpus.jsonl", "ab") as f:
+        f.write(b"\xff\n")
+    n_lines = len((bad / "corpus.jsonl").read_bytes().splitlines())
+    argv = ["train", "--corpus", str(bad), "--out", str(tmp_path / "run"), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"corpus.jsonl, line {n_lines}" in capsys.readouterr().err
+
+
+def test_misshapen_lexicon_is_data_error(tmp_path, corpus_dir, capsys):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    doc = json.loads((bad / "lexicon.json").read_text())
+    doc["opinions"] = [1, 2]
+    (bad / "lexicon.json").write_text(json.dumps(doc))
+    argv = ["train", "--corpus", str(bad), "--out", str(tmp_path / "run"), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "lexicon.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("errors, code", [([0.0, 0.0], 0), ([0.0, 1.0], 1)], ids=["pass", "fail"])
+def test_gradcheck_exit_code(monkeypatch, capsys, errors, code):
+    results = [G.CheckResult(f"case_{i}", err, 0.5) for i, err in enumerate(errors)]
+    monkeypatch.setattr(G, "run_all", lambda: results)
+    assert cli.main(["gradcheck"]) == code
+    printed = capsys.readouterr().out
+    assert ("FAIL case_1" in printed) == bool(code)
+    assert f"{len(errors) - code}/{len(errors)} checks passed" in printed
 
 
 def test_evaluate_malformed_predictions_is_data_error(tmp_path, corpus_dir, capsys):

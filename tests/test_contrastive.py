@@ -143,12 +143,12 @@ def test_rank_descending_is_permutation():
 
 def test_margin_schedule_paper_values():
     sched = K.margin_schedule(0.01, {"ES": 0.56, "AS": 0.87, "OS": 0.24})
-    assert sched.margins == pytest.approx({"ES": 0.02, "AS": 0.01, "OS": 0.03})
+    assert sched == pytest.approx({"ES": 0.02, "AS": 0.01, "OS": 0.03})
 
 
 def test_margin_schedule_ties():
     sched = K.margin_schedule(0.01, {"ES": 1.0, "AS": 1.0, "OS": 1.0})
-    assert sched.margins == pytest.approx({"ES": 0.01, "AS": 0.02, "OS": 0.03})
+    assert sched == pytest.approx({"ES": 0.01, "AS": 0.02, "OS": 0.03})
 
 
 def test_margin_schedule_smallest_loss_largest_margin():
@@ -156,21 +156,21 @@ def test_margin_schedule_smallest_loss_largest_margin():
     for _ in range(300):
         losses = {k: float(v) for k, v in zip(K.NEG_ORDER, rng.random(3))}
         sched = K.margin_schedule(0.01, losses)
-        assert set(np.round(sorted(sched.margins.values()), 6)) == {0.01, 0.02, 0.03}
+        assert set(np.round(sorted(sched.values()), 6)) == {0.01, 0.02, 0.03}
         easiest = min(K.NEG_ORDER, key=lambda k: (losses[k], K.NEG_ORDER.index(k)))
-        assert sched.margins[easiest] == pytest.approx(0.03)
+        assert sched[easiest] == pytest.approx(0.03)
 
 
 def test_margin_schedule_order_invariance():
     losses = {"ES": 0.9, "AS": 0.5, "OS": 0.7}
     a = K.margin_schedule(0.01, losses)
     b = K.margin_schedule(0.01, {k: v * 10 for k, v in losses.items()})
-    assert a.margins == pytest.approx(b.margins)
+    assert a == pytest.approx(b)
 
 
 def test_margins_are_plain_floats():
     sched = K.margin_schedule(0.01, {"ES": 0.3, "AS": 0.2, "OS": 0.1})
-    assert all(isinstance(v, float) for v in sched.margins.values())
+    assert all(isinstance(v, float) for v in sched.values())
 
 
 # ---------------------------------------------------------------------------

@@ -309,11 +309,18 @@ def test_metrics_report_alignment_error(tiny_bundle):
         E.metrics_report([[]], examples[:2], lexicon)
 
 
-def test_evaluate_corpus_runs_and_is_deterministic(tiny_bundle, tiny_model_cfg, tiny_model_params):
+def test_decode_and_report_are_deterministic(tiny_bundle, tiny_model_cfg, tiny_model_params):
+    # what cmd_evaluate runs: beam decoding, perplexity, then the report
     lexicon, examples, vocab = tiny_bundle
     test_split = [e for e in examples if e.split == "test"][:3]
-    r1, p1 = E.evaluate_corpus(tiny_model_params, tiny_model_cfg, test_split, lexicon, vocab, beam_size=2)
-    r2, p2 = E.evaluate_corpus(tiny_model_params, tiny_model_cfg, test_split, lexicon, vocab, beam_size=2)
+
+    def run():
+        preds = E.decode_corpus(tiny_model_params, tiny_model_cfg, test_split, lexicon, vocab, beam_size=2)
+        ppl = E.perplexity(tiny_model_params, tiny_model_cfg, test_split, lexicon, vocab)
+        return E.metrics_report(preds, test_split, lexicon, ppl=ppl), preds
+
+    r1, p1 = run()
+    r2, p2 = run()
     assert p1 == p2
     assert r1.to_dict() == r2.to_dict()
     assert 0.0 <= r1.cover <= 1.0 and 0.0 <= r1.entail <= 1.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,35 @@ def test_checkpoint_every_prefix_below_header_end_rejected(small_checkpoint):
 def test_checkpoint_payload_prefixes_rejected(small_checkpoint, data):
     raw, header_end, _ = small_checkpoint
     _load_prefix(small_checkpoint, data.draw(st.integers(header_end, len(raw) - 1)))
+
+
+def _edited(change):
+    """A header edit that applies ``change`` in place and returns the header."""
+
+    def edit(h):
+        change(h)
+        return h
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: [1, 2], "not a JSON object"),
+        (_edited(lambda h: h.pop("rng")), "no 'rng'"),
+        (_edited(lambda h: h.pop("manifest")), "no 'manifest'"),
+        (_edited(lambda h: h["manifest"][0].update(dtype="i8")), "unknown dtype 'i8'"),
+        (_edited(lambda h: h["manifest"][0].update(shape=[3, 5])), "has shape [3, 5]"),
+        (_edited(lambda h: h["manifest"][0].update(shape=[-4, -1])), "has shape [-4, -1]"),
+        (_edited(lambda h: h["manifest"][0].update(name="grad/emb.tok")), "unknown array"),
+        (_edited(lambda h: h["model_config"].update(n_heads=3)), "bad config"),
+        (_edited(lambda h: h["train_config"].update(no_such_field=1)), "bad config"),
+    ],
+    ids=["list", "no-rng", "no-manifest", "dtype", "shape", "negative-shape", "name", "model-config", "train-config"],
+)
+def test_checkpoint_header_faults_rejected(small_checkpoint, rewrite_header, edit, message):
+    _, _, tmp = small_checkpoint
+    path = rewrite_header(tmp / "model.ckpt", tmp / "edited.ckpt", edit)
+    with pytest.raises(TR.CheckpointError, match=re.escape(message)):
+        TR.load_checkpoint(path)
