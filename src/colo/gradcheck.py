@@ -52,11 +52,15 @@ def op_cases():
     c = functools.partial(_t, rng, requires_grad=False)
     w34, c34, b4, pos34 = c(3, 4), c(3, 4), c(4), _pos(rng, 3, 4, requires_grad=False)
     b42, w32, w232, a54, w52, a234 = c(4, 2), c(3, 2), c(2, 3, 2), c(5, 4), c(5, 2), c(2, 3, 4)
-    w3, w43, w44, w36 = c(3), c(4, 3), c(4, 4), c(3, 6)
+    w3, w43, w44 = c(3), c(4, 3), c(4, 4)
     gain, bias, wln, x48 = c(8), c(8), c(4, 8), c(4, 8)
     targets, w6 = np.array([3, 0, 7, 2, 9, 5]), c(6)
     pmask, w28 = np.array([[True, False, True, True, False], [False, True, False, False, False]]), c(2, 8)
     v36 = c(3, 6)
+    # decoder self-attention mask, (B, 1, T, T): causal, and the second example's last key is padding
+    f64 = np.dtype(np.float64)
+    amask = M._causal_mask(4, f64) + M._key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
+    w2344 = c(2, 3, 4, 4)
     return [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
         ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
@@ -78,7 +82,7 @@ def op_cases():
         ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
-        ("softmax", lambda x: _wsum(T.softmax_last(x), w36), leaf(3, 6)),
+        ("attention_probs", lambda x: _wsum(T.attention_probs(x, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),

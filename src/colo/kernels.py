@@ -2,6 +2,13 @@
 
 One numpy backend.  Callers look each kernel up as ``kernels.<name>`` at call
 time, so a profiler can wrap these names from outside.
+
+Kernels write into the arrays they allocate instead of building a temporary
+per arithmetic step; a backward kernel may also overwrite the cache its
+forward returned, which the tape hands it once.  The order and association
+of every floating-point operation is fixed (e.g. ``((A*x)*x)*x``), so each
+result is bitwise equal to the plain expression it replaced; changing that
+order changes training output.
 """
 
 import numpy as np
@@ -15,12 +22,16 @@ def layer_norm_fwd(x, gain, bias, eps):
     """Row-wise layer norm on a 2-D array.
 
     Returns (out, xhat, rstd); xhat and rstd are cached for the backward pass.
+    Mean and variance are ``np.add.reduce(...) / d``, which is what
+    ``np.mean`` and ``np.var`` compute.
     """
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    d = x.shape[1]
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / d
     rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * rstd
-    out = xhat * gain + bias
+    xhat *= rstd
+    out = xhat * gain
+    out += bias
     return out.astype(x.dtype, copy=False), xhat.astype(x.dtype, copy=False), rstd[:, 0].astype(x.dtype, copy=False)
 
 
@@ -40,14 +51,18 @@ def layer_norm_bwd(gy, xhat, rstd, gain):
 
 def softmax_fwd(x):
     """Row softmax of a 2-D array, stabilized by the row max."""
-    m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_bwd(gy, p):
-    dot = (gy * p).sum(axis=1, keepdims=True)
-    return p * (gy - dot)
+    dx = gy * p
+    dot = dx.sum(axis=1, keepdims=True)
+    np.subtract(gy, dot, out=dx)
+    dx *= p
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +72,24 @@ def softmax_bwd(gy, p):
 def xent_fwd(logits, targets):
     """Per-row negative log-likelihood with log-sum-exp stabilization.
 
-    Returns (nll, probs); probs are cached for the backward pass.
+    Returns (nll, e, s): the shifted exponentials and their row sums, from
+    which :func:`xent_bwd` forms the softmax, so a pass without backward
+    never divides.
     """
-    m = logits.max(axis=1, keepdims=True)
-    sh = logits - m
-    e = np.exp(sh)
+    e = logits - logits.max(axis=1, keepdims=True)
+    picked = e[np.arange(logits.shape[0]), targets]
+    np.exp(e, out=e)
     s = e.sum(axis=1, keepdims=True)
-    probs = e / s
-    rows = np.arange(logits.shape[0])
-    nll = np.log(s[:, 0]) - sh[rows, targets]
-    return nll, probs
+    nll = np.log(s[:, 0]) - picked
+    return nll, e, s
 
 
-def xent_bwd(gnll, probs, targets):
-    dx = probs * gnll[:, None]
-    rows = np.arange(probs.shape[0])
-    dx[rows, targets] -= gnll
-    return dx
+def xent_bwd(gnll, e, s, targets):
+    """Gradient of the nll rows; overwrites ``e``."""
+    e /= s
+    e *= gnll[:, None]
+    e[np.arange(e.shape[0]), targets] -= gnll
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +99,41 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x):
+    """tanh(C * (x + ((A*x)*x)*x)) as a fresh array."""
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu_fwd(x):
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(u))
+    out = 0.5 * x
+    t = _gelu_tanh(x)
+    t += 1.0
+    out *= t
+    return out
 
 
 def gelu_bwd(gy, x):
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(u)
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return gy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    t = _gelu_tanh(x)
+    du = (3.0 * _GELU_A) * x
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    # gy * (0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du)
+    right = t * t
+    np.subtract(1.0, right, out=right)
+    half_x = 0.5 * x
+    half_x *= right
+    half_x *= du
+    t += 1.0
+    t *= 0.5
+    t += half_x
+    t *= gy
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,9 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32) -> ParameterSet:
 def _dropout(x, rate, train, rng):
     if not train or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    # the float64 draw fixes the RNG stream; kept entries are 1/(1-rate) in x's dtype
+    dt = x.dtype.type
+    keep = np.multiply(rng.random(x.shape) >= rate, dt(1.0) / dt(1.0 - rate), dtype=x.dtype)
     return T.mul(x, Tensor(keep))
 
 
@@ -172,17 +174,15 @@ def _merge_heads(x):
 
 
 def _attention(params, prefix, q_in, kv_in, add_mask, cfg, train, rng):
-    """Multi-head attention; ``add_mask`` is an additive numpy mask."""
+    """Multi-head attention; ``add_mask`` is an additive numpy mask in the params' dtype."""
     q = T.add(T.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
     k = T.matmul(kv_in, params[f"{prefix}.wk"])
     v = T.add(T.matmul(kv_in, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
     qh = _split_heads(q, cfg.n_heads)
     kh = _split_heads(k, cfg.n_heads)
     vh = _split_heads(v, cfg.n_heads)
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-    scores = T.mul(T.matmul(qh, T.swapaxes(kh, -1, -2)), Tensor(np.asarray(scale, dtype=q.dtype)))
-    scores = T.add(scores, Tensor(add_mask.astype(scores.data.dtype)))
-    probs = T.softmax_last(scores)
+    scale = q.dtype.type(1.0 / np.sqrt(cfg.d_model // cfg.n_heads))
+    probs = T.attention_probs(T.matmul(qh, T.swapaxes(kh, -1, -2)), scale, add_mask)
     probs = _dropout(probs, cfg.dropout_rate, train, rng)
     ctx = _merge_heads(T.matmul(probs, vh))
     return T.add(T.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
@@ -198,14 +198,14 @@ def _ln(params, prefix, x):
     return T.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _key_mask(mask_bool):
+def _key_mask(mask_bool, dtype):
     # (B, Tk) boolean -> additive (B, 1, 1, Tk)
-    m = np.where(np.asarray(mask_bool, dtype=bool), 0.0, ATTN_MASK_OFF)
+    m = np.where(np.asarray(mask_bool, dtype=bool), dtype.type(0.0), dtype.type(ATTN_MASK_OFF))
     return m[:, None, None, :]
 
 
-def _causal_mask(t):
-    m = np.triu(np.full((t, t), ATTN_MASK_OFF), k=1)
+def _causal_mask(t, dtype):
+    m = np.triu(np.full((t, t), ATTN_MASK_OFF, dtype=dtype), k=1)
     return m[None, None, :, :]
 
 
@@ -227,7 +227,7 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
         raise LengthError("encode_batch expects a (B, T) id array")
     if src_ids.shape[1] > cfg.max_src_len:
         raise LengthError(f"source length {src_ids.shape[1]} > max_src_len {cfg.max_src_len}")
-    mask = _key_mask(src_mask)
+    mask = _key_mask(src_mask, params["emb.tok"].dtype)
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
         ln1 = _ln(params, f"enc.{i}.ln1", x)
@@ -246,8 +246,9 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
     if not np.all(tgt_in[:, 0] == tok.BOS_ID):
         raise ValueError("decoder input must begin with BOS")
     t = tgt_in.shape[1]
-    self_mask = _causal_mask(t) + _key_mask(tgt_mask)
-    cross_mask = _key_mask(enc_mask)
+    dtype = params["emb.tok"].dtype
+    self_mask = _causal_mask(t, dtype) + _key_mask(tgt_mask, dtype)
+    cross_mask = _key_mask(enc_mask, dtype)
     x = _embed(params, tgt_in, "emb.pos_dec")
     for i in range(cfg.n_dec_layers):
         ln1 = _ln(params, f"dec.{i}.ln1", x)

@@ -1,12 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Define-by-run: operations executed inside a ``with Tape():`` block record
-their backward rules onto the active tape; :func:`backward` replays the tape
+their backward rules onto the active tape; :func:`backward` consumes the tape
 in reverse and accumulates gradients additively into ``.grad`` buffers.
-Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
-gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
-...), with no operator overloading; pooling and similarity take batched
-operands only.  The tape stack is module state, for one thread.
+Gradients land on leaves only (parameters and tensors created with
+``requires_grad=True``): an op's output gradient is dropped once its backward
+rule has run, and each popped op releases the activations it held.  An
+operand that does not require grad (a mask, a scale) gets no gradient
+computed at all.  Tensors are float32 by default; pass
+``dtype=np.float64`` at creation for gradient-check precision.  Ops are
+plain functions (``add``, ``matmul``, ...), with no operator overloading;
+pooling and similarity take batched operands only.  The tape stack is
+module state, for one thread.
 """
 
 from contextlib import contextmanager
@@ -77,7 +82,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "node_id")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -88,7 +93,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.node_id = None
 
     # -- introspection ------------------------------------------------
 
@@ -147,16 +151,18 @@ def _make(out_data, inputs, bwd):
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node_id = len(tape.ops)
         tape.ops.append(_Op(inputs, out, bwd))
     return out
 
 
 def backward(loss):
-    """Populate ``.grad`` on every tensor reachable from ``loss``.
+    """Populate ``.grad`` on every leaf reachable from ``loss``, emptying the tape.
 
-    Visits the active tape once in reverse recording order; gradients from
-    multiple uses of the same tensor accumulate additively.
+    Pops the active tape's ops in reverse recording order; gradients from
+    multiple uses of the same tensor accumulate additively.  Once an op's
+    backward rule has run, its output's ``.grad`` is reset to None and the
+    op is dropped, so intermediate activations and gradients are freed
+    while backward runs.  Only leaves keep ``.grad``.
     """
     if loss.data.ndim != 0:
         raise RankError(f"backward needs a scalar root, got shape {loss.shape}")
@@ -164,11 +170,14 @@ def backward(loss):
     if tape is None:
         raise TensorError("backward called with no active tape")
     loss.accumulate_grad(np.ones((), dtype=loss.dtype))
-    for op in reversed(tape.ops):
+    ops = tape.ops
+    while ops:
+        op = ops.pop()
         g = op.output.grad
         if g is None:
             continue
         contribs = op.bwd(g)
+        op.output.grad = None
         for t, gc in zip(op.inputs, contribs):
             if gc is not None and t.requires_grad:
                 t.accumulate_grad(gc)
@@ -188,11 +197,18 @@ def _unbroadcast(g, shape):
 # elementwise ops
 
 
+# Binary ops compute a contribution only for operands that require grad and
+# return None for the others (dropout masks, additive masks, scales).
+
+
 def add(a, b):
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bwd)
 
@@ -201,7 +217,10 @@ def sub(a, b):
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bwd)
 
@@ -210,7 +229,10 @@ def mul(a, b):
     out = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bwd)
 
@@ -220,8 +242,8 @@ def div(a, b):
 
     def bwd(g):
         return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * out / b.data, b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * out / b.data, b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), bwd)
@@ -319,8 +341,8 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -357,16 +379,24 @@ def slice0(a, start, stop):
 # fused kernel ops
 
 
-def softmax_last(a):
-    """Softmax over the final axis."""
-    flat = a.data.reshape(-1, a.shape[-1])
-    p = kernels.softmax_fwd(flat)
+def attention_probs(scores, scale, add_mask):
+    """Softmax over the last axis of ``scores * scale + add_mask``.
+
+    ``scale`` is a scalar of the scores' dtype and ``add_mask`` an additive
+    numpy mask that broadcasts against ``scores``; both are constants, so
+    the only gradient is the one to ``scores``.
+    """
+    shape = scores.shape
+    z = scores.data * scale
+    z += add_mask
+    p = kernels.softmax_fwd(z.reshape(-1, shape[-1]))
 
     def bwd(g):
-        dx = kernels.softmax_bwd(g.reshape(-1, a.shape[-1]), p)
-        return (dx.reshape(a.shape),)
+        dx = kernels.softmax_bwd(g.reshape(-1, shape[-1]), p)
+        dx *= scale
+        return (dx.reshape(shape),)
 
-    return _make(p.reshape(a.shape).astype(a.dtype, copy=False), (a,), bwd)
+    return _make(p.reshape(shape).astype(scores.dtype, copy=False), (scores,), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -392,10 +422,10 @@ def cross_entropy_rows(logits, targets):
     v = logits.shape[1]
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise VocabularyError(f"target id outside vocabulary of size {v}")
-    nll, probs = kernels.xent_fwd(np.ascontiguousarray(logits.data), targets)
+    nll, e, s = kernels.xent_fwd(np.ascontiguousarray(logits.data), targets)
 
     def bwd(g):
-        return (kernels.xent_bwd(np.ascontiguousarray(g), probs, targets),)
+        return (kernels.xent_bwd(np.ascontiguousarray(g), e, s, targets),)
 
     return _make(nll.astype(logits.dtype, copy=False), (logits,), bwd)
 

@@ -223,9 +223,24 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state = dict(header["rng"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config in header: {e}") from None
+    expected = M._param_shapes(mcfg)
+    for kind, arrays in groups.items():
+        _check_shapes(path, kind, arrays, expected)
     params = M.ParameterSet({n: Tensor(a, requires_grad=True) for n, a in groups["param"].items()})
     adam = AdamState(m=groups["adam_m"], v=groups["adam_v"], step=header["adam_step"])
     return Checkpoint(mcfg, params, adam, tcfg, rng_state, header["step"])
+
+
+def _check_shapes(path, kind, arrays, expected):
+    """Each of ``param``, ``adam_m`` and ``adam_v`` holds exactly the model config's names and shapes."""
+    missing, extra = sorted(expected.keys() - arrays.keys()), sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(f"{path}: {kind} arrays do not match the model config: missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: {kind}/{name} has shape {list(arrays[name].shape)}, the model config needs {list(shape)}"
+            )
 
 
 def _read_array(path, entry, payload):

@@ -58,6 +58,32 @@ def test_evaluate_hand_edited_checkpoint_is_data_error(
     assert message in capsys.readouterr().err
 
 
+def _reshape_ln_f_gain(header):
+    entry = next(e for e in header["manifest"] if e["name"] == "param/enc.ln_f.g")
+    entry["shape"] = [8, 8]
+    return header
+
+
+def test_evaluate_param_shape_off_config_is_data_error(tmp_path, corpus_dir, trained_ckpt, rewrite_header, capsys):
+    ckpt = rewrite_header(trained_ckpt, tmp_path / "model.ckpt", _reshape_ln_f_gain)
+    assert cli.main(["evaluate", "--ckpt", str(ckpt), "--corpus", str(corpus_dir)]) == cli.EXIT_DATA
+    assert "param/enc.ln_f.g has shape [8, 8], the model config needs [64]" in capsys.readouterr().err
+
+
+def _drop_adam_m_entry(header):
+    header["manifest"] = [e for e in header["manifest"] if e["name"] != "adam_m/enc.ln_f.g"]
+    return header
+
+
+def test_resume_missing_adam_entry_is_data_error(tmp_path, corpus_dir, trained_ckpt, rewrite_header, capsys):
+    ckpt = rewrite_header(trained_ckpt, tmp_path / "model.ckpt", _drop_adam_m_entry)
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--resume", str(ckpt)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "adam_m arrays do not match the model config: missing ['enc.ln_f.g']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--d-model", "32", "d_model"), ("--lr", "0.5", "learning_rate"), ("--seed", "9", "seed")],

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from colo.tensor import (
     layer_norm,
     masked_mean_pool,
     matmul,
-    softmax_last,
 )
 
 
@@ -185,7 +186,7 @@ def test_layer_norm_statistics():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
     x = t64(rng.standard_normal((5, 7)))
-    p = softmax_last(x).data
+    p = T.attention_probs(x, 0.5, np.zeros((1, 7))).data
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
@@ -219,6 +220,40 @@ def test_backward_nonscalar_root_raises():
     with Tape():
         with pytest.raises(RankError):
             backward(T.mul(x, x))
+
+
+def test_backward_empties_the_tape():
+    x = t64([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        backward(T.sum_(T.mul(x, x)))
+        assert tape.ops == []
+    assert np.allclose(x.grad, 2.0 * x.data)
+
+
+def _tanh_sum(x):
+    h = T.tanh(x)
+    return T.sum_(h), weakref.ref(h.data)
+
+
+def test_backward_frees_intermediates():
+    x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape():
+        loss, hidden = _tanh_sum(x)
+        assert hidden() is not None
+        backward(loss)
+        assert hidden() is None
+    assert loss.grad is None and x.grad is not None
+
+
+@pytest.mark.parametrize("op", [T.mul, T.matmul], ids=["mul", "matmul"])
+def test_constant_operand_gets_no_gradient(op):
+    x = t64(np.ones((3, 3)), requires_grad=True)
+    c = t64(np.eye(3))
+    with Tape() as tape:
+        for operands, grad_given in (((x, c), [True, False]), ((c, x), [False, True])):
+            y = op(*operands)
+            grads = tape.ops[-1].bwd(np.ones_like(y.data))
+            assert [g is not None for g in grads] == grad_given
 
 
 def test_no_grad_suppresses_recording():

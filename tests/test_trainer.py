@@ -245,6 +245,10 @@ def test_checkpoint_payload_prefixes_rejected(small_checkpoint, data):
     _load_prefix(small_checkpoint, data.draw(st.integers(header_end, len(raw) - 1)))
 
 
+def _entry(header, name):
+    return next(e for e in header["manifest"] if e["name"] == name)
+
+
 def _edited(change):
     """A header edit that applies ``change`` in place and returns the header."""
 
@@ -267,8 +271,13 @@ def _edited(change):
         (_edited(lambda h: h["manifest"][0].update(name="grad/emb.tok")), "unknown array"),
         (_edited(lambda h: h["model_config"].update(n_heads=3)), "bad config"),
         (_edited(lambda h: h["train_config"].update(no_such_field=1)), "bad config"),
+        (_edited(lambda h: _entry(h, "adam_v/enc.ln_f.g").update(shape=[2, 2])), "adam_v/enc.ln_f.g has shape [2, 2]"),
+        (_edited(lambda h: h["manifest"].remove(_entry(h, "param/emb.tok"))), "missing ['emb.tok']"),
     ],
-    ids=["list", "no-rng", "no-manifest", "dtype", "shape", "negative-shape", "name", "model-config", "train-config"],
+    ids=[
+        "list", "no-rng", "no-manifest", "dtype", "shape", "negative-shape", "name", "model-config", "train-config",
+        "adam-shape-off-config", "param-missing",
+    ],
 )
 def test_checkpoint_header_faults_rejected(small_checkpoint, rewrite_header, edit, message):
     _, _, tmp = small_checkpoint
