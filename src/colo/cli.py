@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+from .fileio import atomic_write
+
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -64,7 +66,7 @@ def write_manifest(path, command, config, seed, inputs, outputs, started, ended)
         "started_at": started,
         "ended_at": ended,
     }
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=2)
         f.write("\n")
     return doc
@@ -294,7 +296,7 @@ def cmd_generate(args):
         ckpt.params, ckpt.model_config, examples, corpus.lexicon, vocab,
         beam_size=args.beam, length_norm=args.length_norm,
     )
-    with open(out, "w", encoding="ascii") as f:
+    with atomic_write(out) as f:
         for i, pred in enumerate(preds):
             f.write(json.dumps({"example_id": i, "prediction": pred}, sort_keys=True) + "\n")
     config = {"beam": args.beam, "length_norm": args.length_norm, "split": args.split, "limit": args.limit}
@@ -493,7 +495,7 @@ def cmd_ablate(args):
         "gamma": args.gamma, "beam": args.beam, "corpus": str(args.corpus),
     }}
     ablation_path = out / "ablation.json"
-    with open(ablation_path, "w", encoding="ascii") as f:
+    with atomic_write(ablation_path) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
 

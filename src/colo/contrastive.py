@@ -12,6 +12,9 @@ Margins are dynamic: each negative's teacher-forced LM loss for the
 original reference is ranked descending, and the margin is gamma times the
 rank, so the negative that most easily still produces the reference gets
 the largest margin.  Those LM losses are detached; margins are constants.
+The detached pass runs once per example, at that example's own target and
+source length, so it computes no padding and an example's margins depend
+on that example alone.
 
 There is one loss path, :func:`total_loss_batch`: the LM loss plus both
 hinges for a batch, each the batch mean.  A single example is a batch of one.
@@ -198,10 +201,11 @@ def total_loss_batch(
 ):
     """LossBreakdown for a batch; each component is the batch mean.
 
-    Five encoder passes (original, positive, three negatives) and four
-    teacher-forced decoder passes (original with gradient, one detached
-    pass per negative for the margin ranks) happen per example when both
-    losses are active.
+    With both losses active, each example is five encoder rows (original,
+    positive, three negatives) in one padded pass, and four teacher-forced
+    decoder rows: the original, with gradient, in one padded pass over the
+    batch, and the three negatives, detached, in a pass of its own at the
+    example's length that only sets the margin ranks.
     """
     b = len(examples)
     dtype = params["emb.tok"].dtype
@@ -303,20 +307,29 @@ def _hinge_rows(s_pos, s_neg, xi):
 def _margin_constants(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask, gamma, neg_types):
     """Per-example margins from detached teacher-forced negative LM losses.
 
-    All negative groups run as one batched decoder pass on detached states.
+    Each example's negatives run as their own no-grad decoder pass, cut to
+    that example's target and source lengths, so no padded cell is computed
+    and an example's margins do not depend on the rest of the batch.  The
+    losses match a padded batched pass only up to float rounding: dropping
+    the trailing masked zeros reassociates the softmax and per-example
+    sums.  Margins are ranks, so they differ from the padded pass only
+    where two of an example's negative losses lie within a few 1e-7
+    relative of each other.
     """
     n = len(neg_types)
     b = tgt_in.shape[0]
-    with no_grad():
-        nll, _ = M.nll_per_example(
-            params, cfg,
-            Tensor(neg_state_data), neg_mask,
-            np.tile(tgt_in, (n, 1)), np.tile(labels, (n, 1)), np.tile(label_mask, (n, 1)),
-        )
-        losses = nll.data.reshape(n, b)
     xi = {kind: np.empty(b, dtype=np.float64) for kind in neg_types}
     for i in range(b):
-        margins = margin_schedule(gamma, {kind: float(losses[j][i]) for j, kind in enumerate(neg_types)})
+        rows = np.arange(n) * b + i
+        t = int(label_mask[i].sum())
+        s = int(neg_mask[rows].sum(axis=1).max())
+        with no_grad():
+            nll, _ = M.nll_per_example(
+                params, cfg,
+                Tensor(neg_state_data[rows, :s]), neg_mask[rows, :s],
+                np.tile(tgt_in[i, :t], (n, 1)), np.tile(labels[i, :t], (n, 1)), np.tile(label_mask[i, :t], (n, 1)),
+            )
+        margins = margin_schedule(gamma, {kind: float(nll.data[j]) for j, kind in enumerate(neg_types)})
         for kind in neg_types:
             xi[kind][i] = margins[kind]
     return xi

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import tokens as tok
+from .fileio import atomic_write
 
 
 class CorpusError(Exception):
@@ -587,7 +588,7 @@ def write_lexicon(path, lexicon: Lexicon):
         },
         "attributes": lexicon.attributes,
     }
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, ensure_ascii=True, sort_keys=True)
         f.write("\n")
 
@@ -608,7 +609,7 @@ def read_lexicon(path) -> Lexicon:
 
 
 def write_corpus(path, examples):
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path) as f:
         for ex in examples:
             rec = {
                 "tuple": ex.tuple.as_list(),

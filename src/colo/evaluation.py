@@ -21,6 +21,7 @@ from . import tokens as tok
 from .contrastive import swap_entities
 from .corpus import MASTER_TEMPLATES, ASP, LOS, OPN, WIN, build_source, encode_example
 from .decoding import beam_search
+from .fileio import atomic_write
 from .tensor import no_grad
 
 
@@ -310,6 +311,6 @@ def write_report(path, report: EvalReport, extra=None):
     doc["scaled"] = report.scaled()
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=2)
         f.write("\n")

@@ -19,6 +19,7 @@ from . import rng as rngmod
 from . import tokens as tok
 from .corpus import Vocab
 from .decoding import greedy_decode
+from .fileio import atomic_write
 from .tensor import Tape, Tensor, backward, no_grad
 
 ADAM_BETA1 = 0.9
@@ -61,6 +62,13 @@ class TrainConfig:
             raise ValueError("learning_rate and gamma must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        unknown = sorted(set(self.neg_types) - set(K.NEG_ORDER))
+        if unknown:
+            raise ValueError(f"unknown negative types {unknown}; choose from {list(K.NEG_ORDER)}")
+        if len(set(self.neg_types)) != len(self.neg_types):
+            raise ValueError(f"duplicate negative types in {list(self.neg_types)}")
+        if (self.use_ce or self.use_cd) and not self.neg_types:
+            raise ValueError("contrastive losses need at least one negative type")
 
     def to_dict(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -172,7 +180,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True).encode("ascii")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(np.uint32(CHECKPOINT_VERSION).tobytes())
         f.write(np.uint64(len(blob)).tobytes())

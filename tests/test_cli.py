@@ -117,6 +117,19 @@ def test_resume_takes_configs_from_checkpoint(tmp_path, corpus_dir, trained_ckpt
     assert after.train_config.learning_rate == before.train_config.learning_rate
 
 
+@pytest.mark.parametrize("neg_types, message", [
+    ("ES,XX", "unknown negative types ['XX']"),
+    ("XX", "unknown negative types ['XX']"),
+    ("ES,ES", "duplicate negative types"),
+], ids=["unknown-with-known", "unknown-only", "duplicate"])
+def test_bad_negative_types_are_config_errors_before_the_run_dir(tmp_path, corpus_dir, capsys, neg_types, message):
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--max-steps", "1", "--neg-types", neg_types]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_ascii_corpus_byte_is_data_error(tmp_path, corpus_dir, capsys):
     bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
     with open(bad / "corpus.jsonl", "ab") as f:

@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from colo import contrastive as K
+from colo import model as M
 from colo import tensor as T
-from colo.corpus import ClrTuple, build_lexicon, CorpusConfig
+from colo.corpus import ClrTuple, build_lexicon, build_source, CorpusConfig
 from colo.rng import derive_rng
-from colo.tensor import Tape, Tensor, backward
+from colo.tensor import Tape, Tensor, backward, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,19 @@ def test_margin_schedule_order_invariance():
     a = K.margin_schedule(0.01, losses)
     b = K.margin_schedule(0.01, {k: v * 10 for k, v in losses.items()})
     assert a == pytest.approx(b)
+
+
+@given(st.data())
+def test_margin_schedule_permutation_equivariant(data):
+    # distinct losses: with ties the position tie-break is not permutation-equivariant
+    kinds = data.draw(st.lists(st.sampled_from(K.NEG_ORDER), min_size=1, max_size=3, unique=True))
+    values = data.draw(st.lists(st.floats(0.0, 20.0), min_size=len(kinds), max_size=len(kinds), unique=True))
+    perm = data.draw(st.permutations(kinds))
+    gamma = data.draw(st.floats(1e-4, 1.0))
+    losses = dict(zip(kinds, values))
+    permuted = K.margin_schedule(gamma, {perm[i]: losses[k] for i, k in enumerate(kinds)})
+    margins = K.margin_schedule(gamma, losses)
+    assert {perm[i]: margins[k] for i, k in enumerate(kinds)} == permuted
 
 
 def test_margins_are_plain_floats():
@@ -335,3 +352,107 @@ def test_batched_matches_sum_of_singles(tiny_bundle, tiny_model_cfg, tiny_model_
     for field in ("lm", "ce", "cd", "total"):
         mean_single = np.mean([float(getattr(s, field).data) for s in singles])
         assert float(getattr(got, field).data) == pytest.approx(mean_single, rel=1e-4, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the detached margin pass
+
+
+def _batch_loss(params, cfg, bundle, indices, **kwargs):
+    lexicon, examples, vocab = bundle
+    batch = [examples[i] for i in indices]
+    csets = [K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(200 + i)) for i in indices]
+    return K.total_loss_batch(params, cfg, batch, csets, lexicon, vocab, train=False, **kwargs)
+
+
+@pytest.fixture
+def margin_losses(monkeypatch):
+    """The ``lm_losses`` dict of every ``margin_schedule`` call, in call order."""
+    seen = []
+    schedule = K.margin_schedule
+
+    def record(gamma, lm_losses):
+        seen.append(dict(lm_losses))
+        return schedule(gamma, lm_losses)
+
+    monkeypatch.setattr(K, "margin_schedule", record)
+    return seen
+
+
+def test_margin_losses_do_not_depend_on_batch_mates(tiny_bundle, tiny_model_cfg, tiny_model_params, margin_losses):
+    lexicon, examples, vocab = tiny_bundle
+
+    def ref_len(i):
+        return len(vocab.tokenize(examples[i].reference))
+
+    def src_len(i):
+        ex = examples[i]
+        return len(build_source(ex.tuple, K._profiles_map(ex), lexicon, tiny_model_cfg.max_src_len))
+
+    # example 14 has the shortest reference and the longest source of its batch,
+    # so only the target length pads it
+    alone, batch = [14], [2, 14, 17, 8]
+    assert all(ref_len(j) > ref_len(14) and src_len(j) <= src_len(14) for j in batch if j != 14)
+
+    _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, alone)
+    _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, batch)
+    assert len(margin_losses) == 1 + len(batch)
+    assert margin_losses[0] == margin_losses[1 + batch.index(14)]
+
+
+def _padded_oracle(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask, gamma, neg_types):
+    """Per-example negative losses, (B, n), from one padded pass over all n*B rows."""
+    n = len(neg_types)
+    with no_grad():
+        nll, _ = M.nll_per_example(
+            params, cfg,
+            Tensor(neg_state_data), neg_mask,
+            np.tile(tgt_in, (n, 1)), np.tile(labels, (n, 1)), np.tile(label_mask, (n, 1)),
+        )
+    return nll.data.reshape(n, -1).T.astype(np.float64)
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_margin_pass_matches_padded_oracle(
+    tiny_bundle, tiny_model_cfg, tiny_model_params, tiny_model_params64, margin_losses, monkeypatch, dtype, rtol
+):
+    params = tiny_model_params if dtype == "float32" else tiny_model_params64
+    calls = []
+    constants = K._margin_constants
+
+    def record(*args):
+        xi = constants(*args)
+        calls.append((args, xi))
+        return xi
+
+    monkeypatch.setattr(K, "_margin_constants", record)
+    _batch_loss(params, tiny_model_cfg, tiny_bundle, list(range(12)))
+
+    (args, xi), = calls
+    gamma, neg_types = args[-2], args[-1]
+    oracle = _padded_oracle(*args)
+    got = np.array([[losses[k] for k in neg_types] for losses in margin_losses])
+    np.testing.assert_allclose(got, oracle, rtol=rtol, atol=0)
+    # margins are ranks: equal wherever the oracle's losses are well apart
+    apart = [i for i, row in enumerate(oracle) if np.all(np.diff(np.sort(row)) > 1e-5 * np.sort(row)[1:])]
+    assert apart
+    for i in apart:
+        assert [xi[k][i] for k in neg_types] == [gamma * r for r in K.rank_descending(oracle[i])]
+
+
+def _record_call(fn, calls, *args, **kwargs):
+    calls.append((T.Tape.current(), args))
+    return fn(*args, **kwargs)
+
+
+def test_margin_pass_computes_no_padding(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
+    calls = []
+    monkeypatch.setattr(M, "nll_per_example", functools.partial(_record_call, M.nll_per_example, calls))
+    batch = list(range(10))
+    with Tape():
+        _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, batch)
+    margin_calls = [args for tape, args in calls if tape is None]
+    assert len(calls) == 1 + len(margin_calls)
+    for _, _, _, enc_mask, _, _, label_mask in margin_calls:
+        assert enc_mask.all() and label_mask.all()
+    assert sum(len(args[4]) for args in margin_calls) == len(K.NEG_ORDER) * len(batch)

@@ -22,6 +22,21 @@ def tcfg():
 
 
 # ---------------------------------------------------------------------------
+# config
+
+
+# unknown and duplicate kinds are tested through the CLI in test_cli.py
+@pytest.mark.parametrize("use_ce", [True, False], ids=["ce-and-cd", "cd-only"])
+def test_train_config_rejects_empty_negative_types(use_ce):
+    with pytest.raises(ValueError, match="at least one negative type"):
+        TR.TrainConfig(use_ce=use_ce, neg_types=())
+
+
+def test_train_config_lm_only_needs_no_negative_types():
+    assert TR.TrainConfig(use_ce=False, use_cd=False, neg_types=()).neg_types == ()
+
+
+# ---------------------------------------------------------------------------
 # adam
 
 
