@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -54,14 +55,19 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _digests(paths):
+    return {str(p): _sha256(p) for p in paths}
+
+
 def write_manifest(path, command, config, seed, inputs, outputs, started, ended):
+    """``inputs`` maps each input path to its digest, taken before the command could change it."""
     doc = {
         "command": command,
         "config": config,
         "config_digest": _digest_of(config),
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": inputs,
+        "outputs": _digests(outputs),
         "artifacts": [str(p) for p in outputs],
         "started_at": started,
         "ended_at": ended,
@@ -165,7 +171,7 @@ def cmd_gen_data(args):
         "gen-data",
         manifest_cfg,
         cfg.seed,
-        [],
+        {},
         [corpus_path, lexicon_path],
         started,
         _now(),
@@ -208,7 +214,7 @@ def _resumed_configs(ckpt, resolved, explicit, vocab_size):
 
 def cmd_train(args):
     from .model import ModelConfig
-    from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+    from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
     started = _now()
     train_defaults = {k: getattr(TrainConfig(), k) for k in TrainConfig.__dataclass_fields__}
@@ -252,13 +258,22 @@ def cmd_train(args):
     else:
         tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
         mcfg = _model_config_from(resolved, len(vocab))
+    input_digests = _digests(inputs)
 
     out = Path(args.out) if args.out else _default_out(tcfg.seed)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "model.ckpt"
     log_path = out / "train_log.jsonl"
 
+    kept = []  # a resume keeps the log's leading records from before the checkpoint; a crash-cut line comes later
+    if args.resume and log_path.exists():
+        with open(log_path, encoding="ascii") as f:
+            try:
+                kept = list(itertools.takewhile(lambda line: json.loads(line)["step"] < start_step, f))
+            except (ValueError, KeyError, TypeError) as e:
+                raise CheckpointError(f"resume: malformed line in {log_path}: {e!r}") from None
     with open(log_path, "w", encoding="ascii") as log_file:
+        log_file.writelines(kept)
         ckpt, _ = train(tcfg, corpus, mcfg, params=params, adam=adam, start_step=start_step, log_file=log_file)
     save_checkpoint(ckpt_path, ckpt)
 
@@ -269,7 +284,7 @@ def cmd_train(args):
     }
     write_manifest(
         out / "train.manifest.json", "train", manifest_cfg, tcfg.seed,
-        inputs, [ckpt_path, log_path], started, _now(),
+        input_digests, [ckpt_path, log_path], started, _now(),
     )
     print(f"trained {ckpt.step} steps -> {ckpt_path}")
     return 0
@@ -302,7 +317,7 @@ def cmd_generate(args):
     config = {"beam": args.beam, "length_norm": args.length_norm, "split": args.split, "limit": args.limit}
     write_manifest(
         Path(str(out) + ".manifest.json"), "generate", config,
-        ckpt.train_config.seed, [Path(args.ckpt), corpus_path, lexicon_path], [out], started, _now(),
+        ckpt.train_config.seed, _digests([Path(args.ckpt), corpus_path, lexicon_path]), [out], started, _now(),
     )
     print(f"wrote {len(examples)} predictions -> {out}")
     return 0
@@ -393,7 +408,7 @@ def cmd_evaluate(args):
     write_report(out, report, extra=extra)
     write_manifest(
         Path(str(out) + ".manifest.json"), "evaluate", config,
-        ckpt.train_config.seed if ckpt else 0, inputs, [out], started, _now(),
+        ckpt.train_config.seed if ckpt else 0, _digests(inputs), [out], started, _now(),
     )
     print(json.dumps(report.scaled(), sort_keys=True))
     return 0
@@ -510,7 +525,7 @@ def cmd_ablate(args):
         print(f"{arm:10s} {ms('cover'):>14s} {ms('entail'):>14s} {ms('b4'):>14s} {ms('es_similarity'):>14s}")
     write_manifest(
         out / "ablate.manifest.json", "ablate", doc["config"], args.seed0,
-        [], [ablation_path], started, _now(),
+        {}, [ablation_path], started, _now(),
     )
     return 0
 

@@ -1,22 +1,21 @@
 """Inference-time generation: greedy and beam search.
 
-Decoding runs on a tape-free numpy path with per-layer key/value caches, so
-each step costs one row of attention instead of re-running the whole prefix.
-That stepper repeats the decoder forward of ``model.decode_states_batch``;
-a test pins its logits against the teacher-forced training path.  The search
-routines are written against a small stepper protocol (``start`` / ``step``
-/ ``select``) so unit tests can swap in hand-set probability tables and
-brute-force enumerate optima.  ``greedy_decode`` and ``beam_search`` are the
-model-facing entry points; both decode one source sequence.
+The search routines are written against a small stepper protocol
+(``start`` / ``step`` / ``select``), so unit tests can swap in hand-set
+probability tables and brute-force enumerate optima.  The model's stepper,
+:class:`TransformerStepper`, adapts that protocol to ``model.decode_step``,
+the key/value-cached pass through the same decoder layers teacher forcing
+runs.  Greedy decoding is beam search of width 1.  ``greedy_decode`` and
+``beam_search`` are the model-facing entry points; both decode one source
+sequence.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import model
 from . import tokens as tok
-from .tensor import no_grad
 
 
 @dataclass
@@ -42,98 +41,26 @@ def _log_softmax(x):
 
 
 # ---------------------------------------------------------------------------
-# transformer stepper with KV cache
+# the model as a stepper
 
 
 class TransformerStepper:
-    """Incremental decoder over fixed encoder states for one source sequence."""
+    """Incremental decoder for one source sequence; its state is a ``model.DecoderCache``."""
 
     def __init__(self, params, cfg, src_ids):
-        from . import model as M  # deferred to avoid import cycle at module load
-
-        self.cfg = cfg
-        self.vocab_size = cfg.vocab_size
-        self._p = {name: t.data for name, t in params.items()}
-        d, h = cfg.d_model, cfg.n_heads
-        self.dh = d // h
-        self.scale = 1.0 / np.sqrt(self.dh)
-
-        src = np.asarray(src_ids, dtype=np.int32)[None, :]
-        mask = np.ones_like(src, dtype=bool)
-        with no_grad():
-            enc = M.encode_batch(params, cfg, src, mask).data[0]  # (Ts, d)
-        self.cross_kv = []
-        for i in range(cfg.n_dec_layers):
-            k = enc @ self._p[f"dec.{i}.cross.wk"]
-            v = enc @ self._p[f"dec.{i}.cross.wv"] + self._p[f"dec.{i}.cross.bv"]
-            ts = enc.shape[0]
-            self.cross_kv.append(
-                (
-                    np.ascontiguousarray(k.reshape(ts, h, self.dh).transpose(1, 0, 2)),
-                    np.ascontiguousarray(v.reshape(ts, h, self.dh).transpose(1, 0, 2)),
-                )
-            )
+        self.params, self.cfg = params, cfg
+        self.cross = model.source_keys_values(params, cfg, src_ids)
 
     def start(self):
-        # per layer: growing (n, t, d) self-attention K and V
-        return {"t": 0, "kv": [[None, None] for _ in range(self.cfg.n_dec_layers)]}
-
-    def _ln(self, name, x):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + 1e-5) * self._p[f"{name}.g"] + self._p[f"{name}.b"]
+        return model.DecoderCache(self.cfg, self.cross)
 
     def step(self, state, tokens):
         """Process one token per hypothesis; return (n, V) next-token log-probs."""
-        p, cfg = self._p, self.cfg
-        n = len(tokens)
-        h, dh = cfg.n_heads, self.dh
-        pos = state["t"]
-        if pos > cfg.max_tgt_len:
-            raise ValueError("decoder ran past max_tgt_len")
-        x = p["emb.tok"][np.asarray(tokens)] + p["emb.pos_dec"][pos]  # (n, d)
-        for i in range(cfg.n_dec_layers):
-            ln1 = self._ln(f"dec.{i}.ln1", x)
-            q = ln1 @ p[f"dec.{i}.self.wq"] + p[f"dec.{i}.self.bq"]
-            k = ln1 @ p[f"dec.{i}.self.wk"]
-            v = ln1 @ p[f"dec.{i}.self.wv"] + p[f"dec.{i}.self.bv"]
-            ks, vs = state["kv"][i]
-            ks = k[:, None, :] if ks is None else np.concatenate([ks, k[:, None, :]], axis=1)
-            vs = v[:, None, :] if vs is None else np.concatenate([vs, v[:, None, :]], axis=1)
-            state["kv"][i] = [ks, vs]
-            t = ks.shape[1]
-            kh = ks.reshape(n, t, h, dh).transpose(0, 2, 1, 3)  # (n, h, t, dh)
-            vh = vs.reshape(n, t, h, dh).transpose(0, 2, 1, 3)
-            qh = q.reshape(n, h, 1, dh)
-            scores = (qh @ kh.transpose(0, 1, 3, 2)) * self.scale  # (n, h, 1, t)
-            probs = kernels.softmax_fwd(scores.reshape(-1, t)).reshape(n, h, 1, t)
-            ctx = (probs @ vh).reshape(n, h * dh)
-            x = x + ctx @ p[f"dec.{i}.self.wo"] + p[f"dec.{i}.self.bo"]
-
-            ln2 = self._ln(f"dec.{i}.ln2", x)
-            qc = (ln2 @ p[f"dec.{i}.cross.wq"] + p[f"dec.{i}.cross.bq"]).reshape(n, h, 1, dh)
-            kc, vc = self.cross_kv[i]
-            scores = (qc @ kc.transpose(0, 2, 1)) * self.scale  # (n, h, 1, Ts)
-            ts = kc.shape[1]
-            probs = kernels.softmax_fwd(scores.reshape(-1, ts)).reshape(n, h, 1, ts)
-            ctx = (probs @ vc).reshape(n, h * dh)
-            x = x + ctx @ p[f"dec.{i}.cross.wo"] + p[f"dec.{i}.cross.bo"]
-
-            ln3 = self._ln(f"dec.{i}.ln3", x)
-            hid = kernels.gelu_fwd(ln3 @ p[f"dec.{i}.ffn.w1"] + p[f"dec.{i}.ffn.b1"])
-            x = x + hid @ p[f"dec.{i}.ffn.w2"] + p[f"dec.{i}.ffn.b2"]
-        out = self._ln("dec.ln_f", x)
-        logits = out @ p["emb.tok"].T
-        state["t"] = pos + 1
-        return _log_softmax(logits), state
+        return _log_softmax(model.decode_step(self.params, self.cfg, state, tokens)), state
 
     def select(self, state, idx):
-        idx = np.asarray(idx)
-        kv = [
-            [None if ks is None else ks[idx], None if vs is None else vs[idx]]
-            for ks, vs in state["kv"]
-        ]
-        return {"t": state["t"], "kv": kv}
+        state.select(idx)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +68,8 @@ class TransformerStepper:
 
 
 def greedy_steps(stepper, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID):
-    """Argmax decoding; ties resolve to the smallest token id."""
-    state = stepper.start()
-    hyp = Hypothesis([bos], 0.0, False)
-    for _ in range(max_len):
-        logprobs, state = stepper.step(state, [hyp.ids[-1]])
-        nxt = int(np.argmax(logprobs[0]))
-        hyp.ids.append(nxt)
-        hyp.logprob += float(logprobs[0, nxt])
-        if nxt == eos:
-            break
-    hyp.finished = True
-    return hyp
+    """Argmax decoding: beam search of width 1, so ties resolve to the smallest token id."""
+    return beam_pool(stepper, 1, max_len, bos, eos)[0]
 
 
 def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, length_norm=1.0):

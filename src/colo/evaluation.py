@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
+from . import tensor as T
 from . import tokens as tok
-from .contrastive import swap_entities
-from .corpus import MASTER_TEMPLATES, ASP, LOS, OPN, WIN, build_source, encode_example
+from .contrastive import _encode_variant, swap_entities
+from .corpus import MASTER_TEMPLATES, ASP, LOS, OPN, WIN, encode_example
 from .decoding import beam_search
 from .fileio import atomic_write
-from .tensor import no_grad
 
 
 class EvalError(Exception):
@@ -204,7 +204,7 @@ def perplexity(params, cfg, examples, lexicon, vocab, batch_size=32):
     """exp of the token-mean teacher-forced NLL of the model itself."""
     total_nll = 0.0
     total_tokens = 0
-    with no_grad():
+    with T.no_grad():
         for i in range(0, len(examples), batch_size):
             chunk = examples[i : i + batch_size]
             encs = [encode_example(ex, lexicon, vocab, cfg.max_src_len) for ex in chunk]
@@ -220,24 +220,17 @@ def perplexity(params, cfg, examples, lexicon, vocab, batch_size=32):
 
 def mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab, batch_size=32):
     """Mean cosine between pooled encodings of each tuple and its entity swap."""
-    from . import tensor as T
-
     sims = []
-    with no_grad():
+    with T.no_grad():
         for i in range(0, len(examples), batch_size):
             chunk = examples[i : i + batch_size]
-            srcs, swaps = [], []
-            for ex in chunk:
-                profiles = {p.entity_id: p for p in ex.profiles}
-                srcs.append(vocab.tokenize(build_source(ex.tuple, profiles, lexicon, cfg.max_src_len)))
-                swaps.append(
-                    vocab.tokenize(build_source(swap_entities(ex.tuple), profiles, lexicon, cfg.max_src_len))
+            pooled = []
+            for tuples in ([ex.tuple for ex in chunk], [swap_entities(ex.tuple) for ex in chunk]):
+                states, mask = _encode_variant(
+                    params, cfg, tuples, chunk, lexicon, vocab, alias_choices=[None] * len(chunk), train=False, rng=None
                 )
-            src, smask = M.pad_sources(srcs)
-            swp, wmask = M.pad_sources(swaps)
-            z = T.masked_mean_pool(M.encode_batch(params, cfg, src, smask), smask)
-            z_swap = T.masked_mean_pool(M.encode_batch(params, cfg, swp, wmask), wmask)
-            sims.extend(T.cosine_rows(z, z_swap).data.tolist())
+                pooled.append(T.masked_mean_pool(states, mask))
+            sims.extend(T.cosine_rows(*pooled).data.tolist())
     return float(np.mean(sims))
 
 

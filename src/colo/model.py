@@ -5,6 +5,10 @@ Pre-LN layers, learned absolute positions, embeddings tied three ways
 padded (B, T) id batch plus its mask and returns tape tensors; a single
 sequence is a batch of one.  Two feed-forward projection heads (one per
 side) map (B, d) pooled representations before similarity scoring.
+
+Generation runs the same decoder layers a position at a time: :func:`decode_step`
+takes a token per row and a :class:`DecoderCache` of the rows' earlier
+self-attention keys and values and the source's cross-attention ones.
 """
 
 from dataclasses import dataclass
@@ -173,11 +177,22 @@ def _merge_heads(x):
     return T.reshape(T.swapaxes(x, 1, 2), (b, t, h * dh))
 
 
-def _attention(params, prefix, q_in, kv_in, add_mask, cfg, train, rng):
-    """Multi-head attention; ``add_mask`` is an additive numpy mask in the params' dtype."""
-    q = T.add(T.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
+def _queries(params, prefix, q_in):
+    return T.add(T.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
+
+
+def _keys_values(params, prefix, kv_in):
     k = T.matmul(kv_in, params[f"{prefix}.wk"])
     v = T.add(T.matmul(kv_in, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
+    return k, v
+
+
+def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
+    """Multi-head attention; ``add_mask`` is an additive mask in the params' dtype.
+
+    Callers project q before k and v, so the tape records those matmuls in
+    that order and their shared input's gradient always sums in one order.
+    """
     qh = _split_heads(q, cfg.n_heads)
     kh = _split_heads(k, cfg.n_heads)
     vh = _split_heads(v, cfg.n_heads)
@@ -209,10 +224,10 @@ def _causal_mask(t, dtype):
     return m[None, None, :, :]
 
 
-def _embed(params, ids, pos_table):
+def _embed(params, ids, pos_table, start=0):
     ids = np.asarray(ids)
     tok_emb = T.take_rows(params["emb.tok"], ids)
-    pos_emb = T.take_rows(params[pos_table], np.arange(ids.shape[1]))
+    pos_emb = T.take_rows(params[pos_table], np.arange(start, start + ids.shape[1]))
     return T.add(tok_emb, pos_emb)
 
 
@@ -230,8 +245,8 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
     mask = _key_mask(src_mask, params["emb.tok"].dtype)
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
-        ln1 = _ln(params, f"enc.{i}.ln1", x)
-        x = T.add(x, _attention(params, f"enc.{i}.attn", ln1, ln1, mask, cfg, train, rng))
+        h, p = _ln(params, f"enc.{i}.ln1", x), f"enc.{i}.attn"
+        x = T.add(x, _attend(params, p, _queries(params, p, h), *_keys_values(params, p, h), mask, cfg, train, rng))
         x = T.add(x, _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x), cfg, train, rng))
     return _ln(params, "enc.ln_f", x)
 
@@ -250,10 +265,23 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
     self_mask = _causal_mask(t, dtype) + _key_mask(tgt_mask, dtype)
     cross_mask = _key_mask(enc_mask, dtype)
     x = _embed(params, tgt_in, "emb.pos_dec")
+    return _decoder_layers(
+        params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h),
+        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states), self_mask, cross_mask, train, rng,
+    )
+
+
+def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, train, rng):
+    """Decoder layers and final norm over embedded targets ``x``.
+
+    ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's keys and values: the
+    one thing teacher forcing and cached decoding do differently.
+    """
     for i in range(cfg.n_dec_layers):
-        ln1 = _ln(params, f"dec.{i}.ln1", x)
-        x = T.add(x, _attention(params, f"dec.{i}.self", ln1, ln1, self_mask, cfg, train, rng))
-        x = T.add(x, _attention(params, f"dec.{i}.cross", _ln(params, f"dec.{i}.ln2", x), enc_states, cross_mask, cfg, train, rng))
+        h, p = _ln(params, f"dec.{i}.ln1", x), f"dec.{i}.self"
+        x = T.add(x, _attend(params, p, _queries(params, p, h), *self_kv(i, h), self_mask, cfg, train, rng))
+        h, p = _ln(params, f"dec.{i}.ln2", x), f"dec.{i}.cross"
+        x = T.add(x, _attend(params, p, _queries(params, p, h), *cross_kv(i), cross_mask, cfg, train, rng))
         x = T.add(x, _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x), cfg, train, rng))
     return _ln(params, "dec.ln_f", x)
 
@@ -261,6 +289,60 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
 def lm_head(params, states):
     """Logits through the tied embedding matrix."""
     return T.matmul(states, T.swapaxes(params["emb.tok"], 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# cached incremental decoding
+
+
+def source_keys_values(params, cfg, src_ids):
+    """Each decoder layer's cross-attention (keys, values) for one source sequence."""
+    src = np.asarray(src_ids, dtype=np.int32)[None, :]
+    with T.no_grad():
+        enc = encode_batch(params, cfg, src, np.ones(src.shape, dtype=bool))
+        return [_keys_values(params, f"dec.{i}.cross", enc) for i in range(cfg.n_dec_layers)]
+
+
+class DecoderCache:
+    """``cross`` from :func:`source_keys_values`, and the self-attention keys and values
+    of the ``t`` positions decoded so far in a (layers, 2, rows, max_tgt_len + 1, d)
+    buffer written in place.  A search starts from one row; :meth:`select` adds rows.
+    """
+
+    def __init__(self, cfg, cross):
+        self.cross, self.t = cross, 0
+        self.kv = np.zeros((cfg.n_dec_layers, 2, 1, cfg.max_tgt_len + 1, cfg.d_model), dtype=cross[0][0].dtype)
+
+    def write(self, i, k, v):
+        """Store layer i's (n, 1, d) keys and values at position t; return those of positions 0..t."""
+        kv = self.kv[i, :, : k.shape[0]]
+        kv[0, :, self.t], kv[1, :, self.t] = k.data[:, 0], v.data[:, 0]
+        return Tensor(kv[0, :, : self.t + 1]), Tensor(kv[1, :, : self.t + 1])
+
+    def select(self, idx):
+        """Row j takes over row ``idx[j]``; rows may repeat, move or drop."""
+        kept = self.kv[:, :, idx, : self.t]
+        if len(idx) > self.kv.shape[2]:
+            self.kv = np.zeros(self.kv.shape[:2] + (len(idx),) + self.kv.shape[3:], dtype=self.kv.dtype)
+        self.kv[:, :, : len(idx), : self.t] = kept
+
+
+def decode_step(params, cfg, cache, tokens):
+    """Next-token logits (n, V) for one token per row at position ``cache.t``, which then advances.
+
+    A no-grad pass of the teacher-forced decoder layers over one position,
+    with no masks: each row sees all of its own cached positions.
+    """
+    if cache.t > cfg.max_tgt_len:
+        raise ValueError("decoder ran past max_tgt_len")
+    with T.no_grad():
+        x = _embed(params, np.asarray(tokens)[:, None], "emb.pos_dec", start=cache.t)
+        states = _decoder_layers(
+            params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h)),
+            cache.cross.__getitem__, 0.0, 0.0, False, None,
+        )
+        cache.t += 1
+        return lm_head(params, states).data[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from . import evaluation as E
 from . import kernels
 from . import model as M
 from . import rng as rngmod
-from . import tokens as tok
 from .corpus import Vocab
-from .decoding import greedy_decode
 from .fileio import atomic_write
 from .tensor import Tape, Tensor, backward, no_grad
 
@@ -276,18 +274,11 @@ def _read_array(path, entry, payload):
 def _quick_eval(params, mcfg, valid, lexicon, vocab):
     lm = E.perplexity(params, mcfg, valid[:QUICK_EVAL_LM_EXAMPLES], lexicon, vocab)
     sample = valid[:QUICK_EVAL_DECODE_EXAMPLES]
-    covers, entails = [], []
-    from .corpus import encode_example
-
-    for ex in sample:
-        enc = encode_example(ex, lexicon, vocab, mcfg.max_src_len)
-        pred = vocab.detokenize([i for i in greedy_decode(params, mcfg, enc.src_ids) if i != tok.EOS_ID])
-        covers.append(E.coverage(pred, ex.tuple, lexicon))
-        entails.append(E.entail_oracle(pred, ex.tuple, lexicon))
+    preds = E.decode_corpus(params, mcfg, sample, lexicon, vocab, beam_size=1)
     return {
         "valid_ppl": lm,
-        "valid_cover": float(np.mean(covers)),
-        "valid_entail": float(np.mean(entails)),
+        "valid_cover": float(np.mean([E.coverage(p, ex.tuple, lexicon) for p, ex in zip(preds, sample)])),
+        "valid_entail": float(np.mean([E.entail_oracle(p, ex.tuple, lexicon) for p, ex in zip(preds, sample)])),
     }
 
 

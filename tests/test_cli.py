@@ -117,6 +117,43 @@ def test_resume_takes_configs_from_checkpoint(tmp_path, corpus_dir, trained_ckpt
     assert after.train_config.learning_rate == before.train_config.learning_rate
 
 
+@pytest.fixture(scope="module")
+def resumed_in_place(tmp_path_factory, corpus_dir):
+    """(uninterrupted 4-step run dir, 2-step run dir resumed to 4 steps in place, pre-resume checkpoint digest)."""
+    whole, split = tmp_path_factory.mktemp("whole"), tmp_path_factory.mktemp("split")
+    argv = ["train", "--corpus", str(corpus_dir), "--d-model", "16", "--eval-every", "1"]
+    assert cli.main(argv + ["--out", str(whole), "--max-steps", "4"]) == 0
+    assert cli.main(argv + ["--out", str(split), "--max-steps", "2"]) == 0
+    before = cli._sha256(split / "model.ckpt")
+    assert cli.main(argv + ["--out", str(split), "--max-steps", "4", "--resume", str(split / "model.ckpt")]) == 0
+    return whole, split, before
+
+
+def test_resume_in_place_keeps_the_earlier_log(resumed_in_place):
+    whole, split, _ = resumed_in_place
+    log = (split / "train_log.jsonl").read_bytes()
+    assert log == (whole / "train_log.jsonl").read_bytes()
+    assert {json.loads(line)["type"] for line in log.splitlines()} == {"train", "eval"}
+    assert (split / "model.ckpt").read_bytes() == (whole / "model.ckpt").read_bytes()
+
+
+def test_resume_manifest_digests_the_checkpoint_it_read(resumed_in_place):
+    _, split, before = resumed_in_place
+    manifest = json.loads((split / "train.manifest.json").read_text())
+    ckpt = str(split / "model.ckpt")
+    assert manifest["inputs"][ckpt] == before
+    assert manifest["outputs"][ckpt] == cli._sha256(ckpt) != before
+
+
+def test_resume_over_malformed_log_is_data_error(tmp_path, corpus_dir, trained_ckpt, capsys):
+    shutil.copy(trained_ckpt, tmp_path / "model.ckpt")
+    (tmp_path / "train_log.jsonl").write_text("not json\n")
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path), "--resume", str(tmp_path / "model.ckpt"),
+            "--max-steps", "2", "--eval-every", "0"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "malformed line" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("neg_types, message", [
     ("ES,XX", "unknown negative types ['XX']"),
     ("XX", "unknown negative types ['XX']"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colo import decoding as D
 from colo import model as M
@@ -80,6 +82,33 @@ def test_stepper_matches_teacher_forced_logits(decoder_fixture):
     for t, token in enumerate(prefix):
         lp, state = stepper.step(state, [token])
         assert np.allclose(lp[0], full_lp[t], atol=2e-4), f"position {t}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_select_reorders_the_cache_like_fresh_prefixes(decoder_fixture, data):
+    params, cfg, src = decoder_fixture
+    token = st.integers(0, cfg.vocab_size - 1)
+    rows = data.draw(st.integers(1, 5), "rows")
+    length = data.draw(st.integers(0, 6), "length")
+    prefixes = data.draw(st.lists(st.lists(token, min_size=length, max_size=length), min_size=rows, max_size=rows))
+    parents = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=5), "parents")
+    nxt = data.draw(st.lists(token, min_size=len(parents), max_size=len(parents)), "next tokens")
+
+    stepper = D.TransformerStepper(params, cfg, src)
+    _, state = stepper.step(stepper.start(), [tok.BOS_ID])  # a search starts from one row
+    state = stepper.select(state, [0] * rows)
+    for t in range(length):
+        _, state = stepper.step(state, [p[t] for p in prefixes])
+    state = stepper.select(state, parents)
+    got, _ = stepper.step(state, nxt)
+
+    for row, (parent, token_id) in enumerate(zip(parents, nxt)):
+        fresh = D.TransformerStepper(params, cfg, src)
+        fstate = fresh.start()
+        for t in [tok.BOS_ID] + prefixes[parent] + [token_id]:
+            want, fstate = fresh.step(fstate, [t])
+        np.testing.assert_allclose(got[row], want[0], atol=1e-5, rtol=0)
 
 
 # ---------------------------------------------------------------------------
