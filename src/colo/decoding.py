@@ -78,30 +78,32 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
     Candidates are ranked by cumulative log-probability with ties broken
     lexicographically by token ids; hypotheses that emit EOS (or hit the
     length cap) retire to the pool and the final ranking is by normalized
-    score (sum log-prob / token count ** length_norm).
+    score (sum log-prob / token count ** length_norm).  Live hypotheses all
+    have the same length, so the search carries each one's rank in the
+    lexicographic order of the live ids instead of comparing id lists.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     live = [Hypothesis([bos], 0.0, False)]
+    # per live hypothesis: cumulative log-prob, lexicographic rank, last token
+    logprob, rank, last = np.zeros(1), np.zeros(1, dtype=np.intp), np.array([bos])
     state = stepper.start()
     pool = []
     for _ in range(max_len):
         if not live:
             break
-        logprobs, state = stepper.step(state, [h.ids[-1] for h in live])
-        selected = _top_candidates(live, logprobs, beam_size)
-        next_live, parent_idx = [], []
-        for parent, token, score in selected:
-            h = Hypothesis(live[parent].ids + [token], score, False)
-            if token == eos:
-                h.finished = True
-                pool.append(h)
-            else:
-                next_live.append(h)
-                parent_idx.append(parent)
+        logprobs, state = stepper.step(state, last)
+        parents, tokens, scores = _top_candidates(logprob, rank, logprobs, beam_size)
+        next_live = []
+        for parent, token, score in zip(parents.tolist(), tokens.tolist(), scores.tolist()):
+            h = Hypothesis(live[parent].ids + [token], score, token == eos)
+            (pool if h.finished else next_live).append(h)
+        keep = tokens != eos
+        parents, logprob, last = parents[keep], scores[keep], tokens[keep]
+        rank = _lexicographic_ranks(rank[parents], last)
         live = next_live
         if live:
-            state = stepper.select(state, parent_idx)
+            state = stepper.select(state, parents)
     for h in live:  # length cap reached
         h.finished = True
         pool.append(h)
@@ -114,23 +116,32 @@ def beam_steps(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, leng
     return beam_pool(stepper, beam_size, max_len, bos, eos, length_norm)[:beam_size]
 
 
-def _top_candidates(live, logprobs, beam_size):
-    """Top beam_size (parent, token, score) with exact lexicographic tie-breaks."""
-    n, v = logprobs.shape
-    scores = np.asarray([h.logprob for h in live])[:, None] + logprobs
-    flat = scores.reshape(-1)
+def _top_candidates(logprob, rank, logprobs, beam_size):
+    """Top beam_size candidates as (parents, tokens, scores) arrays, best first.
+
+    ``logprob`` and ``rank`` hold each live hypothesis's cumulative log-prob
+    and its rank in the lexicographic order of the live ids.  Ties in score
+    order by (parent rank, token): the lexicographic order of the candidates'
+    ids, since the live hypotheses all have the same length.
+    """
+    v = logprobs.shape[1]
+    flat = (logprob[:, None] + logprobs).reshape(-1)
     k = min(beam_size, flat.size)
     if flat.size > k:
-        thresh = np.partition(flat, -k)[-k]
-        cand_idx = np.nonzero(flat >= thresh)[0]
+        cand = np.flatnonzero(flat >= np.partition(flat, -k)[-k])
     else:
-        cand_idx = np.arange(flat.size)
-    cands = []
-    for ci in cand_idx:
-        parent, token = divmod(int(ci), v)
-        cands.append((parent, token, float(flat[ci])))
-    cands.sort(key=lambda c: (-c[2], tuple(live[c[0]].ids + [c[1]])))
-    return cands[:k]
+        cand = np.arange(flat.size)
+    parents, tokens = np.divmod(cand, v)
+    scores = flat[cand]
+    order = np.lexsort((tokens, rank[parents], -scores))[:k]
+    return parents[order], tokens[order], scores[order]
+
+
+def _lexicographic_ranks(parent_rank, tokens):
+    """Each extended hypothesis's rank in the lexicographic order of the extended ids."""
+    rank = np.empty(len(tokens), dtype=np.intp)
+    rank[np.lexsort((tokens, parent_rank))] = np.arange(len(tokens))
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,23 @@ def bleu(candidates, references, max_n=4):
 
 
 def _lcs_len(a, b):
-    prev = [0] * (len(b) + 1)
+    """Length of the longest common subsequence, bit-parallel over ``b``.
+
+    Hyyrö's form of the Allison-Dix recurrence on a ``len(b)``-bit int
+    ``v``: after each element of ``a``, the count of clear bits in ``v`` is
+    the LCS length of ``b`` and the prefix of ``a`` read so far.  Each
+    element costs one and, one add, one subtract and one or over all of
+    ``b`` at once; the result equals the quadratic dynamic program's.
+    """
+    full = (1 << len(b)) - 1
+    match = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | (1 << j)
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidates, references):

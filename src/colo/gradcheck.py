@@ -61,7 +61,7 @@ def op_cases():
     f64 = np.dtype(np.float64)
     amask = M._causal_mask(4, f64) + M._key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
     w2344 = c(2, 3, 4, 4)
-    return [
+    cases = [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
         ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
         ("mul", lambda x: _wsum(T.mul(x, c34), w34), leaf(3, 4)),
@@ -89,6 +89,19 @@ def op_cases():
         ("cross_entropy_rows", lambda x: _wsum(T.cross_entropy_rows(x, targets), w6), leaf(6, 11)),
         ("masked_mean_pool", lambda x: _wsum(T.masked_mean_pool(x, pmask), w28), leaf(2, 5, 8)),
         ("cosine_rows", lambda u: _wsum(T.cosine_rows(u, v36), w3), leaf(3, 6)),
+    ]
+    # drawn after the cases above, so cases added here leave those cases' values alone
+    b2, w2232 = c(2), c(2, 2, 3, 2)
+    return cases + [
+        ("linear_x", lambda x: _wsum(T.linear(x, b42, b2), w32), leaf(3, 4)),
+        ("linear_x_batched", lambda x: _wsum(T.linear(x, b42, b2), w232), leaf(2, 3, 4)),
+        ("linear_x_no_bias", lambda x: _wsum(T.linear(x, b42), w232), leaf(2, 3, 4)),
+        # the weight's and the bias's gradients sum over the batched left operand
+        ("linear_weight", lambda w: _wsum(T.linear(a234, w, b2), w232), leaf(4, 2)),
+        ("linear_weight_no_bias", lambda w: _wsum(T.linear(a234, w), w232), leaf(4, 2)),
+        ("linear_bias", lambda b: _wsum(T.linear(a234, b42, b), w232), leaf(2)),
+        ("split_heads", lambda x: _wsum(T.split_heads(x, 2), w2232), leaf(2, 3, 4)),
+        ("merge_heads", lambda x: _wsum(T.merge_heads(x), a234), leaf(2, 2, 3, 2)),
     ]
 
 

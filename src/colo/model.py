@@ -9,8 +9,12 @@ side) map (B, d) pooled representations before similarity scoring.
 Generation runs the same decoder layers a position at a time: :func:`decode_step`
 takes a token per row and a :class:`DecoderCache` of the rows' earlier
 self-attention keys and values and the source's cross-attention ones.
+Keys and values are head-split, (B, H, T, d / H), wherever they are made,
+so the cache stores them as attention reads them and a source's
+cross-attention ones are split once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,45 +171,35 @@ def _dropout(x, rate, train, rng):
     return T.mul(x, Tensor(keep))
 
 
-def _split_heads(x, n_heads):
-    b, t, d = x.shape
-    return T.swapaxes(T.reshape(x, (b, t, n_heads, d // n_heads)), 1, 2)
+def _queries(params, prefix, q_in, cfg):
+    return T.split_heads(T.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), cfg.n_heads)
 
 
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return T.reshape(T.swapaxes(x, 1, 2), (b, t, h * dh))
-
-
-def _queries(params, prefix, q_in):
-    return T.add(T.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-
-
-def _keys_values(params, prefix, kv_in):
-    k = T.matmul(kv_in, params[f"{prefix}.wk"])
-    v = T.add(T.matmul(kv_in, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
+def _keys_values(params, prefix, kv_in, cfg):
+    """Head-split (B, H, T, dh) keys and values of ``kv_in``."""
+    k = T.split_heads(T.linear(kv_in, params[f"{prefix}.wk"]), cfg.n_heads)
+    v = T.split_heads(T.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), cfg.n_heads)
     return k, v
 
 
 def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
-    """Multi-head attention; ``add_mask`` is an additive mask in the params' dtype.
+    """Multi-head attention over head-split q, k, v.
 
-    Callers project q before k and v, so the tape records those matmuls in
-    that order and their shared input's gradient always sums in one order.
+    ``add_mask`` is an additive mask in the params' dtype, or None.
+
+    Callers project q before k and v, so the tape records those projections
+    in that order and their shared input's gradient always sums in one order.
     """
-    qh = _split_heads(q, cfg.n_heads)
-    kh = _split_heads(k, cfg.n_heads)
-    vh = _split_heads(v, cfg.n_heads)
-    scale = q.dtype.type(1.0 / np.sqrt(cfg.d_model // cfg.n_heads))
-    probs = T.attention_probs(T.matmul(qh, T.swapaxes(kh, -1, -2)), scale, add_mask)
+    scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
+    probs = T.attention_probs(T.matmul(q, T.swapaxes(k, -1, -2)), scale, add_mask)
     probs = _dropout(probs, cfg.dropout_rate, train, rng)
-    ctx = _merge_heads(T.matmul(probs, vh))
-    return T.add(T.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    ctx = T.merge_heads(T.matmul(probs, v))
+    return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params, prefix, x, cfg, train, rng):
-    h = T.gelu(T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    out = T.add(T.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    out = T.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     return _dropout(out, cfg.dropout_rate, train, rng)
 
 
@@ -246,7 +240,8 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
         h, p = _ln(params, f"enc.{i}.ln1", x), f"enc.{i}.attn"
-        x = T.add(x, _attend(params, p, _queries(params, p, h), *_keys_values(params, p, h), mask, cfg, train, rng))
+        q = _queries(params, p, h, cfg)
+        x = T.add(x, _attend(params, p, q, *_keys_values(params, p, h, cfg), mask, cfg, train, rng))
         x = T.add(x, _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x), cfg, train, rng))
     return _ln(params, "enc.ln_f", x)
 
@@ -266,22 +261,22 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
     cross_mask = _key_mask(enc_mask, dtype)
     x = _embed(params, tgt_in, "emb.pos_dec")
     return _decoder_layers(
-        params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h),
-        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states), self_mask, cross_mask, train, rng,
+        params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h, cfg),
+        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states, cfg), self_mask, cross_mask, train, rng,
     )
 
 
 def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, train, rng):
     """Decoder layers and final norm over embedded targets ``x``.
 
-    ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's keys and values: the
-    one thing teacher forcing and cached decoding do differently.
+    ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's head-split keys and
+    values: the one thing teacher forcing and cached decoding do differently.
     """
     for i in range(cfg.n_dec_layers):
         h, p = _ln(params, f"dec.{i}.ln1", x), f"dec.{i}.self"
-        x = T.add(x, _attend(params, p, _queries(params, p, h), *self_kv(i, h), self_mask, cfg, train, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *self_kv(i, h), self_mask, cfg, train, rng))
         h, p = _ln(params, f"dec.{i}.ln2", x), f"dec.{i}.cross"
-        x = T.add(x, _attend(params, p, _queries(params, p, h), *cross_kv(i), cross_mask, cfg, train, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *cross_kv(i), cross_mask, cfg, train, rng))
         x = T.add(x, _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x), cfg, train, rng))
     return _ln(params, "dec.ln_f", x)
 
@@ -296,35 +291,47 @@ def lm_head(params, states):
 
 
 def source_keys_values(params, cfg, src_ids):
-    """Each decoder layer's cross-attention (keys, values) for one source sequence."""
+    """Each decoder layer's head-split (1, H, S, dh) cross-attention (keys, values) for one source sequence."""
     src = np.asarray(src_ids, dtype=np.int32)[None, :]
     with T.no_grad():
         enc = encode_batch(params, cfg, src, np.ones(src.shape, dtype=bool))
-        return [_keys_values(params, f"dec.{i}.cross", enc) for i in range(cfg.n_dec_layers)]
+        return [_keys_values(params, f"dec.{i}.cross", enc, cfg) for i in range(cfg.n_dec_layers)]
 
 
 class DecoderCache:
     """``cross`` from :func:`source_keys_values`, and the self-attention keys and values
-    of the ``t`` positions decoded so far in a (layers, 2, rows, max_tgt_len + 1, d)
-    buffer written in place.  A search starts from one row; :meth:`select` adds rows.
+    of the ``t`` positions decoded so far, head-split in a
+    (layers, 2, rows, n_heads, max_tgt_len + 1, d_model // n_heads) buffer written in
+    place.  A search starts from one row; :meth:`select` adds rows.
     """
 
     def __init__(self, cfg, cross):
         self.cross, self.t = cross, 0
-        self.kv = np.zeros((cfg.n_dec_layers, 2, 1, cfg.max_tgt_len + 1, cfg.d_model), dtype=cross[0][0].dtype)
+        dh = cfg.d_model // cfg.n_heads
+        self.kv = np.zeros((cfg.n_dec_layers, 2, 1, cfg.n_heads, cfg.max_tgt_len + 1, dh), dtype=cross[0][0].dtype)
 
     def write(self, i, k, v):
-        """Store layer i's (n, 1, d) keys and values at position t; return those of positions 0..t."""
+        """Store layer i's (n, H, 1, dh) keys and values at position t; return those of positions 0..t."""
         kv = self.kv[i, :, : k.shape[0]]
-        kv[0, :, self.t], kv[1, :, self.t] = k.data[:, 0], v.data[:, 0]
-        return Tensor(kv[0, :, : self.t + 1]), Tensor(kv[1, :, : self.t + 1])
+        kv[0, :, :, self.t], kv[1, :, :, self.t] = k.data[:, :, 0], v.data[:, :, 0]
+        return Tensor(kv[0, :, :, : self.t + 1]), Tensor(kv[1, :, :, : self.t + 1])
 
     def select(self, idx):
-        """Row j takes over row ``idx[j]``; rows may repeat, move or drop."""
-        kept = self.kv[:, :, idx, : self.t]
-        if len(idx) > self.kv.shape[2]:
-            self.kv = np.zeros(self.kv.shape[:2] + (len(idx),) + self.kv.shape[3:], dtype=self.kv.dtype)
-        self.kv[:, :, : len(idx), : self.t] = kept
+        """Row j takes over row ``idx[j]``; rows may repeat, move or drop.
+
+        Only rows whose parent is another row are copied, so a row that keeps
+        its own parent (every greedy step) costs nothing.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        n, t = len(idx), self.t
+        if n > self.kv.shape[2]:
+            grown = np.zeros(self.kv.shape[:2] + (n,) + self.kv.shape[3:], dtype=self.kv.dtype)
+            grown[:, :, :, :, :t] = self.kv[:, :, idx, :, :t]
+            self.kv = grown
+            return
+        moved = np.flatnonzero(idx != np.arange(n))
+        if moved.size:
+            self.kv[:, :, moved, :, :t] = self.kv[:, :, idx[moved], :, :t]
 
 
 def decode_step(params, cfg, cache, tokens):
@@ -338,8 +345,8 @@ def decode_step(params, cfg, cache, tokens):
     with T.no_grad():
         x = _embed(params, np.asarray(tokens)[:, None], "emb.pos_dec", start=cache.t)
         states = _decoder_layers(
-            params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h)),
-            cache.cross.__getitem__, 0.0, 0.0, False, None,
+            params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h, cfg)),
+            cache.cross.__getitem__, None, None, False, None,
         )
         cache.t += 1
         return lm_head(params, states).data[:, 0]
@@ -351,8 +358,8 @@ def decode_step(params, cfg, cache, tokens):
 
 def _project(params, side, x):
     """Side-specific two-layer tanh head over (B, d) pooled representations."""
-    h = T.tanh(T.add(T.matmul(x, params[f"proj.{side}.w1"]), params[f"proj.{side}.b1"]))
-    return T.add(T.matmul(h, params[f"proj.{side}.w2"]), params[f"proj.{side}.b2"])
+    h = T.tanh(T.linear(x, params[f"proj.{side}.w1"], params[f"proj.{side}.b1"]))
+    return T.linear(h, params[f"proj.{side}.w2"], params[f"proj.{side}.b2"])
 
 
 def project_enc(params, e):

@@ -12,6 +12,14 @@ computed at all.  Tensors are float32 by default; pass
 plain functions (``add``, ``matmul``, ...), with no operator overloading;
 pooling and similarity take batched operands only.  The tape stack is
 module state, for one thread.
+
+Some ops fuse a chain into one tape entry and compute exactly what the
+chain computes, forward and backward: ``linear`` (``x @ w + b``, the
+model's projections), ``split_heads`` and ``merge_heads`` (a reshape and
+an axis swap, for multi-head attention) and ``attention_probs`` (scale,
+additive mask, softmax).  An op's float32/float64 result is wrapped
+without conversion, so a no-grad pass over small arrays (one decoding
+step) pays little per op beyond numpy itself.
 """
 
 from contextlib import contextmanager
@@ -145,10 +153,22 @@ class _Op:
         self.bwd = bwd
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _make(out_data, inputs, bwd):
-    """Wrap an op result; record it if a tape is active and grads are needed."""
-    out = Tensor(out_data)
-    tape = Tape.current()
+    """Wrap an op result; record it if a tape is active and grads are needed.
+
+    A float32/float64 ndarray, what nearly every op returns, is wrapped as
+    is; anything else (a numpy scalar, another dtype) goes through
+    :class:`Tensor`'s conversion.
+    """
+    if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
+        out = Tensor.__new__(Tensor)
+        out.data, out.requires_grad, out.grad = out_data, False, None
+    else:
+        out = Tensor(out_data)
+    tape = _TAPES[-1] if _TAPES else None
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape.ops.append(_Op(inputs, out, bwd))
@@ -286,7 +306,7 @@ def gelu(a):
     def bwd(g):
         return (kernels.gelu_bwd(g, a.data),)
 
-    return _make(out.astype(a.dtype, copy=False), (a,), bwd)
+    return _make(out.astype(a.data.dtype, copy=False), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +327,28 @@ def swapaxes(a, ax1, ax2):
 
     def bwd(g):
         return (np.swapaxes(g, ax1, ax2),)
+
+    return _make(out, (a,), bwd)
+
+
+def split_heads(a, n_heads):
+    """(B, T, d) -> (B, n_heads, T, d // n_heads): a reshape and a swap of axes 1 and 2, as one op."""
+    b, t, d = a.data.shape
+    out = a.data.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
+
+    def bwd(g):
+        return (g.swapaxes(1, 2).reshape(b, t, d),)
+
+    return _make(out, (a,), bwd)
+
+
+def merge_heads(a):
+    """(B, H, T, dh) -> (B, T, H * dh), the inverse of :func:`split_heads`."""
+    b, h, t, dh = a.data.shape
+    out = a.data.swapaxes(1, 2).reshape(b, t, h * dh)
+
+    def bwd(g):
+        return (g.reshape(b, t, h, dh).swapaxes(1, 2),)
 
     return _make(out, (a,), bwd)
 
@@ -334,11 +376,12 @@ def mean_(a, axis=None, keepdims=False):
 
 def matmul(a, b):
     """Matrix product with numpy's batched-matmul broadcasting (operands >= 2-D)."""
-    if a.ndim < 2 or b.ndim < 2:
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
+    out = np.matmul(ad, bd)
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
@@ -348,9 +391,33 @@ def matmul(a, b):
     return _make(out, (a, b), bwd)
 
 
+def linear(x, w, b=None):
+    """``x @ w + b`` as one op: ``x`` is (..., n) with two or more axes, ``w`` (n, m), ``b`` (m,) or None.
+
+    Forward and backward compute exactly what ``add(matmul(x, w), b)``
+    computes, in the same order, with one tape entry instead of two.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear needs (..., n) x (n, m), got {xd.shape} x {wd.shape}")
+    if b is not None and b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not match weight {wd.shape}")
+    out = np.matmul(xd, wd)
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        gx = _unbroadcast(np.matmul(g, wd.T), xd.shape) if x.requires_grad else None
+        gw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape) if w.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b is not None and b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(out, (x, w) if b is None else (x, w, b), bwd)
+
+
 def take_rows(table, ids):
     """Gather rows of a 2-D table; the gradient scatter-adds back."""
-    if table.ndim != 2:
+    if table.data.ndim != 2:
         raise ShapeError("take_rows expects a 2-D table")
     ids = np.asarray(ids)
     out = table.data[ids]
@@ -379,16 +446,17 @@ def slice0(a, start, stop):
 # fused kernel ops
 
 
-def attention_probs(scores, scale, add_mask):
+def attention_probs(scores, scale, add_mask=None):
     """Softmax over the last axis of ``scores * scale + add_mask``.
 
     ``scale`` is a scalar of the scores' dtype and ``add_mask`` an additive
-    numpy mask that broadcasts against ``scores``; both are constants, so
-    the only gradient is the one to ``scores``.
+    numpy mask that broadcasts against ``scores``, or None for no mask; both
+    are constants, so the only gradient is the one to ``scores``.
     """
-    shape = scores.shape
+    shape = scores.data.shape
     z = scores.data * scale
-    z += add_mask
+    if add_mask is not None:
+        z += add_mask
     p = kernels.softmax_fwd(z.reshape(-1, shape[-1]))
 
     def bwd(g):
@@ -396,22 +464,23 @@ def attention_probs(scores, scale, add_mask):
         dx *= scale
         return (dx.reshape(shape),)
 
-    return _make(p.reshape(shape).astype(scores.dtype, copy=False), (scores,), bwd)
+    return _make(p.reshape(shape).astype(scores.data.dtype, copy=False), (scores,), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row zero-mean/unit-variance normalization followed by an affine map."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    shape = x.data.shape
+    d = shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the feature width")
     flat = np.ascontiguousarray(x.data.reshape(-1, d))
     out, xhat, rstd = kernels.layer_norm_fwd(flat, gain.data, bias.data, eps)
 
     def bwd(g):
         dx, dgain, dbias = kernels.layer_norm_bwd(g.reshape(-1, d), xhat, rstd, gain.data)
-        return dx.reshape(x.shape), dgain, dbias
+        return dx.reshape(shape), dgain, dbias
 
-    return _make(out.reshape(x.shape), (x, gain, bias), bwd)
+    return _make(out.reshape(shape), (x, gain, bias), bwd)
 
 
 def cross_entropy_rows(logits, targets):

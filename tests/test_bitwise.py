@@ -1,0 +1,75 @@
+"""Pinned fingerprints of the toy model.
+
+One training step's tape length, the parameters after a 3-step run and the
+beam-5 and greedy ids of three test sources.  A refactor of the numeric
+core, the decoder or the search that claims to be bitwise leaves the
+digests equal.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from colo import contrastive as K
+from colo import decoding as D
+from colo import model as M
+from colo import trainer as TR
+from colo.corpus import Corpus, encode_example
+from colo.rng import derive_rng
+from colo.tensor import Tape
+
+TCFG = TR.TrainConfig(batch_size=4, epochs=1, seed=3, eval_every=0, max_steps=3)
+
+TAPE_OPS = 234  # moves when ops are fused or split; the digests below must not
+PARAMS_SHA256 = "83ee7b00f35fb8c2b36e6e11d3262bf7e56784f597ad30b5853cc33b760ae389"
+BEAM5_SHA256 = "d5d03077758b8c49b90c1b63b8f50c19a710e21b7ac213ede8a62709b46fc69a"
+GREEDY_SHA256 = "17085c1c4f193ef9ac21c677cec0f242a02cce335c180953f6b3d7a8418da1f5"
+
+
+@pytest.fixture(scope="module")
+def toy(tiny_bundle, tiny_model_cfg):
+    """(corpus, vocab, config) with dropout on, so the guard covers the dropout masks."""
+    lexicon, examples, vocab = tiny_bundle
+    return Corpus(lexicon, examples), vocab, dataclasses.replace(tiny_model_cfg, dropout_rate=0.1)
+
+
+def _sha256(chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c)
+    return h.hexdigest()
+
+
+def _ids_sha256(seqs):
+    return _sha256(np.asarray(s, dtype=np.int64).tobytes() + b"|" for s in seqs)
+
+
+def test_one_training_step_records_the_pinned_tape(toy):
+    corpus, vocab, cfg = toy
+    batch = corpus.train[: TCFG.batch_size]
+    csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(TCFG.seed, i)) for i, ex in enumerate(batch)]
+    with Tape() as tape:
+        K.total_loss_batch(
+            M.init_params(cfg, TCFG.seed), cfg, batch, csets, corpus.lexicon, vocab, train=True, rng=derive_rng(1)
+        )
+        assert len(tape.ops) == TAPE_OPS
+
+
+@pytest.fixture(scope="module")
+def trained(toy):
+    corpus, _, cfg = toy
+    return TR.train(TCFG, corpus, cfg)[0].params
+
+
+def test_three_step_run_lands_on_the_pinned_parameters(trained):
+    assert _sha256(n.encode() + t.data.tobytes() for n, t in trained.items()) == PARAMS_SHA256
+
+
+def test_beam_and_greedy_decode_the_pinned_ids(toy, trained):
+    corpus, vocab, cfg = toy
+    srcs = [encode_example(ex, corpus.lexicon, vocab, cfg.max_src_len).src_ids for ex in corpus.test[:3]]
+    beams = [D.beam_search(trained, cfg, s, beam_size=5) for s in srcs]
+    assert _ids_sha256(h for ranked in beams for h in ranked) == BEAM5_SHA256
+    assert _ids_sha256(D.greedy_decode(trained, cfg, s) for s in srcs) == GREEDY_SHA256

@@ -84,29 +84,40 @@ def test_stepper_matches_teacher_forced_logits(decoder_fixture):
         assert np.allclose(lp[0], full_lp[t], atol=2e-4), f"position {t}"
 
 
-@settings(max_examples=30, deadline=None)
+def _parent_lists(rows):
+    """Parent index lists over ``rows`` live rows: identity, a kept prefix (dropped rows),
+    one parent repeated, a permutation, and anything else of length 1-5."""
+    return st.one_of(
+        st.just(list(range(rows))),
+        st.integers(1, rows).map(lambda m: list(range(m))),
+        st.tuples(st.integers(0, rows - 1), st.integers(1, 5)).map(lambda pm: [pm[0]] * pm[1]),
+        st.permutations(list(range(rows))),
+        st.lists(st.integers(0, rows - 1), min_size=1, max_size=5),
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_select_reorders_the_cache_like_fresh_prefixes(decoder_fixture, data):
+    """Rounds of select-then-step, starting from a search's one row, against fresh prefixes."""
     params, cfg, src = decoder_fixture
     token = st.integers(0, cfg.vocab_size - 1)
-    rows = data.draw(st.integers(1, 5), "rows")
-    length = data.draw(st.integers(0, 6), "length")
-    prefixes = data.draw(st.lists(st.lists(token, min_size=length, max_size=length), min_size=rows, max_size=rows))
-    parents = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=5), "parents")
-    nxt = data.draw(st.lists(token, min_size=len(parents), max_size=len(parents)), "next tokens")
-
     stepper = D.TransformerStepper(params, cfg, src)
-    _, state = stepper.step(stepper.start(), [tok.BOS_ID])  # a search starts from one row
-    state = stepper.select(state, [0] * rows)
-    for t in range(length):
-        _, state = stepper.step(state, [p[t] for p in prefixes])
-    state = stepper.select(state, parents)
-    got, _ = stepper.step(state, nxt)
+    _, state = stepper.step(stepper.start(), [tok.BOS_ID])
+    prefixes = [[tok.BOS_ID]]
+    for _ in range(data.draw(st.integers(1, 4), "rounds")):
+        parents = data.draw(_parent_lists(len(prefixes)), "parents")
+        # distinct tokens keep every row's prefix distinct, so a row left unmoved shows
+        n = len(parents)
+        nxt = data.draw(st.lists(token, min_size=n, max_size=n, unique=True), "next tokens")
+        state = stepper.select(state, parents)
+        got, state = stepper.step(state, nxt)
+        prefixes = [prefixes[p] + [t] for p, t in zip(parents, nxt)]
 
-    for row, (parent, token_id) in enumerate(zip(parents, nxt)):
+    for row, prefix in enumerate(prefixes):
         fresh = D.TransformerStepper(params, cfg, src)
         fstate = fresh.start()
-        for t in [tok.BOS_ID] + prefixes[parent] + [token_id]:
+        for t in prefix:
             want, fstate = fresh.step(fstate, [t])
         np.testing.assert_allclose(got[row], want[0], atol=1e-5, rtol=0)
 
@@ -204,6 +215,82 @@ def test_beam_deterministic(decoder_fixture):
     a = D.beam_search(params, cfg, src, beam_size=5)
     b = D.beam_search(params, cfg, src, beam_size=5)
     assert a == b
+
+
+def _reference_top_candidates(live_ids, logprob, logprobs, beam_size):
+    """Brute force: every (parent, token, score), sorted by (-score, ids)."""
+    cands = [(p, t, logprob[p] + logprobs[p, t]) for p in range(len(live_ids)) for t in range(logprobs.shape[1])]
+    cands.sort(key=lambda c: (-c[2], tuple(live_ids[c[0]]) + (c[1],)))
+    return cands[:beam_size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_keyed_candidates_equal_brute_force_sort(data):
+    """Live ids of one length, scores drawn from a few values so that ties are common."""
+    length = data.draw(st.integers(0, 3), "length")
+    ids = st.lists(st.integers(0, 3), min_size=length, max_size=length).map(tuple)
+    live_ids = data.draw(st.lists(ids, min_size=1, max_size=6, unique=True), "live ids")
+    n, v = len(live_ids), data.draw(st.integers(1, 5), "vocab")
+    logprob = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.5, -1.0]), min_size=n, max_size=n)))
+    step = st.sampled_from([-0.25, -0.5, -0.75, -1.0])
+    logprobs = np.array(data.draw(st.lists(step, min_size=n * v, max_size=n * v)), dtype=np.float32).reshape(n, v)
+    beam_size = data.draw(st.integers(1, 6), "beam")
+    order = sorted(range(n), key=live_ids.__getitem__)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+
+    parents, tokens, scores = D._top_candidates(logprob, rank, logprobs, beam_size)
+    got = list(zip(parents.tolist(), tokens.tolist(), scores.tolist()))
+    assert got == _reference_top_candidates(live_ids, logprob, logprobs, beam_size)
+
+
+def _reference_beam_pool(stepper, beam_size, max_len, length_norm, bos=tok.BOS_ID, eos=tok.EOS_ID):
+    """Beam search that breaks ties by sorting on whole id tuples."""
+    live, state, pool = [D.Hypothesis([bos], 0.0, False)], stepper.start(), []
+    for _ in range(max_len):
+        if not live:
+            break
+        logprobs, state = stepper.step(state, [h.ids[-1] for h in live])
+        selected = _reference_top_candidates([h.ids for h in live], [h.logprob for h in live], logprobs, beam_size)
+        nxt, parents = [], []
+        for parent, token, score in selected:
+            h = D.Hypothesis(live[parent].ids + [token], float(score), token == eos)
+            if h.finished:
+                pool.append(h)
+            else:
+                nxt.append(h)
+                parents.append(parent)
+        live = nxt
+        if live:
+            state = stepper.select(state, parents)
+    for h in live:
+        h.finished = True
+        pool.append(h)
+    pool.sort(key=lambda h: (-h.normalized(length_norm), tuple(h.ids)))
+    return pool
+
+
+class TiedTableStepper(TableStepper):
+    """Log-probs rounded to multiples of 0.5, so many candidates tie exactly."""
+
+    def _row(self, prefix):
+        return np.round(derive_rng(self.seed, *prefix).standard_normal(self.vocab_size) * 2.0) * 0.5 - 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    vocab=st.integers(3, 6),  # EOS is id 2
+    beam=st.integers(1, 5),
+    max_len=st.integers(1, 5),
+    length_norm=st.sampled_from([0.0, 1.0]),
+)
+def test_beam_pool_equals_tuple_sorted_search_under_ties(seed, vocab, beam, max_len, length_norm):
+    stepper = TiedTableStepper(vocab, seed)
+    got = D.beam_pool(stepper, beam, max_len, length_norm=length_norm)
+    want = _reference_beam_pool(stepper, beam, max_len, length_norm)
+    assert [(h.ids, h.logprob, h.finished) for h in got] == [(h.ids, h.logprob, h.finished) for h in want]
 
 
 def test_beam_length_norm_flag():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colo import evaluation as E
 from colo.contrastive import swap_entities
@@ -133,6 +135,27 @@ def test_rouge_lcs_matches_exhaustive_search():
         a = [int(x) for x in rng.integers(0, 4, size=rng.integers(0, 9))]
         b = [int(x) for x in rng.integers(0, 4, size=rng.integers(0, 9))]
         assert E._lcs_len(a, b) == _lcs_brute(a, b)
+
+
+def _lcs_dp(a, b):
+    """Reference LCS length: the quadratic dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+# small alphabets force repeats; lengths past 64 cross machine-word boundaries
+_SEQ = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_SEQ, b=_SEQ)
+def test_bit_parallel_lcs_equals_the_dynamic_program(a, b):
+    assert E._lcs_len(a, b) == _lcs_dp(a, b) == E._lcs_len(b, a)
 
 
 # ---------------------------------------------------------------------------

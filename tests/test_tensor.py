@@ -37,6 +37,57 @@ def test_op_gradient_matches_finite_differences(f, at):
 
 
 # ---------------------------------------------------------------------------
+# fused linear and head ops
+
+
+def _f32_leaf(rng, *shape):
+    return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("x_shape", [(7, 16), (4, 7, 16)], ids=["2d", "batched"])
+def test_linear_is_matmul_then_add_bit_for_bit(bias, x_shape):
+    rng = np.random.default_rng(5)
+    leaves = [_f32_leaf(rng, *x_shape), _f32_leaf(rng, 16, 24)] + ([_f32_leaf(rng, 24)] if bias else [])
+    g = rng.standard_normal(x_shape[:-1] + (24,)).astype(np.float32)
+
+    def run(f):
+        for t in leaves:
+            t.zero_grad()
+        with Tape():
+            y = f(*leaves)
+            backward(T.sum_(T.mul(y, Tensor(g))))
+        return [y.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    def unfused(x, w, b=None):
+        y = T.matmul(x, w)
+        return y if b is None else T.add(y, b)
+
+    assert run(T.linear) == run(unfused)
+
+
+def test_linear_constant_operands_get_no_gradient():
+    x, w, b = t64(np.ones((2, 3, 4)), requires_grad=True), t64(np.ones((4, 5))), t64(np.ones(5))
+    with Tape() as tape:
+        T.linear(x, w, b)
+        assert [g is not None for g in tape.ops[-1].bwd(np.ones((2, 3, 5)))] == [True, False, False]
+
+
+@pytest.mark.parametrize("w_shape, b_shape", [((5, 2), (2,)), ((4, 2), (3,)), ((4,), None)])
+def test_linear_shape_mismatch(w_shape, b_shape):
+    b = None if b_shape is None else t64(np.ones(b_shape))
+    with pytest.raises(ShapeError):
+        T.linear(t64(np.ones((3, 4))), t64(np.ones(w_shape)), b)
+
+
+def test_split_heads_is_reshape_then_swapaxes_and_merge_inverts_it():
+    x = t64(np.arange(2 * 3 * 8.0).reshape(2, 3, 8))
+    heads = T.split_heads(x, 4)
+    assert np.array_equal(heads.data, np.swapaxes(x.data.reshape(2, 3, 4, 2), 1, 2))
+    assert np.array_equal(T.merge_heads(heads).data, x.data)
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 
