@@ -82,7 +82,8 @@ def op_cases():
         ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
-        ("attention_probs", lambda x: _wsum(T.attention_probs(x, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
+        # k2344 is drawn below, after every other case; this leaf keeps its draw here
+        ("attention_probs_q", lambda q: _wsum(T.attention_probs(q, k2344, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
@@ -92,7 +93,7 @@ def op_cases():
     ]
     # drawn after the cases above, so cases added here leave those cases' values alone
     b2, w2232 = c(2), c(2, 2, 3, 2)
-    return cases + [
+    cases += [
         ("linear_x", lambda x: _wsum(T.linear(x, b42, b2), w32), leaf(3, 4)),
         ("linear_x_batched", lambda x: _wsum(T.linear(x, b42, b2), w232), leaf(2, 3, 4)),
         ("linear_x_no_bias", lambda x: _wsum(T.linear(x, b42), w232), leaf(2, 3, 4)),
@@ -102,6 +103,11 @@ def op_cases():
         ("linear_bias", lambda b: _wsum(T.linear(a234, b42, b), w232), leaf(2)),
         ("split_heads", lambda x: _wsum(T.split_heads(x, 2), w2232), leaf(2, 3, 4)),
         ("merge_heads", lambda x: _wsum(T.merge_heads(x), a234), leaf(2, 2, 3, 2)),
+    ]
+    # the score product's other operand, for the attention_probs cases, drawn last in turn
+    k2344, q2344 = c(2, 3, 4, 4), c(2, 3, 4, 4)
+    return cases + [
+        ("attention_probs_k", lambda k: _wsum(T.attention_probs(q2344, k, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
     ]
 
 

@@ -5,10 +5,12 @@ time, so a profiler can wrap these names from outside.
 
 Kernels write into the arrays they allocate instead of building a temporary
 per arithmetic step; a backward kernel may also overwrite the cache its
-forward returned, which the tape hands it once.  The order and association
-of every floating-point operation is fixed (e.g. ``((A*x)*x)*x``), so each
-result is bitwise equal to the plain expression it replaced; changing that
-order changes training output.
+forward returned, which the tape hands it once.  :func:`softmax_fwd`
+overwrites its input: ``tensor.attention_probs`` hands it the score buffer
+it has just made, so the probabilities take that buffer's place.  The order
+and association of every floating-point operation is fixed (e.g.
+``((A*x)*x)*x``), so each result is bitwise equal to the plain expression
+it replaced; changing that order changes training output.
 """
 
 import numpy as np
@@ -50,11 +52,11 @@ def layer_norm_bwd(gy, xhat, rstd, gain):
 
 
 def softmax_fwd(x):
-    """Row softmax of a 2-D array, stabilized by the row max."""
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    """Row softmax of a 2-D array, stabilized by the row max; overwrites and returns ``x``."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def softmax_bwd(gy, p):

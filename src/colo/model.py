@@ -191,7 +191,7 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
     in that order and their shared input's gradient always sums in one order.
     """
     scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
-    probs = T.attention_probs(T.matmul(q, T.swapaxes(k, -1, -2)), scale, add_mask)
+    probs = T.attention_probs(q, k, scale, add_mask)
     probs = _dropout(probs, cfg.dropout_rate, train, rng)
     ctx = T.merge_heads(T.matmul(probs, v))
     return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])

@@ -2,7 +2,7 @@
 
 Define-by-run: operations executed inside a ``with Tape():`` block record
 their backward rules onto the active tape; :func:`backward` consumes the tape
-in reverse and accumulates gradients additively into ``.grad`` buffers.
+in reverse and sums the gradients of each tensor's uses into its ``.grad``.
 Gradients land on leaves only (parameters and tensors created with
 ``requires_grad=True``): an op's output gradient is dropped once its backward
 rule has run, and each popped op releases the activations it held.  An
@@ -13,11 +13,21 @@ plain functions (``add``, ``matmul``, ...), with no operator overloading;
 pooling and similarity take batched operands only.  The tape stack is
 module state, for one thread.
 
+Gradient ownership: a backward rule never writes into its incoming
+gradient, and may return it, or a view of it, as a contribution (``add``
+hands the same array to both operands; ``sum_`` returns a read-only
+broadcast view).  So :func:`backward` keeps an op output's first gradient
+contribution by reference and sums later ones out of place, never writing
+into a gradient array.  Leaves copy their first contribution instead,
+because their ``.grad`` outlives backward and is scaled in place by
+gradient clipping.
+
 Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
 model's projections), ``split_heads`` and ``merge_heads`` (a reshape and
-an axis swap, for multi-head attention) and ``attention_probs`` (scale,
-additive mask, softmax).  An op's float32/float64 result is wrapped
+an axis swap, for multi-head attention) and ``attention_probs`` (the score
+product ``q @ kᵀ``, scale, additive mask, softmax, all in the one score
+buffer it allocates).  An op's float32/float64 result is wrapped
 without conversion, so a no-grad pass over small arrays (one decoding
 step) pays little per op beyond numpy itself.
 """
@@ -132,6 +142,12 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
+        """Add a gradient contribution to this leaf's ``.grad``.
+
+        :func:`backward` calls it for leaves only, and to seed the root.  The
+        first contribution is copied, since it may be a view another gradient
+        shares, and later ones are added in place.
+        """
         if self.grad is None:
             self.grad = g.copy()
         else:
@@ -179,10 +195,14 @@ def backward(loss):
     """Populate ``.grad`` on every leaf reachable from ``loss``, emptying the tape.
 
     Pops the active tape's ops in reverse recording order; gradients from
-    multiple uses of the same tensor accumulate additively.  Once an op's
-    backward rule has run, its output's ``.grad`` is reset to None and the
-    op is dropped, so intermediate activations and gradients are freed
-    while backward runs.  Only leaves keep ``.grad``.
+    multiple uses of the same tensor are summed.  Once an op's backward
+    rule has run, its output's ``.grad`` is reset to None and the op is
+    dropped, so intermediate activations and gradients are freed while
+    backward runs.  Only leaves keep ``.grad``.
+
+    An op output takes its first contribution by reference; a later one is
+    summed out of place and cast back to the first one's dtype, the values
+    an in-place ``+=`` gives.  Leaves go through :meth:`Tensor.accumulate_grad`.
     """
     if loss.data.ndim != 0:
         raise RankError(f"backward needs a scalar root, got shape {loss.shape}")
@@ -191,6 +211,7 @@ def backward(loss):
         raise TensorError("backward called with no active tape")
     loss.accumulate_grad(np.ones((), dtype=loss.dtype))
     ops = tape.ops
+    inner = {id(op.output) for op in ops}
     while ops:
         op = ops.pop()
         g = op.output.grad
@@ -199,8 +220,14 @@ def backward(loss):
         contribs = op.bwd(g)
         op.output.grad = None
         for t, gc in zip(op.inputs, contribs):
-            if gc is not None and t.requires_grad:
+            if gc is None or not t.requires_grad:
+                continue
+            if id(t) not in inner:
                 t.accumulate_grad(gc)
+            elif t.grad is None:
+                t.grad = gc
+            else:
+                t.grad = (t.grad + gc).astype(t.grad.dtype, copy=False)
 
 
 def _unbroadcast(g, shape):
@@ -210,7 +237,7 @@ def _unbroadcast(g, shape):
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.astype(np.result_type(g.dtype), copy=False)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +473,37 @@ def slice0(a, start, stop):
 # fused kernel ops
 
 
-def attention_probs(scores, scale, add_mask=None):
-    """Softmax over the last axis of ``scores * scale + add_mask``.
+def attention_probs(q, k, scale, add_mask=None):
+    """Softmax over the last axis of ``(q @ kᵀ) * scale + add_mask``.
 
-    ``scale`` is a scalar of the scores' dtype and ``add_mask`` an additive
-    numpy mask that broadcasts against ``scores``, or None for no mask; both
-    are constants, so the only gradient is the one to ``scores``.
+    ``q`` is (..., Tq, dh) and ``k`` (..., Tk, dh); ``scale`` is a scalar of
+    their dtype and ``add_mask`` an additive numpy mask that broadcasts
+    against the (..., Tq, Tk) scores, or None for no mask.  The score
+    product is scaled, masked and normalised in place, and the gradients to
+    ``q`` and ``k`` are those of ``matmul(q, swapaxes(k, -1, -2))``.
     """
-    shape = scores.data.shape
-    z = scores.data * scale
+    qd, kd = q.data, k.data
+    if qd.ndim < 2 or kd.ndim < 2 or qd.shape[-1] != kd.shape[-1]:
+        raise ShapeError(f"attention_probs needs (..., Tq, dh) and (..., Tk, dh), got {qd.shape} and {kd.shape}")
+    kt = np.swapaxes(kd, -1, -2)
+    z = np.matmul(qd, kt)
+    shape = z.shape
+    z *= scale
     if add_mask is not None:
         z += add_mask
     p = kernels.softmax_fwd(z.reshape(-1, shape[-1]))
 
     def bwd(g):
-        dx = kernels.softmax_bwd(g.reshape(-1, shape[-1]), p)
-        dx *= scale
-        return (dx.reshape(shape),)
+        ds = kernels.softmax_bwd(g.reshape(-1, shape[-1]), p)
+        ds *= scale
+        ds = ds.reshape(shape)
+        gq = _unbroadcast(np.matmul(ds, kd), qd.shape) if q.requires_grad else None
+        gk = None
+        if k.requires_grad:
+            gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), kt.shape), -1, -2)
+        return gq, gk
 
-    return _make(p.reshape(shape).astype(scores.data.dtype, copy=False), (scores,), bwd)
+    return _make(p.reshape(shape), (q, k), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import struct
@@ -48,6 +49,13 @@ def tiny_model_cfg(tiny_bundle):
         dropout_rate=0.0,
         proj_hidden=16,
     )
+
+
+@pytest.fixture(scope="session")
+def toy(tiny_bundle, tiny_model_cfg):
+    """(corpus, vocab, config) of the toy model with dropout on, so bitwise guards cover the dropout masks."""
+    lexicon, examples, vocab = tiny_bundle
+    return C.Corpus(lexicon, examples), vocab, dataclasses.replace(tiny_model_cfg, dropout_rate=0.1)
 
 
 @pytest.fixture(scope="session")

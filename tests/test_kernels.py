@@ -81,7 +81,9 @@ def test_softmax_matches_reference(dtype, shape):
     x = _data(dtype, shape, 1)
     x[:, -1] = dtype(M.ATTN_MASK_OFF)
     gy = _data(dtype, shape, 2)
-    p = kernels.softmax_fwd(x)
+    buf = x.copy()
+    p = kernels.softmax_fwd(buf)
+    assert p is buf
     _same(p, ref_softmax_fwd(x))
     _same(kernels.softmax_bwd(gy, p), ref_softmax_bwd(gy, p))
 
@@ -119,9 +121,11 @@ def test_xent_matches_reference(dtype, shape):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_attention_probs_matches_scale_mask_softmax_chain(dtype):
-    """The fused op against scores*scale + mask, row softmax, and (softmax grad)*scale."""
-    b, h, t = 3, 2, 9
-    scores = T.Tensor(_data(dtype, (b, h, t, t), 11), requires_grad=True)
+    """The fused op against matmul(q, kᵀ) on the tape, then scale, mask and row softmax,
+    with the softmax gradient times scale fed back through that matmul."""
+    b, h, t, dh = 3, 2, 9, 8
+    q = T.Tensor(_data(dtype, (b, h, t, dh), 11), requires_grad=True)
+    k = T.Tensor(_data(dtype, (b, h, t, dh), 13), requires_grad=True)
     lengths = np.array([9, 5, 7])
     np_dtype = np.dtype(dtype)
     keys = np.arange(t)[None, :] < lengths[:, None]
@@ -132,15 +136,26 @@ def test_attention_probs_matches_scale_mask_softmax_chain(dtype):
     scale = dtype(1.0 / np.sqrt(16))
     g = _data(dtype, (b, h, t, t), 12)
 
-    z = scores.data * scale + mask
-    p = ref_softmax_fwd(z.reshape(-1, t)).reshape(z.shape)
-    dscores = ref_softmax_bwd(g.reshape(-1, t), p.reshape(-1, t)).reshape(z.shape) * scale
+    def grads():
+        out = q.grad, k.grad
+        q.zero_grad()
+        k.zero_grad()
+        return out
 
     with T.Tape():
-        probs = T.attention_probs(scores, scale, mask)
+        scores = T.matmul(q, T.swapaxes(k, -1, -2))
+        z = scores.data * scale + mask
+        p = ref_softmax_fwd(z.reshape(-1, t)).reshape(z.shape)
+        dscores = ref_softmax_bwd(g.reshape(-1, t), p.reshape(-1, t)).reshape(z.shape) * scale
+        T.backward(T.sum_(T.mul(scores, T.Tensor(dscores))))
+    dq, dk = grads()
+
+    with T.Tape():
+        probs = T.attention_probs(q, k, scale, mask)
         T.backward(T.sum_(T.mul(probs, T.Tensor(g))))
     _same(probs.data, p)
-    _same(scores.grad, dscores)
+    for got, want in zip(grads(), (dq, dk)):
+        _same(got, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

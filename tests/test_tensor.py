@@ -2,9 +2,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colo import contrastive as K
+from colo import model as M
 from colo import tensor as T
 from colo.gradcheck import OP_THRESHOLD, op_cases
+from colo.rng import derive_rng
 from colo.tensor import (
     DegenerateVectorError,
     EmptyPoolError,
@@ -234,10 +239,17 @@ def test_layer_norm_statistics():
 # softmax
 
 
+@pytest.mark.parametrize("q_shape, k_shape", [((5, 3), (7, 4)), ((3,), (7, 3))])
+def test_attention_probs_shape_mismatch(q_shape, k_shape):
+    with pytest.raises(ShapeError):
+        T.attention_probs(t64(np.ones(q_shape)), t64(np.ones(k_shape)), 0.5)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
-    x = t64(rng.standard_normal((5, 7)))
-    p = T.attention_probs(x, 0.5, np.zeros((1, 7))).data
+    q, k = t64(rng.standard_normal((5, 3))), t64(rng.standard_normal((7, 3)))
+    p = T.attention_probs(q, k, 0.5, np.zeros((1, 7))).data
+    assert p.shape == (5, 7)
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
@@ -348,3 +360,126 @@ def test_forward_determinism():
     l2, g2 = run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: backward keeps an op output's first gradient by reference
+
+
+def _toy_step_leaf_grads(toy):
+    corpus, vocab, cfg = toy
+    batch = corpus.train[:4]
+    csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(3, i)) for i, ex in enumerate(batch)]
+    params = M.init_params(cfg, 3)
+    with Tape():
+        bd = K.total_loss_batch(params, cfg, batch, csets, corpus.lexicon, vocab, train=True, rng=derive_rng(1))
+        backward(bd.total)
+    return {n: (t.grad.dtype, t.grad.tobytes()) for n, t in params.items()}
+
+
+def test_no_backward_rule_writes_into_its_incoming_gradient(toy, monkeypatch):
+    """One CE+CD training step with dropout, every op's incoming gradient made a read-only view.
+
+    A backward rule that writes into ``g`` raises here; one that keeps to
+    the rule leaves every parameter gradient bit for bit as it was.
+    """
+    want = _toy_step_leaf_grads(toy)
+
+    wrapped = []
+    make = T._make
+
+    def read_only_make(out_data, inputs, bwd):
+        def guarded(g):
+            wrapped.append(1)
+            if isinstance(g, np.ndarray):
+                g = g.view()
+                g.flags.writeable = False
+            return bwd(g)
+
+        return make(out_data, inputs, guarded)
+
+    monkeypatch.setattr(T, "_make", read_only_make)
+    assert _toy_step_leaf_grads(toy) == want
+    assert len(wrapped) > 200
+
+
+def _copying_backward(loss):
+    """Reference accumulator: every tensor copies its first contribution and adds later ones in place."""
+    ops = Tape.current().ops
+    loss.grad = np.ones((), dtype=loss.dtype)
+    while ops:
+        op = ops.pop()
+        g = op.output.grad
+        if g is None:
+            continue
+        contribs = op.bwd(g)
+        op.output.grad = None
+        for t, gc in zip(op.inputs, contribs):
+            if gc is not None and t.requires_grad:
+                if t.grad is None:
+                    t.grad = gc.copy()
+                else:
+                    t.grad += gc
+
+
+_SHAPE = (2, 3, 4)
+_C64 = Tensor(np.linspace(-1.5, 2.0, 24).reshape(_SHAPE), dtype=np.float64)
+
+# each maps two (2, 3, 4) tensors to one; shared operands give fan-out
+_FANOUT_OPS = {
+    "add": T.add,
+    "add_self": lambda a, b: T.add(a, a),
+    "sub": T.sub,
+    "mul": T.mul,
+    "tanh": lambda a, b: T.tanh(a),
+    # add unbroadcasts into sum_'s output, whose backward hands b a read-only broadcast view
+    "sum_broadcast": lambda a, b: T.add(a, T.sum_(b, axis=1, keepdims=True)),
+    "mean_broadcast": lambda a, b: T.mul(a, T.mean_(b)),
+    "reshape": lambda a, b: T.reshape(T.mul(T.reshape(a, (6, 4)), T.reshape(b, (6, 4))), _SHAPE),
+    "heads": lambda a, b: T.merge_heads(T.mul(T.split_heads(a, 2), T.split_heads(b, 2))),
+    # a float64 result: a float32 operand gets a float64 contribution
+    "to_float64": lambda a, b: T.mul(a, _C64),
+}
+
+
+def _fanout_loss(steps, leaves, weights):
+    """Each step applies an op to two tensors a few places back in the pool; the loss weights the unused ones.
+
+    So an intermediate's gradient comes only from the ops that use it, and
+    the first of them may hand it an array or a view that other tensors share.
+    """
+    pool, used = list(leaves), set()
+    for kind, i, j in steps:
+        i, j = len(pool) - 1 - i % len(pool), len(pool) - 1 - j % len(pool)
+        used.update((i, j))
+        pool.append(_FANOUT_OPS[kind](pool[i], pool[j]))
+    loss = None
+    for n, w in zip(range(len(leaves), len(pool)), weights):
+        if n not in used:
+            term = T.sum_(T.mul(pool[n], w))
+            loss = term if loss is None else T.add(loss, term)
+    return loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(sorted(_FANOUT_OPS)), st.integers(0, 4), st.integers(0, 4)),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_copy_free_backward_matches_copying_accumulator(steps, seed):
+    """Leaf gradients, value and dtype, equal those of copy-on-first-touch in-place accumulation."""
+    rng = np.random.default_rng(seed)
+    data = [rng.standard_normal(_SHAPE).astype(dt) for dt in (np.float32, np.float32, np.float64)]
+    weights = [Tensor(rng.standard_normal(_SHAPE).astype(np.float32)) for _ in steps]
+
+    def run(accumulate):
+        leaves = [Tensor(d.copy(), requires_grad=True) for d in data]
+        with Tape():
+            accumulate(_fanout_loss(steps, leaves, weights))
+        return [None if t.grad is None else (t.grad.dtype, t.grad.tobytes()) for t in leaves]
+
+    assert run(backward) == run(_copying_backward)
