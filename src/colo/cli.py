@@ -2,8 +2,10 @@
 
 Every command resolves its configuration as defaults < config file < flags,
 runs deterministically from its seed, and writes a manifest (resolved config,
-input/output content digests, timestamps) next to its artifacts.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numeric abort.
+input/output content digests, timestamps) next to its artifacts.  Flags bind
+to config fields by name: a gen-data or train flag that sets a field stores
+under it (``--lr`` as ``learning_rate``).  Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numeric abort.
 """
 
 import argparse
@@ -96,17 +98,33 @@ def parse_config_file(path):
     return out
 
 
-def _resolve(defaults, file_cfg, flag_values):
-    """defaults < config file < explicit flags; unknown file keys rejected."""
+def _fits(value, default):
+    """Whether a config-file value can stand for a field whose default is ``default``."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _resolve(defaults, args):
+    """(settings, keys set explicitly): defaults < config file < the flags named in ``defaults``.
+
+    A file key that is unknown, or whose value the field cannot take, is a config error.
+    """
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
     merged = dict(defaults)
     for key, value in file_cfg.items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+        if not _fits(value, merged[key]):
+            raise ConfigError(f"config key {key!r} cannot be {value!r}")
+        merged[key] = tuple(value) if isinstance(value, list) else value
+    merged.update(flags)
+    return merged, set(file_cfg) | set(flags)
 
 
 def _default_out(seed):
@@ -135,20 +153,7 @@ def cmd_gen_data(args):
     from .corpus import CorpusConfig, generate_corpus, write_corpus, write_lexicon
 
     started = _now()
-    defaults = {k: getattr(CorpusConfig(), k) for k in CorpusConfig.__dataclass_fields__}
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    flags = {
-        "n_examples": args.n_examples,
-        "n_entities": args.entities,
-        "n_aspects": args.aspects,
-        "n_opinions": args.opinions,
-        "n_aliases_per_item": args.aliases,
-        "template_pool_size": args.template_pool,
-        "seed": args.seed,
-    }
-    resolved = _resolve(defaults, file_cfg, flags)
-    for key in ("split_ratio", "distractor_range", "profile_attrs_range", "ref_len_bounds"):
-        resolved[key] = tuple(resolved[key])
+    resolved, _ = _resolve(dataclasses.asdict(CorpusConfig()), args)
     cfg = CorpusConfig(**resolved)
 
     out = Path(args.out) if args.out else _default_out(cfg.seed)
@@ -163,13 +168,10 @@ def cmd_gen_data(args):
     lexicon, examples = generate_corpus(cfg)
     write_lexicon(lexicon_path, lexicon)
     write_corpus(corpus_path, examples)
-    manifest_cfg = dict(resolved)
-    for key in ("split_ratio", "distractor_range", "profile_attrs_range", "ref_len_bounds"):
-        manifest_cfg[key] = list(manifest_cfg[key])
     write_manifest(
         out / "gen-data.manifest.json",
         "gen-data",
-        manifest_cfg,
+        resolved,
         cfg.seed,
         {},
         [corpus_path, lexicon_path],
@@ -185,13 +187,6 @@ def cmd_gen_data(args):
 # train
 
 
-def _model_config_from(resolved, vocab_size):
-    from .model import ModelConfig
-
-    keys = [k for k in ModelConfig.__dataclass_fields__ if k != "vocab_size"]
-    return ModelConfig(vocab_size=vocab_size, **{k: resolved[k] for k in keys})
-
-
 # a resume may change how long it runs and how often it evaluates; every other
 # TrainConfig field shapes the trajectory and is taken from the checkpoint
 RESUME_FREE_FIELDS = ("epochs", "max_steps", "eval_every")
@@ -201,8 +196,7 @@ def _resumed_configs(ckpt, resolved, explicit, vocab_size):
     """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises."""
     from .trainer import CheckpointError
 
-    saved = {**ckpt.train_config.to_dict(), **ckpt.model_config.to_dict()}
-    saved["neg_types"] = tuple(saved["neg_types"])
+    saved = {**dataclasses.asdict(ckpt.train_config), **dataclasses.asdict(ckpt.model_config)}
     for key in sorted(explicit - set(RESUME_FREE_FIELDS)):
         if resolved[key] != saved[key]:
             raise CheckpointError(f"resume: {key} is {saved[key]!r} in the checkpoint, not {resolved[key]!r}")
@@ -217,33 +211,9 @@ def cmd_train(args):
     from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
     started = _now()
-    train_defaults = {k: getattr(TrainConfig(), k) for k in TrainConfig.__dataclass_fields__}
-    model_defaults = {
-        k: v.default for k, v in ModelConfig.__dataclass_fields__.items() if k != "vocab_size"
-    }
-    defaults = {**train_defaults, **model_defaults}
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    flags = {
-        "learning_rate": args.lr,
-        "gamma": args.gamma,
-        "batch_size": args.batch,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "max_steps": args.max_steps,
-        "grad_clip_norm": args.grad_clip,
-        "d_model": args.d_model,
-    }
-    if args.no_ce:
-        flags["use_ce"] = False
-    if args.no_cd:
-        flags["use_cd"] = False
-    if args.neg_types:
-        flags["neg_types"] = [t.strip().upper() for t in args.neg_types.split(",") if t.strip()]
-    if args.project_in_ce:
-        flags["project_in_ce"] = True
-    resolved = _resolve(defaults, file_cfg, flags)
-    resolved["neg_types"] = tuple(resolved["neg_types"])
+    train_defaults = dataclasses.asdict(TrainConfig())
+    model_defaults = {k: f.default for k, f in ModelConfig.__dataclass_fields__.items() if k != "vocab_size"}
+    resolved, explicit = _resolve({**train_defaults, **model_defaults}, args)
 
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     params = adam = None
@@ -251,13 +221,12 @@ def cmd_train(args):
     inputs = [corpus_path, lexicon_path]
     if args.resume:
         loaded = load_checkpoint(args.resume)
-        explicit = set(file_cfg) | {k for k, v in flags.items() if v is not None}
         tcfg, mcfg = _resumed_configs(loaded, resolved, explicit, len(vocab))
         params, adam, start_step = loaded.params, loaded.adam, loaded.step
         inputs.append(Path(args.resume))
     else:
         tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
-        mcfg = _model_config_from(resolved, len(vocab))
+        mcfg = ModelConfig(vocab_size=len(vocab), **{k: resolved[k] for k in model_defaults})
     input_digests = _digests(inputs)
 
     out = Path(args.out) if args.out else _default_out(tcfg.seed)
@@ -500,7 +469,7 @@ def cmd_ablate(args):
                 rows.append(json.load(f))
         table[arm] = {"seeds": seeds}
         for key in ("cover", "entail", "b4", "es_similarity"):
-            vals = [r[key] if key in r else r["scaled"][key] / 100.0 for r in rows]
+            vals = [r[key] for r in rows]
             mean = sum(vals) / len(vals)
             sd = (sum((v - mean) ** 2 for v in vals) / len(vals)) ** 0.5
             table[arm][key] = {"mean": mean, "sd": sd, "values": vals}
@@ -550,7 +519,14 @@ def cmd_gradcheck(args):
 # parser
 
 
+def _neg_types(text):
+    """Negative kinds from a comma list, upper-cased; an empty value keeps the default."""
+    return tuple(t.strip().upper() for t in text.split(",") if t.strip()) if text else None
+
+
 def build_parser():
+    from .trainer import TrainConfig
+
     p = argparse.ArgumentParser(prog="colo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -559,11 +535,11 @@ def build_parser():
     g.add_argument("--config", help="flat key = value config file")
     g.add_argument("--seed", type=int)
     g.add_argument("--n-examples", type=int)
-    g.add_argument("--entities", type=int)
-    g.add_argument("--aspects", type=int)
-    g.add_argument("--opinions", type=int)
-    g.add_argument("--aliases", type=int)
-    g.add_argument("--template-pool", type=int)
+    g.add_argument("--entities", type=int, dest="n_entities")
+    g.add_argument("--aspects", type=int, dest="n_aspects")
+    g.add_argument("--opinions", type=int, dest="n_opinions")
+    g.add_argument("--aliases", type=int, dest="n_aliases_per_item")
+    g.add_argument("--template-pool", type=int, dest="template_pool_size")
     g.add_argument("--force", action="store_true", help="overwrite existing files")
     g.set_defaults(func=cmd_gen_data)
 
@@ -571,19 +547,19 @@ def build_parser():
     t.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
     t.add_argument("--out", help="run directory")
     t.add_argument("--config")
-    t.add_argument("--lr", type=float)
+    t.add_argument("--lr", type=float, dest="learning_rate")
     t.add_argument("--gamma", type=float)
-    t.add_argument("--batch", type=int)
+    t.add_argument("--batch", type=int, dest="batch_size")
     t.add_argument("--epochs", type=int)
     t.add_argument("--seed", type=int)
     t.add_argument("--eval-every", type=int)
     t.add_argument("--max-steps", type=int)
-    t.add_argument("--grad-clip", type=float)
+    t.add_argument("--grad-clip", type=float, dest="grad_clip_norm")
     t.add_argument("--d-model", type=int)
-    t.add_argument("--no-ce", action="store_true", help="drop the contrastive encoding loss")
-    t.add_argument("--no-cd", action="store_true", help="drop the contrastive decoding loss")
-    t.add_argument("--neg-types", help="comma list from ES,AS,OS (default all)")
-    t.add_argument("--project-in-ce", action="store_true")
+    t.add_argument("--no-ce", action="store_false", dest="use_ce", default=None, help="drop the contrastive encoding loss")
+    t.add_argument("--no-cd", action="store_false", dest="use_cd", default=None, help="drop the contrastive decoding loss")
+    t.add_argument("--neg-types", type=_neg_types, help="comma list from ES,AS,OS (default all)")
+    t.add_argument("--project-in-ce", action="store_true", default=None)
     t.add_argument("--resume", help="checkpoint to resume from; its model and training settings are kept")
     t.set_defaults(func=cmd_train)
 
@@ -613,10 +589,10 @@ def build_parser():
     a.add_argument("--out")
     a.add_argument("--seeds", type=int, default=3)
     a.add_argument("--seed0", type=int, default=0)
-    a.add_argument("--epochs", type=int, default=10)
-    a.add_argument("--batch", type=int, default=16)
-    a.add_argument("--lr", type=float, default=2e-4)
-    a.add_argument("--gamma", type=float, default=0.01)
+    a.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    a.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    a.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    a.add_argument("--gamma", type=float, default=TrainConfig.gamma)
     a.add_argument("--beam", type=int, default=5)
     a.add_argument("--eval-every", type=int, default=0)
     a.add_argument("--jobs", type=int, default=1)

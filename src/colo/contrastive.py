@@ -210,26 +210,16 @@ def total_loss_batch(
     b = len(examples)
     dtype = params["emb.tok"].dtype
     neg_types = tuple(k for k in NEG_ORDER if k in neg_types)
-    if (use_ce or use_cd) and not neg_types:
+    hinged = use_ce or use_cd
+    if hinged and not neg_types:
         raise ValueError("contrastive losses need at least one negative type")
 
     tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in examples])
 
-    if not (use_ce or use_cd):
-        enc_orig, src_mask = _encode_variant(
-            params, cfg, [c.original for c in csets], examples, lexicon, vocab, [None] * b, train, rng
-        )
-        nll, _ = M.nll_per_example(
-            params, cfg, enc_orig, src_mask, tgt_in, labels, label_mask, train=train, rng=rng
-        )
-        lm = T.mean_(nll)
-        zero = _zero_scalar(dtype)
-        return LossBreakdown(lm, zero, zero, T.add(T.add(lm, zero), zero))
-
-    # one encoder pass over every variant: [original] (+ positive) + negatives;
+    # one encoder pass over every variant: [original] (+ positive) (+ negatives);
     # variants of one example serialize to the same length, so shared padding
     # changes nothing
-    groups = ["orig"] + (["pos"] if use_ce else []) + list(neg_types)
+    groups = ["orig"] + (["pos"] if use_ce else []) + (list(neg_types) if hinged else [])
     tuples, aliases = [], []
     for group in groups:
         for c in csets:
@@ -245,24 +235,26 @@ def total_loss_batch(
     states, mask = _encode_variant(
         params, cfg, tuples, examples * len(groups), lexicon, vocab, aliases, train, rng
     )
-    pooled = T.masked_mean_pool(states, mask)
-    block = {g: T.slice0(pooled, i * b, (i + 1) * b) for i, g in enumerate(groups)}
-    z = block["orig"]
-    src_mask = mask[:b]
+    enc_orig = states
+    if hinged:  # pooled before the LM pass, so the backward sums into states in a fixed order
+        pooled = T.masked_mean_pool(states, mask)
+        block = {g: T.slice0(pooled, i * b, (i + 1) * b) for i, g in enumerate(groups)}
+        z = block["orig"]
+        enc_orig = T.slice0(states, 0, b)
 
     # original teacher-forced pass (with gradient): LM loss and pooled z_y
     nll, dec_states = M.nll_per_example(
-        params, cfg, T.slice0(states, 0, b), src_mask, tgt_in, labels, label_mask, train=train, rng=rng
+        params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, train=train, rng=rng
     )
     lm = T.mean_(nll)
 
-    # detached per-negative LM losses -> per-example margin constants
-    neg_lo = groups.index(neg_types[0])
-    xi = _margin_constants(
-        params, cfg,
-        states.data[neg_lo * b :], mask[neg_lo * b :],
-        tgt_in, labels, label_mask, gamma, neg_types,
-    )
+    if hinged:  # detached per-negative LM losses -> per-example margin constants
+        neg_lo = groups.index(neg_types[0])
+        xi = _margin_constants(
+            params, cfg,
+            states.data[neg_lo * b :], mask[neg_lo * b :],
+            tgt_in, labels, label_mask, gamma, neg_types,
+        )
 
     ce = _zero_scalar(dtype)
     if use_ce:

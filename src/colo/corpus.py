@@ -59,7 +59,7 @@ _PERIOD = "."
 # template grammar
 
 WIN, LOS, ASP, OPN = "{WIN}", "{LOS}", "{ASP}", "{OPN}"
-_SLOTS = (WIN, LOS, ASP, OPN)
+SLOT_KINDS = {WIN: "entity", LOS: "entity", ASP: "aspect", OPN: "opinion"}  # slot -> lexicon kind it takes
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Template:
     opinion_inverted: bool = False
 
     def literals(self):
-        return [t for t in self.tokens if t not in _SLOTS]
+        return [t for t in self.tokens if t not in SLOT_KINDS]
 
 
 MASTER_TEMPLATES = (
@@ -634,6 +634,8 @@ def read_corpus(path):
                     EntityProfile(t.entity_a, rec["profiles"][0]),
                     EntityProfile(t.entity_b, rec["profiles"][1]),
                 )
+                for prof in profiles:
+                    prof.validate()
                 ex = Example(t, profiles, list(rec["reference"]), rec["split"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError, CorpusError) as e:
                 raise ParseError(f"corpus file {path}, line {lineno}: {e}") from None

@@ -12,7 +12,7 @@ model's own held-out teacher-forced PPL, not a pretrained-LM score.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,9 +20,12 @@ from . import model as M
 from . import tensor as T
 from . import tokens as tok
 from .contrastive import _encode_variant, swap_entities
-from .corpus import MASTER_TEMPLATES, ASP, LOS, OPN, WIN, encode_example
+from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, WIN, encode_example
 from .decoding import beam_search
 from .fileio import atomic_write
+
+
+SCORE_BATCH = 32  # examples per no-grad pass of the model-dependent metrics
 
 
 class EvalError(Exception):
@@ -152,29 +155,19 @@ def coverage(candidate, t, lexicon):
 
 def _match_template(candidate, start, template, by_surface, antonyms):
     """Extraction (winner, loser, aspect, opinion) or None at one position."""
+    if start + len(template.tokens) > len(candidate):
+        return None
     fill = {}
-    for offset, token in enumerate(template.tokens):
-        pos = start + offset
-        if pos >= len(candidate):
-            return None
-        got = candidate[pos]
-        if token in (WIN, LOS):
-            hit = by_surface.get(got)
-            if hit is None or hit[0] != "entity":
+    for pos, token in enumerate(template.tokens, start):
+        kind = SLOT_KINDS.get(token)
+        if kind is None:
+            if candidate[pos] != token:
+                return None
+        else:
+            hit = by_surface.get(candidate[pos])
+            if hit is None or hit[0] != kind:
                 return None
             fill[token] = hit[1]
-        elif token == ASP:
-            hit = by_surface.get(got)
-            if hit is None or hit[0] != "aspect":
-                return None
-            fill[token] = hit[1]
-        elif token == OPN:
-            hit = by_surface.get(got)
-            if hit is None or hit[0] != "opinion":
-                return None
-            fill[token] = hit[1]
-        elif got != token:
-            return None
     opinion = fill[OPN]
     if template.opinion_inverted:
         opinion = antonyms.get(opinion)
@@ -185,21 +178,22 @@ def _match_template(candidate, start, template, by_surface, antonyms):
     return (fill[WIN], fill[LOS], fill[ASP], opinion)
 
 
-def extract_relations(candidate, lexicon, templates=MASTER_TEMPLATES):
+def extract_relations(candidate, lexicon):
     """All template instantiations found in the candidate, in scan order."""
     by_surface = lexicon.surface_to_id()
+    candidate = list(candidate)
     found = []
-    for template in templates:
+    for template in MASTER_TEMPLATES:
         for start in range(len(candidate)):
-            got = _match_template(list(candidate), start, template, by_surface, lexicon.antonyms)
+            got = _match_template(candidate, start, template, by_surface, lexicon.antonyms)
             if got is not None:
                 found.append(got)
     return found
 
 
-def entail_oracle(candidate, t, lexicon, templates=MASTER_TEMPLATES):
+def entail_oracle(candidate, t, lexicon):
     """1 iff some extraction matches the tuple and none contradicts it."""
-    extractions = extract_relations(candidate, lexicon, templates)
+    extractions = extract_relations(candidate, lexicon)
     if not extractions:
         return 0
     want = (t.entity_a, t.entity_b, t.aspect, t.opinion)
@@ -210,13 +204,13 @@ def entail_oracle(candidate, t, lexicon, templates=MASTER_TEMPLATES):
 # model-dependent metrics
 
 
-def perplexity(params, cfg, examples, lexicon, vocab, batch_size=32):
+def perplexity(params, cfg, examples, lexicon, vocab):
     """exp of the token-mean teacher-forced NLL of the model itself."""
     total_nll = 0.0
     total_tokens = 0
     with T.no_grad():
-        for i in range(0, len(examples), batch_size):
-            chunk = examples[i : i + batch_size]
+        for i in range(0, len(examples), SCORE_BATCH):
+            chunk = examples[i : i + SCORE_BATCH]
             encs = [encode_example(ex, lexicon, vocab, cfg.max_src_len) for ex in chunk]
             src, smask = M.pad_sources([e.src_ids for e in encs])
             tgt_in, labels, lmask = M.make_target_arrays([e.ref_ids for e in encs])
@@ -228,12 +222,12 @@ def perplexity(params, cfg, examples, lexicon, vocab, batch_size=32):
     return math.exp(total_nll / total_tokens)
 
 
-def mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab, batch_size=32):
+def mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab):
     """Mean cosine between pooled encodings of each tuple and its entity swap."""
     sims = []
     with T.no_grad():
-        for i in range(0, len(examples), batch_size):
-            chunk = examples[i : i + batch_size]
+        for i in range(0, len(examples), SCORE_BATCH):
+            chunk = examples[i : i + SCORE_BATCH]
             pooled = []
             for tuples in ([ex.tuple for ex in chunk], [swap_entities(ex.tuple) for ex in chunk]):
                 states, mask = _encode_variant(
@@ -260,16 +254,7 @@ class EvalReport:
     n_examples: int
 
     def to_dict(self):
-        return {
-            "b1": self.b1,
-            "b4": self.b4,
-            "r_l": self.r_l,
-            "dist4": self.dist4,
-            "cover": self.cover,
-            "entail": self.entail,
-            "ppl": self.ppl,
-            "n_examples": self.n_examples,
-        }
+        return asdict(self)
 
     def scaled(self):
         """Metric values in the conventional x100 reporting scale."""
@@ -279,13 +264,13 @@ class EvalReport:
         return d
 
 
-def metrics_report(predictions, examples, lexicon, ppl=None, templates=MASTER_TEMPLATES):
+def metrics_report(predictions, examples, lexicon, ppl=None):
     """EvalReport from token-string predictions aligned with examples."""
     if len(predictions) != len(examples):
         raise EvalError(f"{len(predictions)} predictions vs {len(examples)} examples")
     references = [ex.reference for ex in examples]
     covers = [coverage(p, ex.tuple, lexicon) for p, ex in zip(predictions, examples)]
-    entails = [entail_oracle(p, ex.tuple, lexicon, templates) for p, ex in zip(predictions, examples)]
+    entails = [entail_oracle(p, ex.tuple, lexicon) for p, ex in zip(predictions, examples)]
     return EvalReport(
         b1=bleu(predictions, references, max_n=1),
         b4=bleu(predictions, references, max_n=4),

@@ -67,7 +67,6 @@ def op_cases():
         ("mul", lambda x: _wsum(T.mul(x, c34), w34), leaf(3, 4)),
         ("div", lambda x: _wsum(T.div(c34, x), w34), _pos(rng, 3, 4)),
         ("div_numerator", lambda x: _wsum(T.div(x, pos34), w34), leaf(3, 4)),
-        ("neg", lambda x: _wsum(T.neg(x), w34), leaf(3, 4)),
         ("sqrt", lambda x: _wsum(T.sqrt(x), w34), _pos(rng, 3, 4)),
         ("tanh", lambda x: _wsum(T.tanh(x), w34), leaf(3, 4)),
         ("relu", lambda x: _wsum(T.relu(x), w34), leaf(3, 4)),

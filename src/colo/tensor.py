@@ -296,10 +296,6 @@ def div(a, b):
     return _make(out, (a, b), bwd)
 
 
-def neg(a):
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def sqrt(a):
     out = np.sqrt(a.data)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 import shutil
@@ -9,8 +11,10 @@ import pytest
 
 from colo import cli
 from colo import gradcheck as G
+from colo.corpus import CorpusConfig
 from colo.evaluation import EvalError
-from colo.trainer import load_checkpoint
+from colo.model import ModelConfig
+from colo.trainer import TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +171,51 @@ def test_bad_negative_types_are_config_errors_before_the_run_dir(tmp_path, corpu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ('batch_size = "x"', "batch_size"),
+    ("epochs = 2.5", "epochs"),
+    ("use_ce = 1", "use_ce"),
+    ("learning_rate = true", "learning_rate"),
+    ("neg_types = ES", "neg_types"),
+    ("neg_types = [1]", "neg_types"),
+], ids=["str-for-int", "float-for-int", "int-for-bool", "bool-for-float", "str-for-tuple", "int-in-tuple"])
+def test_config_file_value_of_the_wrong_type_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, line, key):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config key {key!r} cannot be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_takes_an_int_for_a_float_and_a_list_for_a_tuple(tmp_path, corpus_dir):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text('gamma = 1\nneg_types = ["OS", "ES"]\n')
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg),
+            "--max-steps", "1", "--d-model", "16", "--eval-every", "0"]
+    assert cli.main(argv) == 0
+    train_cfg = load_checkpoint(out / "model.ckpt").train_config
+    assert (train_cfg.gamma, train_cfg.neg_types) == (1, ("OS", "ES"))
+
+
+@pytest.mark.parametrize("edit", [lambda prof: prof.pop("texture"), lambda prof: prof.update(texture=[])],
+                         ids=["missing", "empty"])
+def test_profile_without_a_category_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys, edit):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    lines = (bad / "corpus.jsonl").read_text(encoding="ascii").splitlines()
+    rec = json.loads(lines[2])
+    edit(rec["profiles"][1])
+    lines[2] = json.dumps(rec)
+    (bad / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "corpus.jsonl, line 3" in err and "missing category 'texture'" in err
+    assert not out.exists()
+
+
 def test_non_ascii_corpus_byte_is_data_error(tmp_path, corpus_dir, capsys):
     bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
     with open(bad / "corpus.jsonl", "ab") as f:
@@ -203,6 +252,62 @@ def test_evaluate_malformed_predictions_is_data_error(tmp_path, corpus_dir, caps
     argv = ["evaluate", "--predictions", str(preds), "--corpus", str(corpus_dir), "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == cli.EXIT_DATA
     assert f"{preds}:1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flags and manifests
+
+# options that name files or say how to write them, not a config field
+NON_CONFIG_OPTIONS = {"--out", "--config", "--corpus", "--resume", "--force", "--help"}
+
+
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command, configs", [
+    ("gen-data", [CorpusConfig]),
+    ("train", [TrainConfig, ModelConfig]),
+])
+def test_every_setting_flag_stores_into_its_config_field(command, configs):
+    fields = {f.name for c in configs for f in dataclasses.fields(c)} - {"vocab_size"}
+    for action in _subparsers()[command]._actions:
+        if NON_CONFIG_OPTIONS.isdisjoint(action.option_strings):
+            assert action.dest in fields, action.option_strings
+
+
+def test_ablate_training_defaults_equal_train_configs():
+    args = cli.build_parser().parse_args(["ablate", "--corpus", "c"])
+    defaults = TrainConfig()
+    assert (args.epochs, args.batch, args.lr, args.gamma) == (
+        defaults.epochs, defaults.batch_size, defaults.learning_rate, defaults.gamma
+    )
+
+
+# manifest config_digest values; how flags and config files resolve may change, these may not
+GEN_DATA_DIGESTS = {"plain": "ca0d3cb5cc79cbd5", "sized": "775616dd3a769136"}
+TRAIN_DIGESTS = {"plain": "3dddcf2516e00297", "flagged": "d8657a3d04030e2d"}
+
+
+def _config_digest(manifest):
+    return json.loads(manifest.read_text())["config_digest"]
+
+
+def test_gen_data_manifests_keep_their_pinned_config_digests(tmp_path, corpus_dir):
+    argv = ["gen-data", "--n-examples", "30", "--seed", "2", "--entities", "6", "--aliases", "1", "--template-pool", "3",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert _config_digest(corpus_dir / "gen-data.manifest.json") == GEN_DATA_DIGESTS["plain"]
+    assert _config_digest(tmp_path / "gen-data.manifest.json") == GEN_DATA_DIGESTS["sized"]
+
+
+def test_train_manifests_keep_their_pinned_config_digests(tmp_path, corpus_dir, trained_ckpt):
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path), "--max-steps", "1", "--d-model", "16",
+            "--no-ce", "--no-cd", "--project-in-ce", "--neg-types", "os,es", "--lr", "1e-3", "--gamma", "0.02",
+            "--batch", "3", "--grad-clip", "0.5", "--seed", "4", "--epochs", "2"]
+    assert cli.main(argv) == 0
+    assert _config_digest(trained_ckpt.parent / "train.manifest.json") == TRAIN_DIGESTS["plain"]
+    assert _config_digest(tmp_path / "train.manifest.json") == TRAIN_DIGESTS["flagged"]
 
 
 # ---------------------------------------------------------------------------

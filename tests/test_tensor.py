@@ -156,7 +156,7 @@ def test_cosine_self_is_one():
 
 def test_cosine_negation_is_minus_one():
     v = t64([[0.5, -2.0, 1.0]])
-    assert np.allclose(cosine_rows(v, T.neg(v)).data, -1.0)
+    assert np.allclose(cosine_rows(v, t64(-v.data)).data, -1.0)
 
 
 def test_cosine_orthogonal_is_zero():
