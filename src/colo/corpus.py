@@ -215,6 +215,9 @@ class CorpusConfig:
         lo, hi = self.ref_len_bounds
         if not 1 <= lo < hi:
             raise CapacityError("bad reference length bounds")
+        lo, hi = self.profile_attrs_range
+        if not 1 <= lo <= hi:
+            raise CapacityError(f"profile_attrs_range must satisfy 1 <= lo <= hi, got {[lo, hi]}")
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +633,8 @@ def read_corpus(path):
             try:
                 rec = json.loads(line.decode("ascii"))
                 t = ClrTuple(*rec["tuple"])
+                if not all(isinstance(attrs, dict) for attrs in rec["profiles"][:2]):
+                    raise CorpusError("a profile is not a JSON object")
                 profiles = (
                     EntityProfile(t.entity_a, rec["profiles"][0]),
                     EntityProfile(t.entity_b, rec["profiles"][1]),

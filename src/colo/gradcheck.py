@@ -81,8 +81,8 @@ def op_cases():
         ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
-        # k2344 is drawn below, after every other case; this leaf keeps its draw here
-        ("attention_probs_q", lambda q: _wsum(T.attention_probs(q, k2344, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
+        # k2344 and v2344 are drawn below, after every other case; this leaf keeps its draw here
+        ("attention_q", lambda q: _wsum(T.attention(q, k2344, v2344, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
@@ -103,10 +103,13 @@ def op_cases():
         ("split_heads", lambda x: _wsum(T.split_heads(x, 2), w2232), leaf(2, 3, 4)),
         ("merge_heads", lambda x: _wsum(T.merge_heads(x), a234), leaf(2, 2, 3, 2)),
     ]
-    # the score product's other operand, for the attention_probs cases, drawn last in turn
-    k2344, q2344 = c(2, 3, 4, 4), c(2, 3, 4, 4)
+    # the attention cases' other operands, drawn last in turn; the k and v
+    # cases drop the probabilities a fixed boolean mask marks False
+    k2344, q2344, v2344 = c(2, 3, 4, 4), c(2, 3, 4, 4), c(2, 3, 4, 4)
+    keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
     return cases + [
-        ("attention_probs_k", lambda k: _wsum(T.attention_probs(q2344, k, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
+        ("attention_k", lambda k: _wsum(T.attention(q2344, k, v2344, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
+        ("attention_v", lambda v: _wsum(T.attention(q2344, k2344, v, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
     ]
 
 

@@ -6,8 +6,8 @@ time, so a profiler can wrap these names from outside.
 Kernels write into the arrays they allocate instead of building a temporary
 per arithmetic step; a backward kernel may also overwrite the cache its
 forward returned, which the tape hands it once.  :func:`softmax_fwd`
-overwrites its input: ``tensor.attention_probs`` hands it the score buffer
-it has just made, so the probabilities take that buffer's place.  The order
+overwrites its input: ``tensor.attention`` hands it the score buffer it
+has just made, so the probabilities take that buffer's place.  The order
 and association of every floating-point operation is fixed (e.g.
 ``((A*x)*x)*x``), so each result is bitwise equal to the plain expression
 it replaced; changing that order changes training output.

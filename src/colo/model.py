@@ -162,13 +162,19 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32) -> ParameterSet:
 # forward pieces
 
 
-def _dropout(x, rate, train, rng):
+def _keep_mask(shape, rate, train, rng, dtype):
+    """Inverted dropout over ``shape``: (boolean keep mask, scale of the kept entries), or (None, None) when off."""
     if not train or rate <= 0.0:
-        return x
-    # the float64 draw fixes the RNG stream; kept entries are 1/(1-rate) in x's dtype
-    dt = x.dtype.type
-    keep = np.multiply(rng.random(x.shape) >= rate, dt(1.0) / dt(1.0 - rate), dtype=x.dtype)
-    return T.mul(x, Tensor(keep))
+        return None, None
+    # the float64 draw fixes the RNG stream; the mask stays boolean, and the
+    # ops that take it multiply kept entries by 1/(1-rate) in the tensor's dtype
+    dt = dtype.type
+    return rng.random(shape) >= rate, dt(1.0) / dt(1.0 - rate)
+
+
+def _dropout(x, rate, train, rng):
+    keep, scale = _keep_mask(x.data.shape, rate, train, rng, x.data.dtype)
+    return x if keep is None else T.dropout(x, keep, scale)
 
 
 def _queries(params, prefix, q_in, cfg):
@@ -191,9 +197,9 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
     in that order and their shared input's gradient always sums in one order.
     """
     scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
-    probs = T.attention_probs(q, k, scale, add_mask)
-    probs = _dropout(probs, cfg.dropout_rate, train, rng)
-    ctx = T.merge_heads(T.matmul(probs, v))
+    probs_shape = q.data.shape[:-1] + k.data.shape[-2:-1]
+    keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, train, rng, q.data.dtype)
+    ctx = T.merge_heads(T.attention(q, k, v, scale, add_mask, keep, keep_scale))
     return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 

@@ -25,18 +25,56 @@ gradient clipping.
 Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
 model's projections), ``split_heads`` and ``merge_heads`` (a reshape and
-an axis swap, for multi-head attention) and ``attention_probs`` (the score
-product ``q @ kᵀ``, scale, additive mask, softmax, all in the one score
-buffer it allocates).  An op's float32/float64 result is wrapped
-without conversion, so a no-grad pass over small arrays (one decoding
-step) pays little per op beyond numpy itself.
+an axis swap, for multi-head attention), ``dropout`` (a product with a
+boolean keep mask and a scale) and ``attention`` (the score product
+``q @ kᵀ``, scale, additive mask and softmax, all in the one score buffer
+it allocates, then dropout on the probabilities and the product with the
+values).  What the tape holds for dropout is the boolean mask: ``dropout``
+keeps it instead of a float mask, and ``attention`` keeps the
+probabilities and the mask and remakes the dropped probabilities in
+backward.  An op's float32/float64 result is wrapped without conversion,
+so a no-grad pass over small arrays (one decoding step) pays little per
+op beyond numpy itself.
+
+Importing this module pins glibc's malloc thresholds (see
+:func:`_pin_malloc_thresholds`), so the heap the activations live on stays
+mapped from one training step to the next.
 """
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import kernels
+
+# mallopt parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# the largest mmap threshold glibc takes on 64-bit, where its own adaptive threshold stops
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _pin_malloc_thresholds():
+    """Serve blocks under 32 MiB from the heap, and never trim the heap's free top.
+
+    By default glibc raises its mmap threshold to the size of each large
+    block freed and trims the heap's free top once it exceeds twice that.  A
+    training step frees tens of MB of activations, so the next step's
+    allocations fault their pages in again: thousands of minor faults and
+    milliseconds of system time per step.  Fixing both thresholds turns that
+    adaptation off.  Where libc has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, -1)  # -1: no trimming
+
+
+_pin_malloc_thresholds()
 
 
 class TensorError(Exception):
@@ -332,6 +370,28 @@ def gelu(a):
     return _make(out.astype(a.data.dtype, copy=False), (a,), bwd)
 
 
+def _keep_scaled(x, keep, scale):
+    """``x * keep * scale`` for a boolean ``keep``: bit for bit ``x`` times the float mask ``keep·scale``."""
+    out = x * keep
+    out *= scale
+    return out
+
+
+def dropout(a, keep, scale):
+    """Inverted dropout: ``a`` times a boolean ``keep`` mask of its shape, times ``scale``.
+
+    Values and gradient are those of ``mul(a, keep·scale)`` with the float
+    mask made in ``a``'s dtype; the op holds the boolean mask instead.
+    """
+    if keep.shape != a.data.shape:
+        raise ShapeError(f"dropout keep mask {keep.shape} does not match {a.data.shape}")
+
+    def bwd(g):
+        return (_keep_scaled(g, keep, scale),)
+
+    return _make(_keep_scaled(a.data, keep, scale), (a,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -469,37 +529,57 @@ def slice0(a, start, stop):
 # fused kernel ops
 
 
-def attention_probs(q, k, scale, add_mask=None):
-    """Softmax over the last axis of ``(q @ kᵀ) * scale + add_mask``.
+def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
+    """``softmax(q @ kᵀ * scale + add_mask) @ v`` as one op, with dropout on the probabilities.
 
-    ``q`` is (..., Tq, dh) and ``k`` (..., Tk, dh); ``scale`` is a scalar of
-    their dtype and ``add_mask`` an additive numpy mask that broadcasts
-    against the (..., Tq, Tk) scores, or None for no mask.  The score
-    product is scaled, masked and normalised in place, and the gradients to
-    ``q`` and ``k`` are those of ``matmul(q, swapaxes(k, -1, -2))``.
+    ``q`` is (..., Tq, dh), ``k`` (..., Tk, dh) and ``v`` (..., Tk, dv), batch
+    axes broadcasting; ``scale`` is a scalar of their dtype and ``add_mask``
+    an additive numpy mask that broadcasts against the (..., Tq, Tk)
+    scores, or None.  ``keep``, a boolean array of the scores' shape, zeroes
+    the probabilities it marks False and scales the rest by ``keep_scale``;
+    None applies no dropout.  The op holds q, k, v, the probabilities and
+    ``keep``, and remakes the dropped probabilities in backward.  Values and
+    gradients are bit for bit those of the separate ops: the score matmul,
+    scale, mask and softmax, ``mul`` by the float mask ``keep·keep_scale``
+    and the matmul with ``v``.
     """
-    qd, kd = q.data, k.data
+    qd, kd, vd = q.data, k.data, v.data
     if qd.ndim < 2 or kd.ndim < 2 or qd.shape[-1] != kd.shape[-1]:
-        raise ShapeError(f"attention_probs needs (..., Tq, dh) and (..., Tk, dh), got {qd.shape} and {kd.shape}")
+        raise ShapeError(f"attention needs (..., Tq, dh) and (..., Tk, dh), got {qd.shape} and {kd.shape}")
+    if vd.ndim < 2 or vd.shape[-2] != kd.shape[-2]:
+        raise ShapeError(f"attention values {vd.shape} do not match keys {kd.shape}")
     kt = np.swapaxes(kd, -1, -2)
     z = np.matmul(qd, kt)
     shape = z.shape
+    if keep is not None and keep.shape != shape:
+        raise ShapeError(f"attention keep mask {keep.shape} does not match scores {shape}")
     z *= scale
     if add_mask is not None:
         z += add_mask
     p = kernels.softmax_fwd(z.reshape(-1, shape[-1]))
 
-    def bwd(g):
-        ds = kernels.softmax_bwd(g.reshape(-1, shape[-1]), p)
-        ds *= scale
-        ds = ds.reshape(shape)
-        gq = _unbroadcast(np.matmul(ds, kd), qd.shape) if q.requires_grad else None
-        gk = None
-        if k.requires_grad:
-            gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), kt.shape), -1, -2)
-        return gq, gk
+    def dropped():
+        pd = p.reshape(shape)
+        return pd if keep is None else _keep_scaled(pd, keep, keep_scale)
 
-    return _make(p.reshape(shape), (q, k), bwd)
+    def bwd(g):
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gp = _unbroadcast(np.matmul(g, np.swapaxes(vd, -1, -2)), shape)
+            if keep is not None:
+                gp = _keep_scaled(gp, keep, keep_scale)
+            ds = kernels.softmax_bwd(gp.reshape(-1, shape[-1]), p)
+            ds *= scale
+            ds = ds.reshape(shape)
+            if q.requires_grad:
+                gq = _unbroadcast(np.matmul(ds, kd), qd.shape)
+            if k.requires_grad:
+                gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), kt.shape), -1, -2)
+        if v.requires_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(dropped(), -1, -2), g), vd.shape)
+        return gq, gk, gv
+
+    return _make(np.matmul(dropped(), vd), (q, k, v), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

@@ -2,12 +2,14 @@ import dataclasses
 import functools
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from colo import corpus as C
 from colo import model as M
+from colo.tensor import Tensor
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +96,40 @@ def _rewrite_header(src, dst, edit):
 def rewrite_header():
     """``rewrite_header(src, dst, edit)`` copies a checkpoint with ``edit`` applied to its parsed header."""
     return _rewrite_header
+
+
+def _held_arrays(obj, seen, roots):
+    """Collect into ``roots`` the base arrays of every ndarray reachable from ``obj``."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        roots[id(obj)] = obj
+    elif isinstance(obj, Tensor):
+        _held_arrays(obj.data, seen, roots)
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            _held_arrays(x, seen, roots)
+    elif isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            _held_arrays(cell.cell_contents, seen, roots)
+
+
+def _tape_nbytes(tape):
+    """Bytes of the distinct arrays a tape holds through its ops' inputs and backward closures.
+
+    Views count as the array they view, once, however many ops share it.
+    """
+    seen, roots = set(), {}
+    for op in tape.ops:
+        _held_arrays(op.inputs, seen, roots)
+        _held_arrays(op.bwd, seen, roots)
+    return sum(a.nbytes for a in roots.values())
+
+
+@pytest.fixture
+def tape_nbytes():
+    """``tape_nbytes(tape)``: the bytes of the distinct arrays ``tape`` holds."""
+    return _tape_nbytes

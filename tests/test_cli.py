@@ -200,6 +200,17 @@ def test_config_file_takes_an_int_for_a_float_and_a_list_for_a_tuple(tmp_path, c
     assert (train_cfg.gamma, train_cfg.neg_types) == (1, ("OS", "ES"))
 
 
+@pytest.mark.parametrize("value", ["[0, 2]", "[3, 2]"], ids=["zero-low", "low-above-high"])
+def test_bad_profile_attrs_range_is_config_error_naming_the_key(tmp_path, capsys, value):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"profile_attrs_range = {value}\n")
+    out = tmp_path / "corpus"
+    argv = ["gen-data", "--n-examples", "30", "--seed", "1", "--out", str(out), "--config", str(cfg)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"profile_attrs_range must satisfy 1 <= lo <= hi, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [lambda prof: prof.pop("texture"), lambda prof: prof.update(texture=[])],
                          ids=["missing", "empty"])
 def test_profile_without_a_category_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys, edit):
@@ -213,6 +224,19 @@ def test_profile_without_a_category_is_data_error_before_the_run_dir(tmp_path, c
     assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "corpus.jsonl, line 3" in err and "missing category 'texture'" in err
+    assert not out.exists()
+
+
+def test_profile_that_is_not_an_object_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    lines = (bad / "corpus.jsonl").read_text(encoding="ascii").splitlines()
+    rec = json.loads(lines[2])
+    rec["profiles"][0] = ["x"]
+    lines[2] = json.dumps(rec)
+    (bad / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
+    assert "corpus.jsonl, line 3: a profile is not a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -231,6 +231,21 @@ def test_corpus_read_reports_bad_line(tmp_path, small_corpus):
         C.read_corpus(path)
 
 
+@pytest.mark.parametrize("profile", [["x"], "x", 3], ids=["list", "string", "number"])
+def test_corpus_read_rejects_a_profile_that_is_not_an_object(tmp_path, small_corpus, profile):
+    _, examples = small_corpus
+    path = tmp_path / "corpus.jsonl"
+    C.write_corpus(path, examples[:5])
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["profiles"][0] = profile
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.ParseError) as err:
+        C.read_corpus(path)
+    assert str(err.value) == f"corpus file {path}, line 3: a profile is not a JSON object"
+
+
 def test_lexicon_file_round_trip(tmp_path, small_corpus):
     lexicon, _ = small_corpus
     path = tmp_path / "lexicon.json"

@@ -119,48 +119,99 @@ def test_xent_matches_reference(dtype, shape):
     _same(kernels.xent_bwd(gnll, e, s, targets), want_dx)
 
 
+def _dropout_float_mask(keep, scale, dtype):
+    """The float mask ``keep·scale`` in ``dtype``: kept entries are ``scale``, dropped ones 0."""
+    return np.multiply(keep, scale, dtype=dtype)
+
+
+def ref_attention(q, k, v, scale, mask, keep_f, g):
+    """(out, dq, dk, dv) of the chain ``matmul(q, kᵀ)`` → scale → mask → row softmax
+    → ``* keep_f`` → ``matmul(·, v)``, as that chain's tape ops computed them.
+
+    Keys and values with a batch axis of 1 broadcast over q's rows; their
+    gradients sum back over that axis.
+    """
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    shape, t = scores.shape, scores.shape[-1]
+    z = scores * scale
+    if mask is not None:
+        z = z + mask
+    p = ref_softmax_fwd(z.reshape(-1, t)).reshape(shape)
+    pk = p if keep_f is None else p * keep_f
+    out = np.matmul(pk, v)
+
+    def unbroadcast(x, like):
+        return x.sum(axis=0, keepdims=True) if like.shape[0] == 1 and x.shape[0] != 1 else x
+
+    gp = np.matmul(g, np.swapaxes(v, -1, -2))
+    dv = unbroadcast(np.matmul(np.swapaxes(pk, -1, -2), g), v)
+    if keep_f is not None:
+        gp = gp * keep_f
+    ds = ref_softmax_bwd(gp.reshape(-1, t), p.reshape(-1, t)).reshape(shape) * scale
+    dq = np.matmul(ds, k)
+    dk = np.swapaxes(unbroadcast(np.matmul(np.swapaxes(q, -1, -2), ds), np.swapaxes(k, -1, -2)), -1, -2)
+    return out, dq, dk, dv
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["rows", "kv_broadcast"])
+@pytest.mark.parametrize("dropped", [False, True], ids=["no_keep", "keep"])
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_attention_probs_matches_scale_mask_softmax_chain(dtype):
-    """The fused op against matmul(q, kᵀ) on the tape, then scale, mask and row softmax,
-    with the softmax gradient times scale fed back through that matmul."""
-    b, h, t, dh = 3, 2, 9, 8
-    q = T.Tensor(_data(dtype, (b, h, t, dh), 11), requires_grad=True)
-    k = T.Tensor(_data(dtype, (b, h, t, dh), 13), requires_grad=True)
-    lengths = np.array([9, 5, 7])
+def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
+    """The fused op against the unfused chain, bit for bit, in value and in the q, k and v gradients.
+
+    ``broadcast`` gives keys and values one batch row for all of q's rows,
+    as cached decoding's cross-attention does.
+    """
+    b, h, dh, dv = 3, 2, 8, 5
+    tq, tk = (4, 9) if broadcast else (9, 9)
+    kv_b = 1 if broadcast else b
+    q = T.Tensor(_data(dtype, (b, h, tq, dh), 11), requires_grad=True)
+    k = T.Tensor(_data(dtype, (kv_b, h, tk, dh), 13), requires_grad=True)
+    v = T.Tensor(_data(dtype, (kv_b, h, tk, dv), 14), requires_grad=True)
     np_dtype = np.dtype(dtype)
-    keys = np.arange(t)[None, :] < lengths[:, None]
-    mask = M._causal_mask(t, np_dtype) + M._key_mask(keys, np_dtype)
-    # the masks were built in float64 and cast per layer
-    off = M.ATTN_MASK_OFF
-    _same(mask, (np.triu(np.full((t, t), off), k=1)[None, None] + np.where(keys, 0.0, off)[:, None, None, :]).astype(dtype))
+    keys = np.arange(tk)[None, :] < np.array([9, 5, 7])[:, None]
+    mask = None
+    if masked and broadcast:
+        mask = M._key_mask(keys, np_dtype)
+    elif masked:
+        mask = M._causal_mask(tk, np_dtype) + M._key_mask(keys, np_dtype)
+        # the masks were built in float64 and cast per layer
+        off = M.ATTN_MASK_OFF
+        want = np.triu(np.full((tk, tk), off), k=1)[None, None] + np.where(keys, 0.0, off)[:, None, None, :]
+        _same(mask, want.astype(dtype))
+    keep = keep_scale = keep_f = None
+    if dropped:
+        keep = np.random.default_rng(15).random((b, h, tq, tk)) >= 0.1
+        keep_scale = dtype(1.0) / dtype(0.9)
+        keep_f = _dropout_float_mask(keep, keep_scale, dtype)
     scale = dtype(1.0 / np.sqrt(16))
-    g = _data(dtype, (b, h, t, t), 12)
-
-    def grads():
-        out = q.grad, k.grad
-        q.zero_grad()
-        k.zero_grad()
-        return out
+    g = _data(dtype, (b, h, tq, dv), 12)
+    want_out, *want_grads = ref_attention(q.data, k.data, v.data, scale, mask, keep_f, g)
 
     with T.Tape():
-        scores = T.matmul(q, T.swapaxes(k, -1, -2))
-        z = scores.data * scale + mask
-        p = ref_softmax_fwd(z.reshape(-1, t)).reshape(z.shape)
-        dscores = ref_softmax_bwd(g.reshape(-1, t), p.reshape(-1, t)).reshape(z.shape) * scale
-        T.backward(T.sum_(T.mul(scores, T.Tensor(dscores))))
-    dq, dk = grads()
-
-    with T.Tape():
-        probs = T.attention_probs(q, k, scale, mask)
-        T.backward(T.sum_(T.mul(probs, T.Tensor(g))))
-    _same(probs.data, p)
-    for got, want in zip(grads(), (dq, dk)):
+        out = T.attention(q, k, v, scale, mask, keep, keep_scale)
+        T.backward(T.sum_(T.mul(out, T.Tensor(g))))
+    _same(out.data, want_out)
+    for got, want in zip((q.grad, k.grad, v.grad), want_grads):
         _same(got, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_dropout_mask_matches_two_pass_expression(dtype):
+    """The boolean mask is the float64 draw compared with the rate, and ``T.dropout`` over it
+    gives the value and gradient of the product with the float mask ``keep·scale``."""
     rate, shape = 0.1, (4, 3, 17)
-    x = T.Tensor(np.ones(shape, dtype=dtype))
-    keep = (np.random.default_rng(13).random(shape) >= rate).astype(dtype) / (1.0 - rate)
-    _same(M._dropout(x, rate, True, np.random.default_rng(13)).data, keep)
+    x = T.Tensor(_data(dtype, shape, 16), requires_grad=True)
+    g = _data(dtype, shape, 17)
+    keep = np.random.default_rng(13).random(shape) >= rate
+    keep_f = (np.random.default_rng(13).random(shape) >= rate).astype(dtype) / (1.0 - rate)
+    got_keep, scale = M._keep_mask(shape, rate, True, np.random.default_rng(13), np.dtype(dtype))
+    assert got_keep.dtype == np.bool_
+    _same(got_keep, keep)
+    _same(_dropout_float_mask(keep, scale, dtype), keep_f)
+    with T.Tape():
+        y = M._dropout(x, rate, True, np.random.default_rng(13))
+        T.backward(T.sum_(T.mul(y, T.Tensor(g))))
+    _same(y.data, x.data * keep_f)
+    _same(x.grad, g * keep_f)

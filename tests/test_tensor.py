@@ -1,3 +1,4 @@
+import platform
 import weakref
 
 import numpy as np
@@ -242,14 +243,44 @@ def test_layer_norm_statistics():
 @pytest.mark.parametrize("q_shape, k_shape", [((5, 3), (7, 4)), ((3,), (7, 3))])
 def test_attention_probs_shape_mismatch(q_shape, k_shape):
     with pytest.raises(ShapeError):
-        T.attention_probs(t64(np.ones(q_shape)), t64(np.ones(k_shape)), 0.5)
+        T.attention(t64(np.ones(q_shape)), t64(np.ones(k_shape)), t64(np.ones((7, 2))), 0.5)
+
+
+@pytest.mark.parametrize("v_shape, keep_shape", [((6, 2), None), ((7,), None), ((7, 2), (5, 6)), ((7, 2), (7, 5))],
+                         ids=["v_rows", "v_rank", "keep_cols", "keep_rows"])
+def test_attention_value_and_keep_shape_mismatch(v_shape, keep_shape):
+    keep = None if keep_shape is None else np.ones(keep_shape, dtype=bool)
+    with pytest.raises(ShapeError):
+        T.attention(t64(np.ones((5, 3))), t64(np.ones((7, 3))), t64(np.ones(v_shape)), 0.5, None, keep, 1.25)
+
+
+def test_dropout_keep_shape_mismatch():
+    with pytest.raises(ShapeError):
+        T.dropout(t64(np.ones((3, 4))), np.ones((4, 3), dtype=bool), 1.25)
+
+
+def test_attention_and_dropout_hold_boolean_masks(tape_nbytes):
+    """``attention`` holds q, k, v, the float32 probabilities and the boolean keep mask,
+    and ``dropout`` its input and the boolean mask: no float mask, no dropped product."""
+    rng = np.random.default_rng(9)
+    q, k, v = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 4)))
+    mask, keep = np.zeros((2, 1, 1, 6), dtype=np.float32), rng.random((2, 3, 5, 6)) >= 0.1
+    with T.Tape() as tape:
+        T.attention(q, k, v, np.float32(0.5), mask, keep, np.float32(1.25))
+        assert tape_nbytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes + 5 * keep.size
+    x, keep = Tensor(rng.standard_normal((4, 7)), True, np.float32), rng.random((4, 7)) >= 0.1
+    with T.Tape() as tape:
+        T.dropout(x, keep, np.float32(1.25))
+        assert tape_nbytes(tape) == x.data.nbytes + keep.size
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
     q, k = t64(rng.standard_normal((5, 3))), t64(rng.standard_normal((7, 3)))
-    p = T.attention_probs(q, k, 0.5, np.zeros((1, 7))).data
+    # against identity values the output is the probabilities themselves
+    p = T.attention(q, k, t64(np.eye(7)), 0.5, np.zeros((1, 7))).data
     assert p.shape == (5, 7)
+    assert np.all(p > 0.0)
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
@@ -483,3 +514,20 @@ def test_copy_free_backward_matches_copying_accumulator(steps, seed):
         return [None if t.grad is None else (t.grad.dtype, t.grad.tobytes()) for t in leaves]
 
     assert run(backward) == run(_copying_backward)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pinned thresholds are glibc's")
+def test_freed_blocks_stay_mapped_for_the_next_allocations():
+    """Importing colo.tensor pins malloc's thresholds: 64 MiB of 1 MiB blocks, freed and
+    allocated again, come back from pages already mapped (glibc's default adaptive
+    thresholds unmap them and fault them in again, about 16K faults)."""
+    import resource
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    blocks = [np.ones(1 << 18, dtype=np.float32) for _ in range(64)]
+    del blocks
+    before = faults()
+    blocks = [np.ones(1 << 18, dtype=np.float32) for _ in range(64)]
+    assert faults() - before < 500
