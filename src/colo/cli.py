@@ -263,11 +263,18 @@ def cmd_train(args):
 # generate
 
 
+def _check_limit(limit):
+    """``--limit`` counts examples from the front; 0 means all of them."""
+    if limit < 0:
+        raise ConfigError(f"--limit must be >= 0 (0 means all examples), got {limit}")
+
+
 def cmd_generate(args):
     from .evaluation import decode_corpus
     from .trainer import load_checkpoint
 
     started = _now()
+    _check_limit(args.limit)
     ckpt = load_checkpoint(args.ckpt)
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     examples = corpus.split(args.split) if args.split else corpus.examples
@@ -310,8 +317,8 @@ def _read_predictions(path, n_expected):
                 example_id, prediction = int(rec["example_id"]), rec["prediction"]
             except (ValueError, KeyError, TypeError) as e:
                 raise EvalError(f"{path}:{lineno}: malformed prediction line: {e!r}") from None
-            if not isinstance(prediction, list):
-                raise EvalError(f"{path}:{lineno}: prediction must be a list of tokens")
+            if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):
+                raise EvalError(f"{path}:{lineno}: prediction must be a list of string tokens")
             preds[example_id] = prediction
     missing = [i for i in range(n_expected) if i not in preds]
     if missing:
@@ -332,6 +339,7 @@ def cmd_evaluate(args):
     started = _now()
     if not args.ckpt and not args.predictions:
         raise ConfigError("evaluate needs --ckpt or --predictions")
+    _check_limit(args.limit)
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     examples = corpus.split(args.split)
     if args.limit:

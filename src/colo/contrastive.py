@@ -1,17 +1,21 @@
 """Contrastive sample construction and the batched CoLo objective.
 
 One training example yields five tuple serializations: the original, a
-synonym-surface positive, and three negatives (entity swap, aspect
-substitution, opinion substitution).  The encoding loss pulls the pooled
-encoder representation of the original toward the positive and away from
-the negatives with per-negative margins; the decoding loss does the same
-between the pooled decoder output and the encoder-side representations,
-through two side-specific projection networks.
+synonym-surface positive (the original's ids under other surface forms),
+and three negatives (entity swap, aspect substitution, opinion
+substitution), keyed by kind in ``NEG_ORDER``.  The encoding loss pulls the
+pooled encoder representation of the original toward the positive and away
+from the negatives with per-negative margins; the decoding loss does the
+same between the pooled decoder output and the encoder-side
+representations, through two side-specific projection networks.
 
 Margins are dynamic: each negative's teacher-forced LM loss for the
 original reference is ranked descending, and the margin is gamma times the
 rank, so the negative that most easily still produces the reference gets
 the largest margin.  Those LM losses are detached; margins are constants.
+Negatives lie on one axis in kind order throughout: the detached losses
+form a (B, n) array, the margins ``xi`` are gamma times their row ranks in
+the same shape, and the hinges take the negatives' cosines as a list.
 The detached pass runs once per example, at that example's own target and
 source length, so it computes no padding and an example's margins depend
 on that example alone.
@@ -20,8 +24,7 @@ There is one loss path, :func:`total_loss_batch`: the LM loss plus both
 hinges for a batch, each the batch mean.  A single example is a batch of one.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +49,7 @@ class InvalidLossError(Exception):
 
 
 def make_positive(t: ClrTuple, lexicon, rng):
-    """Same ids, different surface form per slot where an alias exists."""
+    """Surface form per slot for the positive, which keeps the original's ids: an alias where one exists."""
     surfaces = {}
     for slot, kind, item_id in (
         ("entity_a", "entity", t.entity_a),
@@ -61,7 +64,7 @@ def make_positive(t: ClrTuple, lexicon, rng):
             surfaces[slot] = alts[int(rng.integers(len(alts)))]
         else:
             surfaces[slot] = canonical
-    return t, surfaces
+    return surfaces
 
 
 def swap_entities(t: ClrTuple) -> ClrTuple:
@@ -87,67 +90,50 @@ def substitute_opinion(t: ClrTuple, lexicon, rng) -> ClrTuple:
 
 @dataclass(frozen=True)
 class ContrastiveSet:
+    """An original tuple, its positive's surface forms (same ids) and its negatives by kind, in ``NEG_ORDER``."""
+
     original: ClrTuple
-    positive: ClrTuple
     positive_surfaces: dict
-    neg_es: ClrTuple
-    neg_as: ClrTuple
-    neg_os: ClrTuple
+    negatives: dict
 
     def __post_init__(self):
-        o = self.original
-        if self.positive != o:
-            raise ValueError("positive must keep the original ids")
-        if self.neg_es != swap_entities(o):
-            raise ValueError("neg_es must be the entity swap of the original")
-        if (self.neg_as.entity_a, self.neg_as.entity_b, self.neg_as.opinion) != (o.entity_a, o.entity_b, o.opinion) or self.neg_as.aspect == o.aspect:
-            raise ValueError("neg_as must differ from the original only in aspect")
-        if (self.neg_os.entity_a, self.neg_os.entity_b, self.neg_os.aspect) != (o.entity_a, o.entity_b, o.aspect) or self.neg_os.opinion == o.opinion:
-            raise ValueError("neg_os must differ from the original only in opinion")
-
-    def negative(self, kind):
-        return {"ES": self.neg_es, "AS": self.neg_as, "OS": self.neg_os}[kind]
+        o, neg = self.original, self.negatives
+        if tuple(neg) != NEG_ORDER:
+            raise ValueError(f"negatives must be keyed {list(NEG_ORDER)}, in that order")
+        if neg["ES"] != swap_entities(o):
+            raise ValueError("the ES negative must be the entity swap of the original")
+        for kind, slot in (("AS", "aspect"), ("OS", "opinion")):
+            if getattr(neg[kind], slot) == getattr(o, slot) or replace(neg[kind], **{slot: getattr(o, slot)}) != o:
+                raise ValueError(f"the {kind} negative must differ from the original only in {slot}")
 
 
 def build_contrastive_set(t: ClrTuple, lexicon, rng) -> ContrastiveSet:
     """Positive plus the three negatives; draw order is fixed for determinism."""
-    positive, surfaces = make_positive(t, lexicon, rng)
+    surfaces = make_positive(t, lexicon, rng)
     neg_as = substitute_aspect(t, lexicon, rng)
     neg_os = substitute_opinion(t, lexicon, rng)
-    return ContrastiveSet(t, positive, surfaces, swap_entities(t), neg_as, neg_os)
+    return ContrastiveSet(t, surfaces, {"ES": swap_entities(t), "AS": neg_as, "OS": neg_os})
 
 
 # ---------------------------------------------------------------------------
 # rank margins
 
 
-def rank_descending(values):
-    """Rank positions by value, largest first; ties keep position order."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise InvalidLossError("rank_descending needs at least one value")
-    if any(math.isnan(v) for v in vals):
-        raise InvalidLossError("NaN loss fed to rank function")
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-    ranks = [0] * len(vals)
-    for pos, idx in enumerate(order, start=1):
-        ranks[idx] = pos
-    return ranks
+def margin_schedule(gamma, losses):
+    """Margins: gamma times each loss's descending rank along the last axis.
 
-
-def margin_schedule(gamma, lm_losses):
-    """Margins by negative kind: gamma times the descending rank of its LM loss.
-
-    The smallest loss (the negative that most easily still generates the
-    reference) ranks last and therefore gets the largest margin.
+    The largest loss ranks 1 and ties rank by column, so the smallest loss
+    (the negative that most easily still generates the reference) gets the
+    largest margin.  The result has the shape of ``losses``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    order = [k for k in NEG_ORDER if k in lm_losses]
-    if set(lm_losses) - set(NEG_ORDER):
-        raise ValueError(f"unknown negative kinds: {set(lm_losses) - set(NEG_ORDER)}")
-    ranks = rank_descending([lm_losses[k] for k in order])
-    return {k: gamma * r for k, r in zip(order, ranks)}
+    losses = np.asarray(losses, dtype=np.float64)
+    if np.isnan(losses).any():
+        raise InvalidLossError("NaN loss fed to rank function")
+    # the inverse of the stable descending order is each column's 0-based rank
+    ranks = np.argsort(np.argsort(-losses, axis=-1, kind="stable"), axis=-1) + 1
+    return gamma * ranks
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +202,22 @@ def total_loss_batch(
 
     tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in examples])
 
-    # one encoder pass over every variant: [original] (+ positive) (+ negatives);
-    # variants of one example serialize to the same length, so shared padding
-    # changes nothing
-    groups = ["orig"] + (["pos"] if use_ce else []) + (list(neg_types) if hinged else [])
-    tuples, aliases = [], []
-    for group in groups:
-        for c in csets:
-            if group == "orig":
-                tuples.append(c.original)
-                aliases.append(None)
-            elif group == "pos":
-                tuples.append(c.positive)
-                aliases.append(c.positive_surfaces)
-            else:
-                tuples.append(c.negative(group))
-                aliases.append(None)
-    states, mask = _encode_variant(
-        params, cfg, tuples, examples * len(groups), lexicon, vocab, aliases, train, rng
-    )
+    # one encoder pass over every variant: originals (+ positives) (+ negatives by
+    # kind); variants of one example serialize to the same length, so shared
+    # padding changes nothing
+    variants = [(c.original, None) for c in csets]
+    if use_ce:
+        variants += [(c.original, c.positive_surfaces) for c in csets]
+    if hinged:
+        variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
+    tuples, aliases = zip(*variants)
+    groups = len(variants) // b
+    states, mask = _encode_variant(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, train, rng)
     enc_orig = states
     if hinged:  # pooled before the LM pass, so the backward sums into states in a fixed order
         pooled = T.masked_mean_pool(states, mask)
-        block = {g: T.slice0(pooled, i * b, (i + 1) * b) for i, g in enumerate(groups)}
-        z = block["orig"]
+        z, *blocks = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(groups)]
+        negs = blocks[-len(neg_types):]
         enc_orig = T.slice0(states, 0, b)
 
     # original teacher-forced pass (with gradient): LM loss and pooled z_y
@@ -248,69 +226,64 @@ def total_loss_batch(
     )
     lm = T.mean_(nll)
 
-    if hinged:  # detached per-negative LM losses -> per-example margin constants
-        neg_lo = groups.index(neg_types[0])
-        xi = _margin_constants(
-            params, cfg,
-            states.data[neg_lo * b :], mask[neg_lo * b :],
-            tgt_in, labels, label_mask, gamma, neg_types,
-        )
+    if hinged:  # detached (B, n) negative LM losses -> (B, n) margin constants
+        lo = (groups - len(neg_types)) * b
+        neg_losses = _margin_losses(params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask)
+        xi = margin_schedule(gamma, neg_losses)
 
     ce = _zero_scalar(dtype)
     if use_ce:
+        q, k_pos, k_neg = z, blocks[0], negs
         if project_in_ce:
-            q, k_pos = M.project_enc(params, z), M.project_enc(params, block["pos"])
-            k_neg = {kind: M.project_enc(params, block[kind]) for kind in neg_types}
-        else:
-            q, k_pos = z, block["pos"]
-            k_neg = {kind: block[kind] for kind in neg_types}
+            q, k_pos = M.project_enc(params, z), M.project_enc(params, k_pos)
+            k_neg = [M.project_enc(params, k) for k in negs]
         ce = T.mean_(_hinge_rows(*_cosines(q, k_pos, k_neg), xi))
 
     cd = _zero_scalar(dtype)
     if use_cd:
         z_y = M.project_dec(params, T.masked_mean_pool(dec_states, label_mask))
         pz = M.project_enc(params, z)
-        pn = {kind: M.project_enc(params, block[kind]) for kind in neg_types}
-        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, pn), xi))
+        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, [M.project_enc(params, k) for k in negs]), xi))
 
     total = T.add(T.add(lm, ce), cd)
     return LossBreakdown(lm, ce, cd, total)
 
 
 def _cosines(anchor, positive, negatives):
-    """Row cosines of the (B, d) anchor to its positive and to each negative kind."""
-    return T.cosine_rows(anchor, positive), {kind: T.cosine_rows(anchor, n) for kind, n in negatives.items()}
+    """Row cosines of the (B, d) anchor to its positive and to each negative, in kind order."""
+    return T.cosine_rows(anchor, positive), [T.cosine_rows(anchor, n) for n in negatives]
 
 
 def _hinge_rows(s_pos, s_neg, xi):
     """Per-example hinge totals, (B,): sum over kinds of max(0, s- - s+ + margin).
 
-    ``s_pos`` is the (B,) positive cosine, ``s_neg`` maps each negative kind
-    to its (B,) cosine and ``xi`` maps it to (B,) margin constants; gradient
-    flows only through the similarities.
+    ``s_pos`` is the (B,) positive cosine, ``s_neg`` lists each negative
+    kind's (B,) cosine and ``xi`` is the (B, n) array of margin constants,
+    one column per kind; gradient flows only through the similarities.
     """
     per_ex = None
-    for kind, s in s_neg.items():
-        term = T.relu(T.add(T.sub(s, s_pos), Tensor(xi[kind].astype(s_pos.dtype))))
+    for j, s in enumerate(s_neg):
+        term = T.relu(T.add(T.sub(s, s_pos), Tensor(xi[:, j].astype(s_pos.dtype))))
         per_ex = term if per_ex is None else T.add(per_ex, term)
     return per_ex
 
 
-def _margin_constants(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask, gamma, neg_types):
-    """Per-example margins from detached teacher-forced negative LM losses.
+def _margin_losses(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask):
+    """Detached teacher-forced LM losses of each example's negatives, (B, n) float64.
 
-    Each example's negatives run as their own no-grad decoder pass, cut to
-    that example's target and source lengths, so no padded cell is computed
-    and an example's margins do not depend on the rest of the batch.  The
-    losses match a padded batched pass only up to float rounding: dropping
-    the trailing masked zeros reassociates the softmax and per-example
-    sums.  Margins are ranks, so they differ from the padded pass only
-    where two of an example's negative losses lie within a few 1e-7
-    relative of each other.
+    The n negatives' encoder rows are kind-major: row ``j * B + i`` holds
+    example i's negative of the j-th kind.  Each example's negatives run as
+    their own no-grad decoder pass, cut to that example's target and source
+    lengths, so no padded cell is computed and an example's losses do not
+    depend on the rest of the batch.  The losses match a padded batched
+    pass only up to float rounding: dropping the trailing masked zeros
+    reassociates the softmax and per-example sums.  Margins are ranks, so
+    they differ from the padded pass only where two of an example's
+    negative losses lie within a few 1e-7 relative of each other.
     """
-    n = len(neg_types)
     b = tgt_in.shape[0]
-    xi = {kind: np.empty(b, dtype=np.float64) for kind in neg_types}
+    n = len(neg_mask) // b
+    losses = np.empty((b, n), dtype=np.float64)
     for i in range(b):
         rows = np.arange(n) * b + i
         t = int(label_mask[i].sum())
@@ -321,7 +294,5 @@ def _margin_constants(params, cfg, neg_state_data, neg_mask, tgt_in, labels, lab
                 Tensor(neg_state_data[rows, :s]), neg_mask[rows, :s],
                 np.tile(tgt_in[i, :t], (n, 1)), np.tile(labels[i, :t], (n, 1)), np.tile(label_mask[i, :t], (n, 1)),
             )
-        margins = margin_schedule(gamma, {kind: float(nll.data[j]) for j, kind in enumerate(neg_types)})
-        for kind in neg_types:
-            xi[kind][i] = margins[kind]
-    return xi
+        losses[i] = nll.data
+    return losses

@@ -5,9 +5,10 @@ The search routines are written against a small stepper protocol
 probability tables and brute-force enumerate optima.  The model's stepper,
 :class:`TransformerStepper`, adapts that protocol to ``model.decode_step``,
 the key/value-cached pass through the same decoder layers teacher forcing
-runs.  Greedy decoding is beam search of width 1.  ``greedy_decode`` and
-``beam_search`` are the model-facing entry points; both decode one source
-sequence.
+runs.  Greedy decoding is beam search of width 1.  The search holds its
+live beam as arrays and makes a :class:`Hypothesis` only of a row that
+retires.  ``greedy_decode`` and ``beam_search`` are the model-facing entry
+points; both decode one source sequence.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ from . import tokens as tok
 
 @dataclass
 class Hypothesis:
+    """A finished search result: it ends in EOS or has reached the length cap."""
+
     ids: list  # BOS-prefixed token ids
     logprob: float  # cumulative log-probability of generated tokens
-    finished: bool
 
     def generated(self):
         return self.ids[1:]
@@ -78,42 +80,32 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
     Candidates are ranked by cumulative log-probability with ties broken
     lexicographically by token ids; hypotheses that emit EOS (or hit the
     length cap) retire to the pool and the final ranking is by normalized
-    score (sum log-prob / token count ** length_norm).  Live hypotheses all
-    have the same length, so the search carries each one's rank in the
-    lexicographic order of the live ids instead of comparing id lists.
+    score (sum log-prob / token count ** length_norm).  The live beam is
+    held as arrays: its (n, t) BOS-prefixed ids, their cumulative log-probs
+    and each row's rank in the lexicographic order of the live ids, which
+    all have the same length, so ties compare ranks instead of id lists.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    live = [Hypothesis([bos], 0.0, False)]
-    # per live hypothesis: cumulative log-prob, lexicographic rank, last token
-    logprob, rank, last = np.zeros(1), np.zeros(1, dtype=np.intp), np.array([bos])
+    ids, logprob, rank = np.full((1, 1), bos), np.zeros(1), np.zeros(1, dtype=np.intp)
     state = stepper.start()
     pool = []
     for _ in range(max_len):
-        if not live:
+        if not len(ids):
             break
-        logprobs, state = stepper.step(state, last)
+        logprobs, state = stepper.step(state, ids[:, -1])
         parents, tokens, scores = _top_candidates(logprob, rank, logprobs, beam_size)
-        next_live = []
-        for parent, token, score in zip(parents.tolist(), tokens.tolist(), scores.tolist()):
-            h = Hypothesis(live[parent].ids + [token], score, token == eos)
-            (pool if h.finished else next_live).append(h)
-        keep = tokens != eos
-        parents, logprob, last = parents[keep], scores[keep], tokens[keep]
-        rank = _lexicographic_ranks(rank[parents], last)
-        live = next_live
-        if live:
+        done = tokens == eos
+        pool += [Hypothesis(ids[p].tolist() + [eos], s) for p, s in zip(parents[done], scores[done].tolist())]
+        keep = ~done
+        parents, tokens, logprob = parents[keep], tokens[keep], scores[keep]
+        ids = np.concatenate((ids[parents], tokens[:, None]), axis=1)
+        rank = _lexicographic_ranks(rank[parents], tokens)
+        if len(ids):
             state = stepper.select(state, parents)
-    for h in live:  # length cap reached
-        h.finished = True
-        pool.append(h)
+    pool += map(Hypothesis, ids.tolist(), logprob.tolist())  # length cap reached
     pool.sort(key=lambda h: (-h.normalized(length_norm), tuple(h.ids)))
     return pool
-
-
-def beam_steps(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, length_norm=1.0):
-    """Top beam_size finished hypotheses by normalized score."""
-    return beam_pool(stepper, beam_size, max_len, bos, eos, length_norm)[:beam_size]
 
 
 def _top_candidates(logprob, rank, logprobs, beam_size):
@@ -155,6 +147,6 @@ def greedy_decode(params, cfg, src_ids):
 
 
 def beam_search(params, cfg, src_ids, beam_size=5, length_norm=1.0):
-    """Ranked generated-token sequences (best first)."""
-    stepper = TransformerStepper(params, cfg, src_ids)
-    return [h.generated() for h in beam_steps(stepper, beam_size, cfg.max_tgt_len, length_norm=length_norm)]
+    """The top beam_size generated-token sequences by normalized score, best first."""
+    pool = beam_pool(TransformerStepper(params, cfg, src_ids), beam_size, cfg.max_tgt_len, length_norm=length_norm)
+    return [h.generated() for h in pool[:beam_size]]

@@ -151,7 +151,7 @@ def _micro_fixture():
     # gradient coordinates toward zero and lets finite-difference roundoff
     # dominate the relative error; a fixed bump makes every path substantive
     bump = derive_rng(17)
-    for name in params.names():
+    for name in params:
         params[name].data += bump.standard_normal(params[name].shape) * 0.1
     return Corpus(lexicon, examples), vocab, mcfg, params
 
@@ -178,7 +178,7 @@ def composite_checks():
     for component in ("lm", "ce", "cd", "total"):
         worst = 0.0
         f = loss_fn(component)
-        for name in params.names():
+        for name in params:
             err = finite_diff_check(f, params[name], eps=1e-5)
             worst = max(worst, err)
         results.append((f"composite_{component}", worst))

@@ -45,6 +45,9 @@ class ModelConfig:
     proj_hidden: int = 128
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "proj_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_src_len < 2 or self.max_tgt_len < 2:
@@ -54,38 +57,6 @@ class ModelConfig:
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-class ParameterSet:
-    """Named, order-stable mapping of parameter tensors (all require grad)."""
-
-    def __init__(self, tensors):
-        self._tensors = dict(sorted(tensors.items()))
-        for name, t in self._tensors.items():
-            if not t.requires_grad:
-                raise ValueError(f"parameter {name} must require grad")
-
-    def __getitem__(self, name):
-        return self._tensors[name]
-
-    def __len__(self):
-        return len(self._tensors)
-
-    def names(self):
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def values(self):
-        return self._tensors.values()
-
-    def n_values(self):
-        return sum(t.size for t in self._tensors.values())
-
-    def zero_grads(self):
-        for t in self._tensors.values():
-            t.zero_grad()
 
 
 def _param_shapes(cfg: ModelConfig):
@@ -142,8 +113,8 @@ def expected_param_count(cfg: ModelConfig):
     return sum(int(np.prod(s)) for s in _param_shapes(cfg).values())
 
 
-def init_params(cfg: ModelConfig, seed, dtype=np.float32) -> ParameterSet:
-    """Scaled-normal weights (std 0.02), zero biases, unit layer-norm gains."""
+def init_params(cfg: ModelConfig, seed, dtype=np.float32):
+    """Parameter tensors by name, sorted: scaled-normal weights (std 0.02), zero biases, unit layer-norm gains."""
     tensors = {}
     for idx, (name, shape) in enumerate(sorted(_param_shapes(cfg).items())):
         leaf = name.rsplit(".", 1)[-1]
@@ -155,7 +126,7 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32) -> ParameterSet:
             r = rngmod.derive_rng(seed, rngmod.INIT, idx)
             data = (r.standard_normal(shape) * INIT_STD).astype(dtype)
         tensors[name] = Tensor(data, requires_grad=True, dtype=dtype)
-    return ParameterSet(tensors)
+    return dict(sorted(tensors.items()))
 
 
 # ---------------------------------------------------------------------------

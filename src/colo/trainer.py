@@ -51,7 +51,7 @@ class TrainConfig:
     use_cd: bool = True
     grad_clip_norm: float = 1.0
     eval_every: int = 200  # steps; 0 disables quick evals
-    neg_types: tuple = ("ES", "AS", "OS")
+    neg_types: tuple = K.NEG_ORDER
     project_in_ce: bool = False
     max_steps: int = 0  # 0 means run all epochs
 
@@ -76,7 +76,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        d["neg_types"] = tuple(d.get("neg_types", ("ES", "AS", "OS")))
+        d["neg_types"] = tuple(d.get("neg_types", K.NEG_ORDER))
         return cls(**d)
 
 
@@ -132,7 +132,7 @@ def clip_gradients(grads, max_norm):
 @dataclass
 class Checkpoint:
     model_config: M.ModelConfig
-    params: M.ParameterSet
+    params: dict  # name -> Tensor, sorted by name
     adam: AdamState
     train_config: TrainConfig
     rng_state: dict  # integers: root seed and global step
@@ -151,7 +151,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     arrays = []
     for name, t in ckpt.params.items():
         arrays.append((f"param/{name}", t.data))
-    for name in ckpt.params.names():
+    for name in ckpt.params:
         arrays.append((f"adam_m/{name}", ckpt.adam.m[name]))
         arrays.append((f"adam_v/{name}", ckpt.adam.v[name]))
 
@@ -213,6 +213,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: header has no {key!r}")
     if not isinstance(header["manifest"], list):
         raise CheckpointError(f"{path}: manifest is not a list")
+    for key in ("step", "adam_step"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise CheckpointError(f"{path}: header {key!r} must be a non-negative integer, not {header[key]!r}")
 
     payload = raw[header_end:]
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
@@ -232,7 +235,7 @@ def load_checkpoint(path) -> Checkpoint:
     expected = M._param_shapes(mcfg)
     for kind, arrays in groups.items():
         _check_shapes(path, kind, arrays, expected)
-    params = M.ParameterSet({n: Tensor(a, requires_grad=True) for n, a in groups["param"].items()})
+    params = {n: Tensor(a, requires_grad=True) for n, a in sorted(groups["param"].items())}
     adam = AdamState(m=groups["adam_m"], v=groups["adam_v"], step=header["adam_step"])
     return Checkpoint(mcfg, params, adam, tcfg, rng_state, header["step"])
 
@@ -328,7 +331,8 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
         ]
         drop_rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step)
 
-        params.zero_grads()
+        for t in params.values():
+            t.grad = None
         with Tape():
             try:
                 breakdown = K.total_loss_batch(

@@ -88,6 +88,16 @@ def test_resume_missing_adam_entry_is_data_error(tmp_path, corpus_dir, trained_c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("step", "2"), ("step", 1.5), ("step", -5), ("adam_step", "0")])
+def test_resume_with_a_bad_step_count_is_data_error(tmp_path, corpus_dir, trained_ckpt, rewrite_header, capsys, key, value):
+    ckpt = rewrite_header(trained_ckpt, tmp_path / "model.ckpt", lambda h: {**h, key: value})
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--resume", str(ckpt)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"data error: {ckpt}: header {key!r} must be a non-negative integer, not {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--d-model", "32", "d_model"), ("--lr", "0.5", "learning_rate"), ("--seed", "9", "seed")],
@@ -186,6 +196,17 @@ def test_config_file_value_of_the_wrong_type_is_config_error_before_the_run_dir(
     argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"config key {key!r} cannot be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_heads", "d_model", "proj_hidden"])
+def test_model_width_below_one_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, key):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: {key} must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -348,6 +369,8 @@ def test_train_manifests_keep_their_pinned_config_digests(tmp_path, corpus_dir, 
         '{"example_id": 1}',
         "[1, 2]",
         '{"example_id": 1, "prediction": "a b"}',
+        '{"example_id": 1, "prediction": [["x"]]}',
+        '{"example_id": 1, "prediction": [1, null]}',
     ],
 )
 def test_malformed_prediction_line_names_path_and_line(tmp_path, bad_line):
@@ -355,6 +378,15 @@ def test_malformed_prediction_line_names_path_and_line(tmp_path, bad_line):
     path.write_text(json.dumps({"example_id": 0, "prediction": ["a"]}) + "\n" + bad_line + "\n")
     with pytest.raises(EvalError, match=re.escape(f"{path}:2")):
         cli._read_predictions(path, 2)
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_negative_limit_is_config_error(tmp_path, corpus_dir, trained_ckpt, capsys, command):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--limit", "-2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: --limit must be >= 0 (0 means all examples), got -2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_example_id_is_eval_error(tmp_path):

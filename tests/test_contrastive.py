@@ -1,8 +1,10 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import rankdata
 
 from colo import contrastive as K
 from colo import model as M
@@ -80,15 +82,14 @@ def test_substitute_opinion_without_antonym_random(lex, tup):
 
 
 def test_make_positive_prefers_alias(lex, tup):
-    _, surfaces = K.make_positive(tup, lex, derive_rng(3))
+    surfaces = K.make_positive(tup, lex, derive_rng(3))
     assert surfaces["entity_a"] != "ENT_000"
     assert surfaces["entity_a"] in lex.entities["ENT_000"]
 
 
 def test_make_positive_degenerate_single_surface(tup):
     lex1 = build_lexicon(CorpusConfig(n_entities=6, n_aspects=3, n_opinions=4, n_aliases_per_item=0))
-    pos, surfaces = K.make_positive(tup, lex1, derive_rng(4))
-    assert pos == tup
+    surfaces = K.make_positive(tup, lex1, derive_rng(4))
     assert surfaces == {
         "entity_a": "ENT_000",
         "entity_b": "ENT_001",
@@ -100,94 +101,99 @@ def test_make_positive_degenerate_single_surface(tup):
 def test_contrastive_set_invariants(lex, tup):
     for seed in range(200):
         cs = K.build_contrastive_set(tup, lex, derive_rng(seed))
-        assert cs.positive == tup
-        assert cs.neg_es == K.swap_entities(tup)
-        assert cs.neg_as.aspect != tup.aspect
-        assert cs.neg_os.opinion == "OPN_N000"
+        assert cs.original == tup
+        assert tuple(cs.negatives) == K.NEG_ORDER
+        assert cs.negatives["ES"] == K.swap_entities(tup)
+        assert cs.negatives["AS"].aspect != tup.aspect
+        assert cs.negatives["OS"].opinion == "OPN_N000"
 
 
 def test_contrastive_set_validation(tup):
-    with pytest.raises(ValueError):
-        K.ContrastiveSet(tup, tup, {}, tup, tup, tup)
+    es, as_, os_ = K.swap_entities(tup), replace(tup, aspect="ASP_001"), replace(tup, opinion="OPN_N000")
+    K.ContrastiveSet(tup, {}, {"ES": es, "AS": as_, "OS": os_})
+    for negatives in (
+        {"ES": tup, "AS": tup, "OS": tup},
+        {"ES": es, "AS": os_, "OS": os_},
+        {"ES": es, "AS": as_, "OS": replace(os_, aspect="ASP_001")},
+        {"AS": as_, "ES": es, "OS": os_},
+        {"ES": es, "AS": as_},
+    ):
+        with pytest.raises(ValueError):
+            K.ContrastiveSet(tup, {}, negatives)
 
 
 # ---------------------------------------------------------------------------
-# ranking and margins
+# ranking and margins: at gamma 1, margin_schedule returns the descending ranks themselves
 
 
 def test_rank_descending_paper_example():
-    assert K.rank_descending([0.56, 0.87, 0.24]) == [2, 1, 3]
+    assert K.margin_schedule(1, [0.56, 0.87, 0.24]).tolist() == [2, 1, 3]
 
 
 def test_rank_descending_single():
-    assert K.rank_descending([5.0]) == [1]
+    assert K.margin_schedule(1, [5.0]).tolist() == [1]
 
 
 def test_rank_descending_tie_break_by_position():
-    assert K.rank_descending([0.5, 0.5, 0.3]) == [1, 2, 3]
+    assert K.margin_schedule(1, [0.5, 0.5, 0.3]).tolist() == [1, 2, 3]
+    assert K.margin_schedule(1, [[0.3, 0.5, 0.5], [0.5, 0.3, 0.5]]).tolist() == [[3, 1, 2], [1, 3, 2]]
 
 
 def test_rank_descending_rejects_nan():
     with pytest.raises(K.InvalidLossError):
-        K.rank_descending([0.1, float("nan")])
+        K.margin_schedule(0.01, [0.1, float("nan")])
+    with pytest.raises(K.InvalidLossError):
+        K.margin_schedule(0.01, [[0.1, 0.2, 0.3], [0.3, float("nan"), 0.2]])
 
 
-def test_rank_descending_is_permutation():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        n = int(rng.integers(1, 8))
-        vals = rng.standard_normal(n)
-        ranks = K.rank_descending(vals)
-        assert sorted(ranks) == list(range(1, n + 1))
-        for i in range(n):
-            for j in range(n):
-                if vals[i] > vals[j]:
-                    assert ranks[i] < ranks[j]
+@given(st.data())
+def test_rank_descending_is_permutation(data):
+    # values from a small set, so rows often tie; ordinal ranks break ties by position
+    b, n = data.draw(st.integers(1, 6), "rows"), data.draw(st.integers(1, 5), "kinds")
+    values = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 7.5]), min_size=b * n, max_size=b * n))
+    losses = np.array(values).reshape(b, n)
+    ranks = K.margin_schedule(1, losses)
+    assert ranks.shape == (b, n)
+    assert np.array_equal(ranks, rankdata(-losses, method="ordinal", axis=1))
+    for row, vals in zip(ranks, losses):
+        assert sorted(row) == list(range(1, n + 1))
+        assert all(row[i] < row[j] for i in range(n) for j in range(n) if vals[i] > vals[j])
 
 
 def test_margin_schedule_paper_values():
-    sched = K.margin_schedule(0.01, {"ES": 0.56, "AS": 0.87, "OS": 0.24})
-    assert sched == pytest.approx({"ES": 0.02, "AS": 0.01, "OS": 0.03})
+    assert K.margin_schedule(0.01, [0.56, 0.87, 0.24]) == pytest.approx([0.02, 0.01, 0.03])
 
 
 def test_margin_schedule_ties():
-    sched = K.margin_schedule(0.01, {"ES": 1.0, "AS": 1.0, "OS": 1.0})
-    assert sched == pytest.approx({"ES": 0.01, "AS": 0.02, "OS": 0.03})
+    assert K.margin_schedule(0.01, [1.0, 1.0, 1.0]) == pytest.approx([0.01, 0.02, 0.03])
 
 
 def test_margin_schedule_smallest_loss_largest_margin():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        losses = {k: float(v) for k, v in zip(K.NEG_ORDER, rng.random(3))}
-        sched = K.margin_schedule(0.01, losses)
-        assert set(np.round(sorted(sched.values()), 6)) == {0.01, 0.02, 0.03}
-        easiest = min(K.NEG_ORDER, key=lambda k: (losses[k], K.NEG_ORDER.index(k)))
-        assert sched[easiest] == pytest.approx(0.03)
+    losses = np.random.default_rng(1).random((300, 3))
+    sched = K.margin_schedule(0.01, losses)
+    assert np.array_equal(np.sort(sched, axis=1), np.tile(0.01 * np.arange(1, 4), (300, 1)))
+    assert np.all(sched[np.arange(300), losses.argmin(axis=1)] == 0.01 * 3)
 
 
 def test_margin_schedule_order_invariance():
-    losses = {"ES": 0.9, "AS": 0.5, "OS": 0.7}
-    a = K.margin_schedule(0.01, losses)
-    b = K.margin_schedule(0.01, {k: v * 10 for k, v in losses.items()})
-    assert a == pytest.approx(b)
+    losses = np.array([0.9, 0.5, 0.7])
+    assert np.array_equal(K.margin_schedule(0.01, losses), K.margin_schedule(0.01, losses * 10))
 
 
 @given(st.data())
 def test_margin_schedule_permutation_equivariant(data):
     # distinct losses: with ties the position tie-break is not permutation-equivariant
-    kinds = data.draw(st.lists(st.sampled_from(K.NEG_ORDER), min_size=1, max_size=3, unique=True))
-    values = data.draw(st.lists(st.floats(0.0, 20.0), min_size=len(kinds), max_size=len(kinds), unique=True))
-    perm = data.draw(st.permutations(kinds))
+    n = data.draw(st.integers(1, 3))
+    values = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n, unique=True)))
+    perm = np.array(data.draw(st.permutations(range(n))))
     gamma = data.draw(st.floats(1e-4, 1.0))
-    losses = dict(zip(kinds, values))
-    permuted = K.margin_schedule(gamma, {perm[i]: losses[k] for i, k in enumerate(kinds)})
-    margins = K.margin_schedule(gamma, losses)
-    assert {perm[i]: margins[k] for i, k in enumerate(kinds)} == permuted
+    assert np.array_equal(K.margin_schedule(gamma, values[perm]), K.margin_schedule(gamma, values)[perm])
 
 
 def test_margins_are_plain_floats():
-    sched = K.margin_schedule(0.01, {"ES": 0.3, "AS": 0.2, "OS": 0.1})
-    assert all(isinstance(v, float) for v in sched.values())
+    sched = K.margin_schedule(0.01, [[0.3, 0.2, 0.1]])
+    assert sched.dtype == np.float64
+    assert all(isinstance(v, float) for v in sched.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +205,9 @@ def rows(x):
 
 
 def hinge(s_pos, negs):
-    """K._hinge_rows over rows of cosines; ``negs`` maps kind -> (negative cosines, margins)."""
-    xi = {kind: np.asarray(m, dtype=np.float64) for kind, (_, m) in negs.items()}
-    return K._hinge_rows(rows(s_pos), {kind: rows(s) for kind, (s, _) in negs.items()}, xi)
+    """K._hinge_rows over rows of cosines; ``negs`` maps kind -> (negative cosines, margins), in kind order."""
+    xi = np.stack([np.asarray(m, dtype=np.float64) for _, m in negs.values()], axis=1)
+    return K._hinge_rows(rows(s_pos), [rows(s) for s, _ in negs.values()], xi)
 
 
 def test_hinge_inactive():
@@ -248,7 +254,7 @@ def test_hinge_gradient_flows_through_similarities():
     sp = Tensor(np.asarray([0.2]), requires_grad=True, dtype=np.float64)
     sn = Tensor(np.asarray([0.5]), requires_grad=True, dtype=np.float64)
     with Tape():
-        loss = K._hinge_rows(sp, {"ES": sn}, {"ES": np.asarray([0.03])})
+        loss = K._hinge_rows(sp, [sn], np.asarray([[0.03]]))
         backward(T.sum_(loss))
     assert sp.grad == pytest.approx([-1.0])
     assert sn.grad == pytest.approx([1.0])
@@ -260,19 +266,24 @@ def test_hinge_gradient_flows_through_similarities():
 
 def test_ce_geometry_orthogonal_negatives_zero_loss():
     z = rows([[1.0, 0.0, 0.0]])
-    negs = {"ES": rows([[0.0, 1.0, 0.0]]), "AS": rows([[0.0, 0.0, 1.0]])}
-    xi = {"ES": np.asarray([0.01]), "AS": np.asarray([0.03])}
+    negs = [rows([[0.0, 1.0, 0.0]]), rows([[0.0, 0.0, 1.0]])]
+    xi = np.asarray([[0.01, 0.03]])
     assert K._hinge_rows(*K._cosines(z, rows([[1.0, 0.0, 0.0]]), negs), xi).data == pytest.approx([0.0])
 
 
 def test_ce_geometry_negative_equal_to_anchor():
     z = rows([[1.0, 0.0]])
-    s_pos, s_neg = K._cosines(z, rows([[0.0, 1.0]]), {"ES": rows([[1.0, 0.0]])})
-    assert K._hinge_rows(s_pos, s_neg, {"ES": np.asarray([0.02])}).data == pytest.approx([1.02])
+    s_pos, s_neg = K._cosines(z, rows([[0.0, 1.0]]), [rows([[1.0, 0.0]])])
+    assert K._hinge_rows(s_pos, s_neg, np.asarray([[0.02]])).data == pytest.approx([1.02])
 
 
 # ---------------------------------------------------------------------------
 # end-to-end losses on the tiny corpus
+
+
+def _clear_grads(params):
+    for t in params.values():
+        t.grad = None
 
 
 def loss1(params, cfg, bundle, i, seed, **kwargs):
@@ -306,7 +317,7 @@ def test_total_loss_forward_counts(tiny_bundle, tiny_model_cfg, tiny_model_param
 
 
 def test_cd_off_is_exact_zero_with_no_gradient(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    tiny_model_params.zero_grads()
+    _clear_grads(tiny_model_params)
     with Tape():
         breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 3, 3, use_ce=False, use_cd=False)
         backward(breakdown.total)
@@ -317,7 +328,7 @@ def test_cd_off_is_exact_zero_with_no_gradient(tiny_bundle, tiny_model_cfg, tiny
 
 
 def test_cd_gradient_reaches_projections_and_decoder(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    tiny_model_params.zero_grads()
+    _clear_grads(tiny_model_params)
     with Tape():
         breakdown = loss1(tiny_model_params, tiny_model_cfg, tiny_bundle, 4, 7, use_ce=False, use_cd=True)
         backward(breakdown.total)
@@ -366,20 +377,21 @@ def _batch_loss(params, cfg, bundle, indices, **kwargs):
 
 
 @pytest.fixture
-def margin_losses(monkeypatch):
-    """The ``lm_losses`` dict of every ``margin_schedule`` call, in call order."""
+def margin_calls(monkeypatch):
+    """(losses, margins) of every ``margin_schedule`` call, in call order."""
     seen = []
     schedule = K.margin_schedule
 
-    def record(gamma, lm_losses):
-        seen.append(dict(lm_losses))
-        return schedule(gamma, lm_losses)
+    def record(gamma, losses):
+        margins = schedule(gamma, losses)
+        seen.append((np.array(losses), margins))
+        return margins
 
     monkeypatch.setattr(K, "margin_schedule", record)
     return seen
 
 
-def test_margin_losses_do_not_depend_on_batch_mates(tiny_bundle, tiny_model_cfg, tiny_model_params, margin_losses):
+def test_margin_losses_do_not_depend_on_batch_mates(tiny_bundle, tiny_model_cfg, tiny_model_params, margin_calls):
     lexicon, examples, vocab = tiny_bundle
 
     def ref_len(i):
@@ -396,13 +408,14 @@ def test_margin_losses_do_not_depend_on_batch_mates(tiny_bundle, tiny_model_cfg,
 
     _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, alone)
     _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, batch)
-    assert len(margin_losses) == 1 + len(batch)
-    assert margin_losses[0] == margin_losses[1 + batch.index(14)]
+    (solo, _), (batched, _) = margin_calls
+    assert solo.shape == (1, len(K.NEG_ORDER)) and batched.shape == (len(batch), len(K.NEG_ORDER))
+    assert np.array_equal(solo[0], batched[batch.index(14)])
 
 
-def _padded_oracle(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask, gamma, neg_types):
+def _padded_oracle(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask):
     """Per-example negative losses, (B, n), from one padded pass over all n*B rows."""
-    n = len(neg_types)
+    n = len(neg_mask) // len(tgt_in)
     with no_grad():
         nll, _ = M.nll_per_example(
             params, cfg,
@@ -414,30 +427,29 @@ def _padded_oracle(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_
 
 @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-12)])
 def test_margin_pass_matches_padded_oracle(
-    tiny_bundle, tiny_model_cfg, tiny_model_params, tiny_model_params64, margin_losses, monkeypatch, dtype, rtol
+    tiny_bundle, tiny_model_cfg, tiny_model_params, tiny_model_params64, margin_calls, monkeypatch, dtype, rtol
 ):
     params = tiny_model_params if dtype == "float32" else tiny_model_params64
     calls = []
-    constants = K._margin_constants
+    margin_losses = K._margin_losses
 
     def record(*args):
-        xi = constants(*args)
-        calls.append((args, xi))
-        return xi
+        losses = margin_losses(*args)
+        calls.append((args, losses))
+        return losses
 
-    monkeypatch.setattr(K, "_margin_constants", record)
+    monkeypatch.setattr(K, "_margin_losses", record)
     _batch_loss(params, tiny_model_cfg, tiny_bundle, list(range(12)))
 
-    (args, xi), = calls
-    gamma, neg_types = args[-2], args[-1]
+    (args, got), = calls
+    (scheduled, xi), = margin_calls
+    assert got.dtype == np.float64 and np.array_equal(scheduled, got)
     oracle = _padded_oracle(*args)
-    got = np.array([[losses[k] for k in neg_types] for losses in margin_losses])
     np.testing.assert_allclose(got, oracle, rtol=rtol, atol=0)
     # margins are ranks: equal wherever the oracle's losses are well apart
     apart = [i for i, row in enumerate(oracle) if np.all(np.diff(np.sort(row)) > 1e-5 * np.sort(row)[1:])]
     assert apart
-    for i in apart:
-        assert [xi[k][i] for k in neg_types] == [gamma * r for r in K.rank_descending(oracle[i])]
+    assert np.array_equal(xi[apart], 0.01 * rankdata(-oracle[apart], method="ordinal", axis=1))
 
 
 def _record_call(fn, calls, *args, **kwargs):

@@ -170,7 +170,7 @@ def test_beam_one_equals_greedy_on_fake_models():
     for seed in range(25):
         stepper = TableStepper(vocab_size=6, seed=seed)
         greedy = D.greedy_steps(stepper, max_len=6).generated()
-        beam = D.beam_steps(stepper, 1, max_len=6)
+        beam = D.beam_pool(stepper, 1, max_len=6)
         assert beam[0].generated() == greedy
 
 
@@ -178,7 +178,7 @@ def test_beam_recovers_enumeration_optimum():
     for seed in range(10):
         stepper = TableStepper(vocab_size=5, seed=100 + seed)
         best = enumerate_best(stepper, max_len=3)
-        hyps = D.beam_steps(stepper, beam_size=5, max_len=3, length_norm=0.0)
+        hyps = D.beam_pool(stepper, beam_size=5, max_len=3, length_norm=0.0)
         assert hyps[0].logprob == pytest.approx(best, abs=1e-9), seed
 
 
@@ -196,10 +196,10 @@ def test_beam_monotone_in_width():
 def test_beam_never_extends_past_eos():
     for seed in range(20):
         stepper = TableStepper(vocab_size=5, seed=seed)
-        for h in D.beam_steps(stepper, 3, max_len=6):
+        for h in D.beam_pool(stepper, 3, max_len=6):
             body = h.generated()[:-1]
             assert tok.EOS_ID not in body
-            assert h.finished
+            assert h.ids[-1] == tok.EOS_ID or len(h.generated()) == 6
 
 
 def test_beam_top_unnormalized_at_least_greedy(decoder_fixture):
@@ -215,6 +215,8 @@ def test_beam_deterministic(decoder_fixture):
     a = D.beam_search(params, cfg, src, beam_size=5)
     b = D.beam_search(params, cfg, src, beam_size=5)
     assert a == b
+    pool = D.beam_pool(D.TransformerStepper(params, cfg, src), 5, cfg.max_tgt_len)
+    assert a == [h.generated() for h in pool[:5]]
 
 
 def _reference_top_candidates(live_ids, logprob, logprobs, beam_size):
@@ -246,28 +248,26 @@ def test_rank_keyed_candidates_equal_brute_force_sort(data):
 
 
 def _reference_beam_pool(stepper, beam_size, max_len, length_norm, bos=tok.BOS_ID, eos=tok.EOS_ID):
-    """Beam search that breaks ties by sorting on whole id tuples."""
-    live, state, pool = [D.Hypothesis([bos], 0.0, False)], stepper.start(), []
+    """Beam search over (ids, logprob) lists that breaks ties by sorting on whole id tuples."""
+    live, state, pool = [([bos], 0.0)], stepper.start(), []
     for _ in range(max_len):
         if not live:
             break
-        logprobs, state = stepper.step(state, [h.ids[-1] for h in live])
-        selected = _reference_top_candidates([h.ids for h in live], [h.logprob for h in live], logprobs, beam_size)
+        logprobs, state = stepper.step(state, [ids[-1] for ids, _ in live])
+        selected = _reference_top_candidates([ids for ids, _ in live], [lp for _, lp in live], logprobs, beam_size)
         nxt, parents = [], []
         for parent, token, score in selected:
-            h = D.Hypothesis(live[parent].ids + [token], float(score), token == eos)
-            if h.finished:
-                pool.append(h)
+            hyp = (live[parent][0] + [token], float(score))
+            if token == eos:
+                pool.append(hyp)
             else:
-                nxt.append(h)
+                nxt.append(hyp)
                 parents.append(parent)
         live = nxt
         if live:
             state = stepper.select(state, parents)
-    for h in live:
-        h.finished = True
-        pool.append(h)
-    pool.sort(key=lambda h: (-h.normalized(length_norm), tuple(h.ids)))
+    pool += live
+    pool.sort(key=lambda h: (-h[1] / max(1, len(h[0]) - 1) ** length_norm, tuple(h[0])))
     return pool
 
 
@@ -290,13 +290,13 @@ def test_beam_pool_equals_tuple_sorted_search_under_ties(seed, vocab, beam, max_
     stepper = TiedTableStepper(vocab, seed)
     got = D.beam_pool(stepper, beam, max_len, length_norm=length_norm)
     want = _reference_beam_pool(stepper, beam, max_len, length_norm)
-    assert [(h.ids, h.logprob, h.finished) for h in got] == [(h.ids, h.logprob, h.finished) for h in want]
+    assert [(h.ids, h.logprob) for h in got] == want
 
 
 def test_beam_length_norm_flag():
     stepper = TableStepper(vocab_size=5, seed=77)
-    raw = D.beam_steps(stepper, 4, max_len=5, length_norm=0.0)
-    normed = D.beam_steps(stepper, 4, max_len=5, length_norm=1.0)
+    raw = D.beam_pool(stepper, 4, max_len=5, length_norm=0.0)[:4]
+    normed = D.beam_pool(stepper, 4, max_len=5, length_norm=1.0)[:4]
     assert raw[0].logprob == max(h.logprob for h in raw)
     assert normed[0].normalized() == pytest.approx(max(h.normalized() for h in normed))
 
@@ -304,7 +304,7 @@ def test_beam_length_norm_flag():
 def test_hypothesis_invariants():
     for seed in range(10):
         stepper = TableStepper(vocab_size=5, seed=seed)
-        for h in D.beam_steps(stepper, 3, max_len=5):
+        for h in D.beam_pool(stepper, 3, max_len=5):
             assert h.ids[0] == tok.BOS_ID
             assert h.logprob <= 1e-12  # log-probs of generated tokens are <= 0
-            assert h.finished == (h.ids[-1] == tok.EOS_ID or len(h.generated()) == 5)
+            assert h.ids[-1] == tok.EOS_ID or len(h.generated()) == 5

@@ -52,7 +52,7 @@ def logits1(params, cfg, enc, tgt):
 def test_init_deterministic(tiny_cfg):
     a = M.init_params(tiny_cfg, seed=5)
     b = M.init_params(tiny_cfg, seed=5)
-    for name in a.names():
+    for name in a:
         assert a[name].data.tobytes() == b[name].data.tobytes()
 
 
@@ -81,7 +81,7 @@ def test_param_count_matches_formula():
         + 2 * (d * ph + ph + ph * d + d)
     )
     assert M.expected_param_count(cfg) == expected
-    assert params.n_values() == expected
+    assert sum(t.size for t in params.values()) == expected
 
 
 def test_biases_zero_gains_one(tiny_params):

@@ -53,7 +53,7 @@ def test_adam_zero_gradient_leaves_params(tiny_model_cfg):
 def test_adam_first_step_magnitude_is_lr():
     from colo.tensor import Tensor
 
-    p = M.ParameterSet({"w": Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)})
+    p = {"w": Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)}
     state = TR.AdamState.init(p)
     g = {"w": np.array([1.0, -2.0, 0.5, 10.0, -0.1], dtype=np.float32)}
     TR.adam_update(p, g, state, lr=0.01)
@@ -65,7 +65,7 @@ def test_adam_converges_on_quadratic():
     from colo.tensor import Tensor
 
     target = np.array([1.5, -2.0], dtype=np.float32)
-    p = M.ParameterSet({"x": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)})
+    p = {"x": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}
     state = TR.AdamState.init(p)
     for _ in range(200):
         g = {"x": 2.0 * (p["x"].data - target)}
@@ -148,7 +148,7 @@ def test_checkpoint_round_trip(tmp_path, corpus, tiny_model_cfg, tcfg):
     assert back.model_config == ckpt.model_config
     assert back.train_config == ckpt.train_config
     assert back.rng_state == ckpt.rng_state
-    for name in ckpt.params.names():
+    for name in ckpt.params:
         assert back.params[name].data.tobytes() == ckpt.params[name].data.tobytes()
         assert back.adam.m[name].tobytes() == ckpt.adam.m[name].tobytes()
         assert back.adam.v[name].tobytes() == ckpt.adam.v[name].tobytes()
@@ -212,10 +212,30 @@ def test_resume_matches_uninterrupted(tmp_path, corpus, tiny_model_cfg):
         params=loaded.params, adam=loaded.adam, start_step=loaded.step,
     )
     assert ckpt_resumed.step == ckpt_full.step
-    for name in ckpt_full.params.names():
+    for name in ckpt_full.params:
         a = ckpt_full.params[name].data
         b = ckpt_resumed.params[name].data
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_reversed_manifest_loads_sorted_and_resumes_alike(tmp_path, corpus, tiny_model_cfg, rewrite_header):
+    """Parameters load sorted by name whatever the manifest order, so a resume (gradient-norm sum included) matches."""
+    half_cfg = TR.TrainConfig(batch_size=4, epochs=2, seed=5, eval_every=0, max_steps=3)
+    ckpt_half, _ = TR.train(half_cfg, corpus, tiny_model_cfg)
+    path = tmp_path / "half.ckpt"
+    TR.save_checkpoint(path, ckpt_half)
+    flipped = rewrite_header(path, tmp_path / "flipped.ckpt", lambda h: {**h, "manifest": h["manifest"][::-1]})
+    assert flipped.read_bytes() != path.read_bytes()
+
+    saved = []
+    for i, src in enumerate((path, flipped)):
+        loaded = TR.load_checkpoint(src)
+        assert list(loaded.params) == sorted(loaded.params)
+        full_cfg = TR.TrainConfig(batch_size=4, epochs=2, seed=5, eval_every=0)
+        ckpt, _ = TR.train(full_cfg, corpus, tiny_model_cfg, params=loaded.params, adam=loaded.adam, start_step=loaded.step)
+        TR.save_checkpoint(tmp_path / f"resumed{i}.ckpt", ckpt)
+        saved.append((tmp_path / f"resumed{i}.ckpt").read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_training_decreases_lm_loss(corpus, tiny_model_cfg):
@@ -288,10 +308,16 @@ def _edited(change):
         (_edited(lambda h: h["train_config"].update(no_such_field=1)), "bad config"),
         (_edited(lambda h: _entry(h, "adam_v/enc.ln_f.g").update(shape=[2, 2])), "adam_v/enc.ln_f.g has shape [2, 2]"),
         (_edited(lambda h: h["manifest"].remove(_entry(h, "param/emb.tok"))), "missing ['emb.tok']"),
+        (_edited(lambda h: h.update(step="2")), "'step' must be a non-negative integer, not '2'"),
+        (_edited(lambda h: h.update(step=1.5)), "'step' must be a non-negative integer, not 1.5"),
+        (_edited(lambda h: h.update(step=-5)), "'step' must be a non-negative integer, not -5"),
+        (_edited(lambda h: h.update(adam_step=True)), "'adam_step' must be a non-negative integer, not True"),
+        (_edited(lambda h: h.update(adam_step=None)), "'adam_step' must be a non-negative integer, not None"),
     ],
     ids=[
         "list", "no-rng", "no-manifest", "dtype", "shape", "negative-shape", "name", "model-config", "train-config",
-        "adam-shape-off-config", "param-missing",
+        "adam-shape-off-config", "param-missing", "step-str", "step-float", "step-negative", "adam-step-bool",
+        "adam-step-null",
     ],
 )
 def test_checkpoint_header_faults_rejected(small_checkpoint, rewrite_header, edit, message):
