@@ -206,6 +206,13 @@ def _resumed_configs(ckpt, resolved, explicit, vocab_size):
     return tcfg, ckpt.model_config
 
 
+def _check_target_length(corpus, vocab, mcfg):
+    """The model must fit every train and valid reference: training and its evaluation decode them teacher-forced."""
+    longest = max((len(vocab.tokenize(ex.reference)) for ex in corpus.train + corpus.valid), default=0)
+    if longest > mcfg.max_tgt_len:
+        raise ConfigError(f"max_tgt_len is {mcfg.max_tgt_len}, but the corpus has a train/valid reference of {longest} tokens")
+
+
 def cmd_train(args):
     from .model import ModelConfig
     from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -227,6 +234,7 @@ def cmd_train(args):
     else:
         tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
         mcfg = ModelConfig(vocab_size=len(vocab), **{k: resolved[k] for k in model_defaults})
+    _check_target_length(corpus, vocab, mcfg)
     input_digests = _digests(inputs)
 
     out = Path(args.out) if args.out else _default_out(tcfg.seed)

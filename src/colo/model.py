@@ -48,6 +48,9 @@ class ModelConfig:
         for name in ("d_model", "n_heads", "proj_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_enc_layers", "n_dec_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_src_len < 2 or self.max_tgt_len < 2:

@@ -2,21 +2,30 @@
 
 Define-by-run: operations executed inside a ``with Tape():`` block record
 their backward rules onto the active tape; :func:`backward` consumes the tape
-in reverse and sums the gradients of each tensor's uses into its ``.grad``.
-Gradients land on leaves only (parameters and tensors created with
-``requires_grad=True``): an op's output gradient is dropped once its backward
-rule has run, and each popped op releases the activations it held.  An
-operand that does not require grad (a mask, a scale) gets no gradient
-computed at all.  Tensors are float32 by default; pass
-``dtype=np.float64`` at creation for gradient-check precision.  Ops are
-plain functions (``add``, ``matmul``, ...), with no operator overloading;
-pooling and similarity take batched operands only.  The tape stack is
-module state, for one thread.
+in reverse and sums the gradients of each tensor's uses.  An operand that
+does not require grad (a mask, a scale) gets no gradient computed at all.
+Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
+gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
+...), with no operator overloading; pooling and similarity take batched
+operands only.  The tape stack is module state, for one thread.
+
+The tape links ops, not tensors.  A recorded op's output tensor points to
+its :class:`_Op`, and each op points to what produced its operands: another
+op for an intermediate, the tensor itself for a leaf (a parameter, or a
+tensor created with ``requires_grad=True``), nothing for a constant.  An op
+holds its backward rule, whose closure keeps only the shapes, dtypes, flags
+and arrays that rule reads (``add`` keeps no array, ``matmul`` the other
+operand, ``tanh`` its output), and, while backward runs, its output's
+gradient.  So an activation no rule reads is freed as soon as the caller
+drops its tensor, even while the tape is live.  Gradients land on leaves
+only: an intermediate tensor never gets a ``.grad``, and each op popped in
+backward releases its rule, its links and its gradient, whether or not its
+rule ran, so a loss tensor kept past backward keeps no activation alive.
 
 Gradient ownership: a backward rule never writes into its incoming
 gradient, and may return it, or a view of it, as a contribution (``add``
 hands the same array to both operands; ``sum_`` returns a read-only
-broadcast view).  So :func:`backward` keeps an op output's first gradient
+broadcast view).  So :func:`backward` keeps an op's first gradient
 contribution by reference and sums later ones out of place, never writing
 into a gradient array.  Leaves copy their first contribution instead,
 because their ``.grad`` outlives backward and is scaled in place by
@@ -32,9 +41,11 @@ it allocates, then dropout on the probabilities and the product with the
 values).  What the tape holds for dropout is the boolean mask: ``dropout``
 keeps it instead of a float mask, and ``attention`` keeps the
 probabilities and the mask and remakes the dropped probabilities in
-backward.  An op's float32/float64 result is wrapped without conversion,
-so a no-grad pass over small arrays (one decoding step) pays little per
-op beyond numpy itself.
+backward.  Where no tape records (no tape is active, or a ``no_grad``
+block is), an op returns right after its forward without building its
+backward rule, and a float32/float64 result is wrapped without
+conversion, so a no-grad pass over small arrays (one decoding step) pays
+little per op beyond numpy itself.
 
 Importing this module pins glibc's malloc thresholds (see
 :func:`_pin_malloc_thresholds`), so the heap the activations live on stays
@@ -138,7 +149,10 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    """An array, whether it requires grad, its ``.grad`` (leaves only) and ``op``,
+    the :class:`_Op` that produced it on a tape (None for leaves and constants)."""
+
+    __slots__ = ("data", "requires_grad", "grad", "op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -149,6 +163,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.op = None
 
     # -- introspection ------------------------------------------------
 
@@ -182,8 +197,8 @@ class Tensor:
     def accumulate_grad(self, g):
         """Add a gradient contribution to this leaf's ``.grad``.
 
-        :func:`backward` calls it for leaves only, and to seed the root.  The
-        first contribution is copied, since it may be a view another gradient
+        :func:`backward` calls it for leaves only, and to seed a leaf root.
+        The first contribution is copied, since it may be a view another gradient
         shares, and later ones are added in place.
         """
         if self.grad is None:
@@ -199,33 +214,52 @@ def _as_tensor(x, dtype):
 
 
 class _Op:
-    __slots__ = ("inputs", "output", "bwd")
+    """One recorded op: where its gradient goes, how to compute it, and what has arrived.
 
-    def __init__(self, inputs, output, bwd):
+    ``inputs`` has one entry per operand: the producing ``_Op`` of an
+    intermediate, the leaf :class:`Tensor` itself, or None for a constant.
+    ``bwd`` maps the output's gradient to one contribution per operand (None
+    where none is computed); its closure holds only what the rule reads.
+    ``grad`` is the output's gradient, summed over its uses during
+    :func:`backward`.  No op refers to its output tensor, so an activation
+    lives on the tape only where a rule reads it.
+    """
+
+    __slots__ = ("inputs", "bwd", "grad")
+
+    def __init__(self, inputs, bwd):
         self.inputs = inputs
-        self.output = output
         self.bwd = bwd
+        self.grad = None
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _make(out_data, inputs, bwd):
-    """Wrap an op result; record it if a tape is active and grads are needed.
-
-    A float32/float64 ndarray, what nearly every op returns, is wrapped as
-    is; anything else (a numpy scalar, another dtype) goes through
-    :class:`Tensor`'s conversion.
-    """
+def _wrap(out_data):
+    """A Tensor over an op's result: a float32/float64 ndarray as is, anything else through :class:`Tensor`."""
     if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
         out = Tensor.__new__(Tensor)
-        out.data, out.requires_grad, out.grad = out_data, False, None
-    else:
-        out = Tensor(out_data)
-    tape = _TAPES[-1] if _TAPES else None
-    if tape is not None and any(t.requires_grad for t in inputs):
+        out.data, out.requires_grad, out.grad, out.op = out_data, False, None, None
+        return out
+    return Tensor(out_data)
+
+
+def _untaped():
+    """Whether no tape records ops here (none is active, or a no_grad block is)."""
+    return not _TAPES or _TAPES[-1] is None
+
+
+def _make(out_data, inputs, bwd):
+    """Wrap an op result and, where an input requires grad, record it on the active tape.
+
+    Ops call it only when :func:`_untaped` is False, so a tape is active.
+    """
+    out = _wrap(out_data)
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.ops.append(_Op(inputs, out, bwd))
+        out.op = _Op(tuple(t.op or (t if t.requires_grad else None) for t in inputs), bwd)
+        _TAPES[-1].ops.append(out.op)
     return out
 
 
@@ -233,39 +267,41 @@ def backward(loss):
     """Populate ``.grad`` on every leaf reachable from ``loss``, emptying the tape.
 
     Pops the active tape's ops in reverse recording order; gradients from
-    multiple uses of the same tensor are summed.  Once an op's backward
-    rule has run, its output's ``.grad`` is reset to None and the op is
-    dropped, so intermediate activations and gradients are freed while
-    backward runs.  Only leaves keep ``.grad``.
+    multiple uses of the same tensor are summed.  Each popped op lets go of
+    its rule, its inputs and its gradient, whether or not its rule ran, so
+    activations and gradients are freed while backward runs and nothing
+    stays reachable from ``loss`` afterwards.  Only leaves get ``.grad``.
 
-    An op output takes its first contribution by reference; a later one is
-    summed out of place and cast back to the first one's dtype, the values
-    an in-place ``+=`` gives.  Leaves go through :meth:`Tensor.accumulate_grad`.
+    An op takes its first contribution by reference; a later one is summed
+    out of place and cast back to the first one's dtype, the values an
+    in-place ``+=`` gives.  Leaves go through :meth:`Tensor.accumulate_grad`.
     """
     if loss.data.ndim != 0:
         raise RankError(f"backward needs a scalar root, got shape {loss.shape}")
     tape = Tape.current()
     if tape is None:
         raise TensorError("backward called with no active tape")
-    loss.accumulate_grad(np.ones((), dtype=loss.dtype))
+    seed = np.ones((), dtype=loss.dtype)
+    if loss.op is None:
+        loss.accumulate_grad(seed)
+    else:
+        loss.op.grad = seed
     ops = tape.ops
-    inner = {id(op.output) for op in ops}
     while ops:
         op = ops.pop()
-        g = op.output.grad
+        g, bwd, inputs = op.grad, op.bwd, op.inputs
+        op.grad = op.bwd = op.inputs = None
         if g is None:
             continue
-        contribs = op.bwd(g)
-        op.output.grad = None
-        for t, gc in zip(op.inputs, contribs):
-            if gc is None or not t.requires_grad:
+        for src, gc in zip(inputs, bwd(g)):
+            if gc is None or src is None:
                 continue
-            if id(t) not in inner:
-                t.accumulate_grad(gc)
-            elif t.grad is None:
-                t.grad = gc
+            if type(src) is Tensor:
+                src.accumulate_grad(gc)
+            elif src.grad is None:
+                src.grad = gc
             else:
-                t.grad = (t.grad + gc).astype(t.grad.dtype, copy=False)
+                src.grad = (src.grad + gc).astype(src.grad.dtype, copy=False)
 
 
 def _unbroadcast(g, shape):
@@ -283,52 +319,66 @@ def _unbroadcast(g, shape):
 
 
 # Binary ops compute a contribution only for operands that require grad and
-# return None for the others (dropout masks, additive masks, scales).
+# return None for the others (dropout masks, additive masks, scales).  Each
+# rule's closure captures shapes, dtypes and flags, never a Tensor, and an
+# operand's array only where the other operand's gradient reads it.  Every
+# op returns before building its rule when no tape records.
 
 
 def add(a, b):
     out = a.data + b.data
+    if _untaped():
+        return _wrap(out)
+    sa, sb, ra, rb = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+        return (_unbroadcast(g, sa) if ra else None, _unbroadcast(g, sb) if rb else None)
 
     return _make(out, (a, b), bwd)
 
 
 def sub(a, b):
     out = a.data - b.data
+    if _untaped():
+        return _wrap(out)
+    sa, sb, ra, rb = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
+        return (_unbroadcast(g, sa) if ra else None, _unbroadcast(-g, sb) if rb else None)
 
     return _make(out, (a, b), bwd)
 
 
 def mul(a, b):
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
+    if _untaped():
+        return _wrap(out)
+    sa, sb = ad.shape, bd.shape
+    # a's gradient reads b and b's reads a: hold an operand only for a gradient that is computed
+    rhs, lhs = (bd if a.requires_grad else None), (ad if b.requires_grad else None)
 
     def bwd(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            None if rhs is None else _unbroadcast(g * rhs, sa),
+            None if lhs is None else _unbroadcast(g * lhs, sb),
         )
 
     return _make(out, (a, b), bwd)
 
 
 def div(a, b):
-    out = a.data / b.data
+    bd = b.data
+    out = a.data / bd
+    if _untaped():
+        return _wrap(out)
+    sa, sb, ra = a.data.shape, bd.shape, a.requires_grad
+    quotient = out if b.requires_grad else None  # only b's gradient reads the output
 
     def bwd(g):
         return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * out / b.data, b.shape) if b.requires_grad else None,
+            _unbroadcast(g / bd, sa) if ra else None,
+            None if quotient is None else _unbroadcast(-g * quotient / bd, sb),
         )
 
     return _make(out, (a, b), bwd)
@@ -336,6 +386,8 @@ def div(a, b):
 
 def sqrt(a):
     out = np.sqrt(a.data)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (g * 0.5 / out,)
@@ -345,6 +397,8 @@ def sqrt(a):
 
 def tanh(a):
     out = np.tanh(a.data)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (g * (1.0 - out * out),)
@@ -353,21 +407,27 @@ def tanh(a):
 
 
 def relu(a):
-    out = np.maximum(a.data, 0.0)
+    x = a.data
+    out = np.maximum(x, 0.0)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
-        return (g * (a.data > 0.0),)
+        return (g * (x > 0.0),)
 
     return _make(out, (a,), bwd)
 
 
 def gelu(a):
-    out = kernels.gelu_fwd(a.data)
+    x = a.data
+    out = kernels.gelu_fwd(x).astype(x.dtype, copy=False)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
-        return (kernels.gelu_bwd(g, a.data),)
+        return (kernels.gelu_bwd(g, x),)
 
-    return _make(out.astype(a.data.dtype, copy=False), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
 def _keep_scaled(x, keep, scale):
@@ -385,11 +445,14 @@ def dropout(a, keep, scale):
     """
     if keep.shape != a.data.shape:
         raise ShapeError(f"dropout keep mask {keep.shape} does not match {a.data.shape}")
+    out = _keep_scaled(a.data, keep, scale)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (_keep_scaled(g, keep, scale),)
 
-    return _make(_keep_scaled(a.data, keep, scale), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +461,20 @@ def dropout(a, keep, scale):
 
 def reshape(a, shape):
     out = a.data.reshape(shape)
+    if _untaped():
+        return _wrap(out)
+    sa = a.data.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(sa),)
 
     return _make(out, (a,), bwd)
 
 
 def swapaxes(a, ax1, ax2):
     out = np.swapaxes(a.data, ax1, ax2)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (np.swapaxes(g, ax1, ax2),)
@@ -418,6 +486,8 @@ def split_heads(a, n_heads):
     """(B, T, d) -> (B, n_heads, T, d // n_heads): a reshape and a swap of axes 1 and 2, as one op."""
     b, t, d = a.data.shape
     out = a.data.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (g.swapaxes(1, 2).reshape(b, t, d),)
@@ -429,6 +499,8 @@ def merge_heads(a):
     """(B, H, T, dh) -> (B, T, H * dh), the inverse of :func:`split_heads`."""
     b, h, t, dh = a.data.shape
     out = a.data.swapaxes(1, 2).reshape(b, t, h * dh)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (g.reshape(b, t, h, dh).swapaxes(1, 2),)
@@ -438,12 +510,15 @@ def merge_heads(a):
 
 def sum_(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    if _untaped():
+        return _wrap(out)
+    sa, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+            return (np.broadcast_to(g, sa).astype(dtype, copy=False),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(gg, sa).astype(dtype, copy=False),)
 
     return _make(out, (a,), bwd)
 
@@ -465,10 +540,14 @@ def matmul(a, b):
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
     out = np.matmul(ad, bd)
+    if _untaped():
+        return _wrap(out)
+    sa, sb = ad.shape, bd.shape
+    rhs, lhs = (bd if a.requires_grad else None), (ad if b.requires_grad else None)
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+        ga = None if rhs is None else _unbroadcast(np.matmul(g, np.swapaxes(rhs, -1, -2)), sa)
+        gb = None if lhs is None else _unbroadcast(np.matmul(np.swapaxes(lhs, -1, -2), g), sb)
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -488,11 +567,16 @@ def linear(x, w, b=None):
     out = np.matmul(xd, wd)
     if b is not None:
         out += b.data
+    if _untaped():
+        return _wrap(out)
+    sx, sw = xd.shape, wd.shape
+    rhs, lhs = (wd if x.requires_grad else None), (xd if w.requires_grad else None)
+    sb = b.data.shape if b is not None and b.requires_grad else None
 
     def bwd(g):
-        gx = _unbroadcast(np.matmul(g, wd.T), xd.shape) if x.requires_grad else None
-        gw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape) if w.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b is not None and b.requires_grad else None
+        gx = None if rhs is None else _unbroadcast(np.matmul(g, rhs.T), sx)
+        gw = None if lhs is None else _unbroadcast(np.matmul(np.swapaxes(lhs, -1, -2), g), sw)
+        gb = None if sb is None else _unbroadcast(g, sb)
         return gx, gw, gb
 
     return _make(out, (x, w) if b is None else (x, w, b), bwd)
@@ -504,9 +588,12 @@ def take_rows(table, ids):
         raise ShapeError("take_rows expects a 2-D table")
     ids = np.asarray(ids)
     out = table.data[ids]
+    if _untaped():
+        return _wrap(out)
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -516,9 +603,12 @@ def take_rows(table, ids):
 def slice0(a, start, stop):
     """Contiguous slice along axis 0; the gradient pads back with zeros."""
     out = a.data[start:stop]
+    if _untaped():
+        return _wrap(out)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype)
         ga[start:stop] = g
         return (ga,)
 
@@ -562,24 +652,30 @@ def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
         pd = p.reshape(shape)
         return pd if keep is None else _keep_scaled(pd, keep, keep_scale)
 
+    out = np.matmul(dropped(), vd)
+    if _untaped():
+        return _wrap(out)
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    sq, skt, sv = qd.shape, kt.shape, vd.shape
+
     def bwd(g):
         gq = gk = gv = None
-        if q.requires_grad or k.requires_grad:
+        if rq or rk:
             gp = _unbroadcast(np.matmul(g, np.swapaxes(vd, -1, -2)), shape)
             if keep is not None:
                 gp = _keep_scaled(gp, keep, keep_scale)
             ds = kernels.softmax_bwd(gp.reshape(-1, shape[-1]), p)
             ds *= scale
             ds = ds.reshape(shape)
-            if q.requires_grad:
-                gq = _unbroadcast(np.matmul(ds, kd), qd.shape)
-            if k.requires_grad:
-                gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), kt.shape), -1, -2)
-        if v.requires_grad:
-            gv = _unbroadcast(np.matmul(np.swapaxes(dropped(), -1, -2), g), vd.shape)
+            if rq:
+                gq = _unbroadcast(np.matmul(ds, kd), sq)
+            if rk:
+                gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), skt), -1, -2)
+        if rv:
+            gv = _unbroadcast(np.matmul(np.swapaxes(dropped(), -1, -2), g), sv)
         return gq, gk, gv
 
-    return _make(np.matmul(dropped(), vd), (q, k, v), bwd)
+    return _make(out, (q, k, v), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -589,13 +685,17 @@ def layer_norm(x, gain, bias, eps=1e-5):
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the feature width")
     flat = np.ascontiguousarray(x.data.reshape(-1, d))
-    out, xhat, rstd = kernels.layer_norm_fwd(flat, gain.data, bias.data, eps)
+    gd = gain.data
+    y, xhat, rstd = kernels.layer_norm_fwd(flat, gd, bias.data, eps)
+    out = y.reshape(shape)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
-        dx, dgain, dbias = kernels.layer_norm_bwd(g.reshape(-1, d), xhat, rstd, gain.data)
+        dx, dgain, dbias = kernels.layer_norm_bwd(g.reshape(-1, d), xhat, rstd, gd)
         return dx.reshape(shape), dgain, dbias
 
-    return _make(out.reshape(shape), (x, gain, bias), bwd)
+    return _make(out, (x, gain, bias), bwd)
 
 
 def cross_entropy_rows(logits, targets):
@@ -607,11 +707,14 @@ def cross_entropy_rows(logits, targets):
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise VocabularyError(f"target id outside vocabulary of size {v}")
     nll, e, s = kernels.xent_fwd(np.ascontiguousarray(logits.data), targets)
+    out = nll.astype(logits.dtype, copy=False)
+    if _untaped():
+        return _wrap(out)
 
     def bwd(g):
         return (kernels.xent_bwd(np.ascontiguousarray(g), e, s, targets),)
 
-    return _make(nll.astype(logits.dtype, copy=False), (logits,), bwd)
+    return _make(out, (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -118,13 +118,16 @@ def _held_arrays(obj, seen, roots):
 
 
 def _tape_nbytes(tape):
-    """Bytes of the distinct arrays a tape holds through its ops' inputs and backward closures.
+    """Bytes of the distinct arrays a tape holds through its ops' leaf inputs and backward closures.
 
-    Views count as the array they view, once, however many ops share it.
+    An op's other inputs are ops, which hold no array of their own.  Views
+    count as the array they view, once, however many ops share it.
     """
     seen, roots = set(), {}
     for op in tape.ops:
-        _held_arrays(op.inputs, seen, roots)
+        for t in op.inputs:
+            if isinstance(t, Tensor):
+                _held_arrays(t, seen, roots)
         _held_arrays(op.bwd, seen, roots)
     return sum(a.nbytes for a in roots.values())
 

@@ -3,7 +3,9 @@
 One training step's tape length and the bytes its ops hold, the parameters
 after a 3-step run and the beam-5 and greedy ids of three test sources.  A
 refactor of the numeric core, the decoder or the search that claims to be
-bitwise leaves the digests equal.
+bitwise leaves the digests equal.  The tape bytes of one step at the default
+model config are pinned too: at the toy model's width a regression in the
+(B, H, T, T) attention buffers stays small.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from colo import contrastive as K
+from colo import corpus as C
 from colo import decoding as D
 from colo import model as M
 from colo import trainer as TR
@@ -24,7 +27,9 @@ TCFG = TR.TrainConfig(batch_size=4, epochs=1, seed=3, eval_every=0, max_steps=3)
 TAPE_OPS = 222  # moves when ops are fused or split; the digests below must not
 # distinct array bytes the step's tape holds (parameters included); a change
 # that keeps more activations for backward raises it
-TAPE_BYTES = 2508872
+TAPE_BYTES = 1777004
+# the same at the default corpus and model config, seed 7, batch 16
+DEFAULT_TAPE_BYTES = 94604292
 PARAMS_SHA256 = "83ee7b00f35fb8c2b36e6e11d3262bf7e56784f597ad30b5853cc33b760ae389"
 BEAM5_SHA256 = "d5d03077758b8c49b90c1b63b8f50c19a710e21b7ac213ede8a62709b46fc69a"
 GREEDY_SHA256 = "17085c1c4f193ef9ac21c677cec0f242a02cce335c180953f6b3d7a8418da1f5"
@@ -41,16 +46,29 @@ def _ids_sha256(seqs):
     return _sha256(np.asarray(s, dtype=np.int64).tobytes() + b"|" for s in seqs)
 
 
-def test_one_training_step_records_the_pinned_tape(toy, tape_nbytes):
-    corpus, vocab, cfg = toy
-    batch = corpus.train[: TCFG.batch_size]
-    csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(TCFG.seed, i)) for i, ex in enumerate(batch)]
+def _one_step_tape(corpus, vocab, cfg, seed, batch_size):
+    """The tape of one CE+CD training step on the first ``batch_size`` train examples, before backward."""
+    batch = corpus.train[:batch_size]
+    csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(seed, i)) for i, ex in enumerate(batch)]
     with Tape() as tape:
         K.total_loss_batch(
-            M.init_params(cfg, TCFG.seed), cfg, batch, csets, corpus.lexicon, vocab, train=True, rng=derive_rng(1)
+            M.init_params(cfg, seed), cfg, batch, csets, corpus.lexicon, vocab, train=True, rng=derive_rng(1)
         )
-        assert len(tape.ops) == TAPE_OPS
-        assert tape_nbytes(tape) == TAPE_BYTES
+    return tape
+
+
+def test_one_training_step_records_the_pinned_tape(toy, tape_nbytes):
+    corpus, vocab, cfg = toy
+    tape = _one_step_tape(corpus, vocab, cfg, TCFG.seed, TCFG.batch_size)
+    assert len(tape.ops) == TAPE_OPS
+    assert tape_nbytes(tape) == TAPE_BYTES
+
+
+def test_one_default_config_step_holds_the_pinned_tape_bytes(tape_nbytes):
+    lexicon, examples = C.generate_corpus(C.CorpusConfig(seed=7))
+    vocab = C.Vocab.build(lexicon)
+    cfg = M.ModelConfig(vocab_size=len(vocab))
+    assert tape_nbytes(_one_step_tape(C.Corpus(lexicon, examples), vocab, cfg, 7, 16)) == DEFAULT_TAPE_BYTES
 
 
 @pytest.fixture(scope="module")

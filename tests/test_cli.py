@@ -210,6 +210,54 @@ def test_model_width_below_one_is_config_error_before_the_run_dir(tmp_path, corp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_enc_layers", "n_dec_layers"])
+def test_negative_layer_count_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, key):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"{key} = -1\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: {key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _longest_reference(corpus_dir):
+    corpus, vocab, _, _ = cli._load_bundle(corpus_dir)
+    return max(len(vocab.tokenize(ex.reference)) for ex in corpus.train + corpus.valid)
+
+
+def test_max_tgt_len_below_the_longest_reference_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("max_tgt_len = 5\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    longest = _longest_reference(corpus_dir)
+    assert f"config error: max_tgt_len is 5, but the corpus has a train/valid reference of {longest} tokens" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_onto_longer_references_than_max_tgt_len_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys):
+    """A checkpoint trained with max_tgt_len 100 on references of at most 100 tokens, resumed on a corpus with
+    the same vocabulary and longer references."""
+    short = tmp_path / "short"
+    (tmp_path / "gen.cfg").write_text("ref_len_bounds = [30, 100]\n")
+    gen = ["gen-data", "--n-examples", "30", "--seed", "1", "--out", str(short), "--config", str(tmp_path / "gen.cfg")]
+    assert cli.main(gen) == 0
+    (tmp_path / "train.cfg").write_text("max_tgt_len = 100\n")
+    first = tmp_path / "first"
+    argv = ["train", "--corpus", str(short), "--out", str(first), "--config", str(tmp_path / "train.cfg"),
+            "--d-model", "16", "--max-steps", "1", "--eval-every", "0"]
+    assert cli.main(argv) == 0
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--resume", str(first / "model.ckpt"), "--max-steps", "2"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    longest = _longest_reference(corpus_dir)
+    assert longest > 100
+    assert f"config error: max_tgt_len is 100, but the corpus has a train/valid reference of {longest} tokens" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_takes_an_int_for_a_float_and_a_list_for_a_tuple(tmp_path, corpus_dir):
     cfg = tmp_path / "train.cfg"
     cfg.write_text('gamma = 1\nneg_types = ["OS", "ES"]\n')

@@ -339,6 +339,63 @@ def test_backward_frees_intermediates():
     assert loss.grad is None and x.grad is not None
 
 
+def _captured_tensors(obj, seen):
+    """Tensors reachable from ``obj`` through closure cells, nested functions, tuples and lists."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [t for x in obj for t in _captured_tensors(x, seen)]
+    if callable(obj) and hasattr(obj, "__closure__"):
+        return [t for cell in obj.__closure__ or () for t in _captured_tensors(cell.cell_contents, seen)]
+    return []
+
+
+@pytest.mark.parametrize("f, at", [pytest.param(f, at, id=name) for name, f, at in op_cases()])
+def test_no_backward_rule_captures_a_tensor(f, at):
+    """Rules hold arrays, shapes and flags: a captured Tensor would keep an activation
+    (and, through its ``op``, the rest of the graph) alive for as long as the rule."""
+    with Tape() as tape:
+        f(at)
+        assert tape.ops
+        seen = set()
+        assert [t for op in tape.ops for t in _captured_tensors(op.bwd, seen)] == []
+
+
+def test_tape_does_not_keep_an_activation_no_rule_reads():
+    """``layer_norm`` reads its own statistics, not its input: the sum it normalizes
+    dies with the caller's tensor while the tape is live."""
+    x, y = t64(np.linspace(-1.0, 1.0, 32).reshape(4, 8), True), t64(np.linspace(2.0, 0.5, 32).reshape(4, 8), True)
+    gain, bias = t64(np.ones(8), True), t64(np.zeros(8), True)
+    with Tape() as tape:
+        s = T.add(x, y)
+        summed = weakref.ref(s.data)
+        out = layer_norm(s, gain, bias)
+        del s
+        assert summed() is None
+        backward(T.sum_(out))
+        assert tape.ops == []
+    assert x.grad is not None and gain.grad is not None
+
+
+def test_backward_releases_what_rules_captured_while_the_loss_lives():
+    """After backward, ``loss`` and a tensor off the loss's path stay alive, but what their
+    ops' rules held does not: popped ops drop their rule whether or not it ran."""
+    x, c = t64(np.arange(6.0).reshape(2, 3) / 7.0, True), t64(np.full((2, 3), 0.5))
+    with Tape():
+        h = T.tanh(x)  # tanh's rule holds its output
+        r = T.mul(x, c)  # the relu below, never run, holds its input
+        held = weakref.ref(h.data), weakref.ref(r.data)
+        loss, unused = T.sum_(T.mul(h, c)), T.relu(r)
+        del h, r
+        assert all(ref() is not None for ref in held)
+        backward(loss)
+        assert all(ref() is None for ref in held)
+    assert loss.op.bwd is None and unused.op.bwd is None and x.grad is not None
+
+
 @pytest.mark.parametrize("op", [T.mul, T.matmul], ids=["mul", "matmul"])
 def test_constant_operand_gets_no_gradient(op):
     x = t64(np.ones((3, 3)), requires_grad=True)
@@ -435,22 +492,19 @@ def test_no_backward_rule_writes_into_its_incoming_gradient(toy, monkeypatch):
 
 
 def _copying_backward(loss):
-    """Reference accumulator: every tensor copies its first contribution and adds later ones in place."""
+    """Reference accumulator: every op and leaf copies its first contribution and adds later ones in place."""
     ops = Tape.current().ops
-    loss.grad = np.ones((), dtype=loss.dtype)
+    loss.op.grad = np.ones((), dtype=loss.dtype)
     while ops:
         op = ops.pop()
-        g = op.output.grad
-        if g is None:
+        if op.grad is None:
             continue
-        contribs = op.bwd(g)
-        op.output.grad = None
-        for t, gc in zip(op.inputs, contribs):
-            if gc is not None and t.requires_grad:
-                if t.grad is None:
-                    t.grad = gc.copy()
+        for src, gc in zip(op.inputs, op.bwd(op.grad)):
+            if gc is not None and src is not None:
+                if src.grad is None:
+                    src.grad = gc.copy()
                 else:
-                    t.grad += gc
+                    src.grad += gc
 
 
 _SHAPE = (2, 3, 4)
