@@ -275,6 +275,9 @@ def backward(loss):
     An op takes its first contribution by reference; a later one is summed
     out of place and cast back to the first one's dtype, the values an
     in-place ``+=`` gives.  Leaves go through :meth:`Tensor.accumulate_grad`.
+    An intermediate made on a tape that an earlier ``backward`` consumed
+    has lost its rule, so using it on this tape raises :class:`TensorError`
+    rather than dropping its gradient.
     """
     if loss.data.ndim != 0:
         raise RankError(f"backward needs a scalar root, got shape {loss.shape}")
@@ -298,6 +301,8 @@ def backward(loss):
                 continue
             if type(src) is Tensor:
                 src.accumulate_grad(gc)
+            elif src.bwd is None:  # an input's op is recorded before its users, so it is still on this tape
+                raise TensorError("an op's input was made on a tape that backward has already consumed")
             elif src.grad is None:
                 src.grad = gc
             else:

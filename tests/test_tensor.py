@@ -18,6 +18,7 @@ from colo.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    TensorError,
     VocabularyError,
     backward,
     cosine_rows,
@@ -394,6 +395,17 @@ def test_backward_releases_what_rules_captured_while_the_loss_lives():
         backward(loss)
         assert all(ref() is None for ref in held)
     assert loss.op.bwd is None and unused.op.bwd is None and x.grad is not None
+
+
+def test_an_intermediate_of_a_consumed_tape_is_rejected_not_dropped():
+    """Its op lost its rule in the first backward: the second cannot pass its gradient on to ``x``."""
+    x = t64([0.5, -1.0], requires_grad=True)
+    with Tape():
+        h = T.tanh(x)
+        backward(T.sum_(h))
+    with Tape():
+        with pytest.raises(TensorError, match="already consumed"):
+            backward(T.sum_(T.mul(h, h)))
 
 
 @pytest.mark.parametrize("op", [T.mul, T.matmul], ids=["mul", "matmul"])
