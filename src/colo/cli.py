@@ -5,7 +5,10 @@ runs deterministically from its seed, and writes a manifest (resolved config,
 input/output content digests, timestamps) next to its artifacts.  Flags bind
 to config fields by name: a gen-data or train flag that sets a field stores
 under it (``--lr`` as ``learning_rate``).  Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numeric abort.
+configuration error, 3 data error, 4 numeric abort, 1 a failed ablate
+child.  An error's exit code follows its base class in :mod:`colo.errors`,
+and a missing input path is a data error.  Any other exception is a
+programming error and propagates (exit 1 with a traceback).
 """
 
 import argparse
@@ -20,6 +23,7 @@ import sys
 import time
 from pathlib import Path
 
+from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write
 
 EXIT_CONFIG = 2
@@ -35,10 +39,6 @@ ABLATION_ARMS = {
     "as_only": ["--neg-types", "AS"],
     "os_only": ["--neg-types", "OS"],
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _sha256(path):
@@ -82,19 +82,23 @@ def write_manifest(path, command, config, seed, inputs, outputs, started, ended)
 
 def parse_config_file(path):
     """Flat ``key = value`` format; values parse as JSON with string fallback."""
+    try:
+        with open(path, encoding="ascii") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not an ASCII file: {e}") from None
     out = {}
-    with open(path, encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            try:
-                out[key.strip()] = json.loads(value.strip())
-            except json.JSONDecodeError:
-                out[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        try:
+            out[key.strip()] = json.loads(value.strip())
+        except json.JSONDecodeError:
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -192,7 +196,7 @@ def cmd_gen_data(args):
 RESUME_FREE_FIELDS = ("epochs", "max_steps", "eval_every")
 
 
-def _resumed_configs(ckpt, resolved, explicit, vocab_size):
+def _resumed_configs(ckpt, resolved, explicit):
     """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises."""
     from .trainer import CheckpointError
 
@@ -200,17 +204,23 @@ def _resumed_configs(ckpt, resolved, explicit, vocab_size):
     for key in sorted(explicit - set(RESUME_FREE_FIELDS)):
         if resolved[key] != saved[key]:
             raise CheckpointError(f"resume: {key} is {saved[key]!r} in the checkpoint, not {resolved[key]!r}")
-    if ckpt.model_config.vocab_size != vocab_size:
-        raise CheckpointError(f"resume: checkpoint vocabulary has {ckpt.model_config.vocab_size} tokens, corpus {vocab_size}")
     tcfg = dataclasses.replace(ckpt.train_config, **{k: resolved[k] for k in RESUME_FREE_FIELDS})
     return tcfg, ckpt.model_config
 
 
-def _check_target_length(corpus, vocab, mcfg):
-    """The model must fit every train and valid reference: training and its evaluation decode them teacher-forced."""
-    longest = max((len(vocab.tokenize(ex.reference)) for ex in corpus.train + corpus.valid), default=0)
+def _check_vocabulary(ckpt, vocab):
+    """A checkpoint only reads the corpus vocabulary its embeddings were trained on."""
+    from .trainer import CheckpointError
+
+    if ckpt.model_config.vocab_size != len(vocab):
+        raise CheckpointError(f"checkpoint vocabulary has {ckpt.model_config.vocab_size} tokens, corpus {len(vocab)}")
+
+
+def _check_target_length(examples, vocab, mcfg, splits):
+    """The model must fit every reference it reads teacher-forced: ``splits`` names where ``examples`` come from."""
+    longest = max((len(vocab.tokenize(ex.reference)) for ex in examples), default=0)
     if longest > mcfg.max_tgt_len:
-        raise ConfigError(f"max_tgt_len is {mcfg.max_tgt_len}, but the corpus has a train/valid reference of {longest} tokens")
+        raise ConfigError(f"max_tgt_len is {mcfg.max_tgt_len}, but the corpus has a {splits} reference of {longest} tokens")
 
 
 def cmd_train(args):
@@ -228,13 +238,14 @@ def cmd_train(args):
     inputs = [corpus_path, lexicon_path]
     if args.resume:
         loaded = load_checkpoint(args.resume)
-        tcfg, mcfg = _resumed_configs(loaded, resolved, explicit, len(vocab))
+        _check_vocabulary(loaded, vocab)
+        tcfg, mcfg = _resumed_configs(loaded, resolved, explicit)
         params, adam, start_step = loaded.params, loaded.adam, loaded.step
         inputs.append(Path(args.resume))
     else:
         tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
         mcfg = ModelConfig(vocab_size=len(vocab), **{k: resolved[k] for k in model_defaults})
-    _check_target_length(corpus, vocab, mcfg)
+    _check_target_length(corpus.train + corpus.valid, vocab, mcfg, "train/valid")
     input_digests = _digests(inputs)
 
     out = Path(args.out) if args.out else _default_out(tcfg.seed)
@@ -285,6 +296,7 @@ def cmd_generate(args):
     _check_limit(args.limit)
     ckpt = load_checkpoint(args.ckpt)
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
+    _check_vocabulary(ckpt, vocab)
     examples = corpus.split(args.split) if args.split else corpus.examples
     if args.limit:
         examples = examples[: args.limit]
@@ -359,6 +371,8 @@ def cmd_evaluate(args):
     ckpt = None
     if args.ckpt:
         ckpt = load_checkpoint(args.ckpt)
+        _check_vocabulary(ckpt, vocab)
+        _check_target_length(examples, vocab, ckpt.model_config, args.split)
         inputs.append(Path(args.ckpt))
 
     if args.predictions:
@@ -439,6 +453,9 @@ def _run_children(cmds, jobs):
 
 def cmd_ablate(args):
     started = _now()
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out) if args.out else _default_out(args.seed0)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed0 + i for i in range(args.seeds)]
@@ -623,18 +640,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .contrastive import InfeasibleNegativeError
-    from .corpus import CapacityError, CorpusError
-    from .evaluation import EvalError
-    from .trainer import CheckpointError, NumericError
-
     try:
         return args.func(args)
-    except (ConfigError, CapacityError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, CheckpointError, EvalError, InfeasibleNegativeError, FileNotFoundError, KeyError) as e:
+    except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

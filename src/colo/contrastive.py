@@ -31,12 +31,13 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import ClrTuple, build_source
+from .errors import DataError
 from .tensor import Tensor, no_grad
 
 NEG_ORDER = ("ES", "AS", "OS")
 
 
-class InfeasibleNegativeError(Exception):
+class InfeasibleNegativeError(DataError):
     """The lexicon is too small to build a required negative."""
 
 

@@ -18,15 +18,16 @@ import numpy as np
 
 from . import rng as rngmod
 from . import tokens as tok
+from .errors import ConfigError, DataError
 from .fileio import atomic_write
 
 
-class CorpusError(Exception):
+class CorpusError(DataError):
     """Base class for corpus construction / parsing errors."""
 
 
-class CapacityError(CorpusError):
-    """Requested corpus exceeds what the configuration can produce."""
+class CapacityError(ConfigError):
+    """A corpus setting is out of range, or asks for more than the lexicon can produce."""
 
 
 class LexiconError(CorpusError):
@@ -207,6 +208,14 @@ class CorpusConfig:
     def __post_init__(self):
         if min(self.n_entities, self.n_aspects, self.n_opinions, self.n_attrs_per_category) < 2:
             raise CapacityError("lexicon item counts must be >= 2")
+        for name, least in (("n_examples", 1), ("n_aliases_per_item", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise CapacityError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, size in (("split_ratio", 3), ("distractor_range", 2), ("profile_attrs_range", 2), ("ref_len_bounds", 2)):
+            if len(getattr(self, name)) != size:
+                raise CapacityError(f"{name} must have {size} values, got {list(getattr(self, name))}")
+        if not all(0 <= r <= 1 for r in self.split_ratio):
+            raise CapacityError(f"split_ratio values must each be in [0, 1], got {list(self.split_ratio)}")
         if abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise CapacityError("split ratio must sum to 1")
         lo, hi = self.distractor_range

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import model
 from . import tokens as tok
+from .errors import ConfigError
 
 
 @dataclass
@@ -86,7 +87,7 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
     all have the same length, so ties compare ranks instead of id lists.
     """
     if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
+        raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     ids, logprob, rank = np.full((1, 1), bos), np.zeros(1), np.zeros(1, dtype=np.intp)
     state = stepper.start()
     pool = []

@@ -22,13 +22,14 @@ from . import tokens as tok
 from .contrastive import _encode_variant, swap_entities
 from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, WIN, encode_example
 from .decoding import beam_search
+from .errors import DataError
 from .fileio import atomic_write
 
 
 SCORE_BATCH = 32  # examples per no-grad pass of the model-dependent metrics
 
 
-class EvalError(Exception):
+class EvalError(DataError):
     """Misaligned candidate/reference inputs."""
 
 

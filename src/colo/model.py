@@ -22,6 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from . import tensor as T
 from . import tokens as tok
+from .errors import ConfigError
 from .tensor import Tensor
 
 ATTN_MASK_OFF = -1e9
@@ -47,16 +48,16 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("d_model", "n_heads", "proj_hidden"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("n_enc_layers", "n_dec_layers"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ConfigError("d_model must be divisible by n_heads")
         if self.max_src_len < 2 or self.max_tgt_len < 2:
-            raise ValueError("max lengths must be >= 2")
+            raise ConfigError("max lengths must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ConfigError("dropout_rate must be in [0, 1)")
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -17,6 +17,7 @@ from . import kernels
 from . import model as M
 from . import rng as rngmod
 from .corpus import Vocab
+from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write
 from .tensor import Tape, Tensor, backward, no_grad
 
@@ -32,11 +33,7 @@ QUICK_EVAL_LM_EXAMPLES = 64
 QUICK_EVAL_DECODE_EXAMPLES = 16
 
 
-class NumericError(Exception):
-    """Training hit a non-finite loss."""
-
-
-class CheckpointError(Exception):
+class CheckpointError(DataError):
     """Checkpoint file is malformed, truncated, or version-mismatched."""
 
 
@@ -56,17 +53,20 @@ class TrainConfig:
     max_steps: int = 0  # 0 means run all epochs
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.gamma <= 0:
-            raise ValueError("learning_rate and gamma must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        for name in ("learning_rate", "gamma", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("max_steps", 0), ("eval_every", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         unknown = sorted(set(self.neg_types) - set(K.NEG_ORDER))
         if unknown:
-            raise ValueError(f"unknown negative types {unknown}; choose from {list(K.NEG_ORDER)}")
+            raise ConfigError(f"unknown negative types {unknown}; choose from {list(K.NEG_ORDER)}")
         if len(set(self.neg_types)) != len(self.neg_types):
-            raise ValueError(f"duplicate negative types in {list(self.neg_types)}")
+            raise ConfigError(f"duplicate negative types in {list(self.neg_types)}")
         if (self.use_ce or self.use_cd) and not self.neg_types:
-            raise ValueError("contrastive losses need at least one negative type")
+            raise ConfigError("contrastive losses need at least one negative type")
 
     def to_dict(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -296,7 +296,7 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
     train_ex = corpus.train
     valid_ex = corpus.valid
     if not train_ex or not valid_ex:
-        raise ValueError("corpus needs non-empty train and valid splits")
+        raise ConfigError("corpus needs non-empty train and valid splits")
     if params is None:
         params = M.init_params(mcfg, tcfg.seed)
     if adam is None:
