@@ -23,8 +23,13 @@ import sys
 import time
 from pathlib import Path
 
+from . import gradcheck
+from .corpus import SPLITS, Corpus, CorpusConfig, Vocab, generate_corpus, read_corpus, read_lexicon, write_corpus, write_lexicon
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write
+from .evaluation import EvalError, decode_corpus, mean_entity_swap_similarity, metrics_report, perplexity, write_report
+from .fileio import atomic_write, write_json
+from .model import ModelConfig
+from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -74,9 +79,7 @@ def write_manifest(path, command, config, seed, inputs, outputs, started, ended)
         "started_at": started,
         "ended_at": ended,
     }
-    with atomic_write(path) as f:
-        json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, doc)
     return doc
 
 
@@ -137,8 +140,6 @@ def _default_out(seed):
 
 
 def _load_bundle(corpus_dir):
-    from .corpus import Corpus, Vocab, read_corpus, read_lexicon
-
     corpus_dir = Path(corpus_dir)
     corpus_path = corpus_dir / "corpus.jsonl"
     lexicon_path = corpus_dir / "lexicon.json"
@@ -154,22 +155,19 @@ def _load_bundle(corpus_dir):
 
 
 def cmd_gen_data(args):
-    from .corpus import CorpusConfig, generate_corpus, write_corpus, write_lexicon
-
     started = _now()
     resolved, _ = _resolve(dataclasses.asdict(CorpusConfig()), args)
     cfg = CorpusConfig(**resolved)
 
     out = Path(args.out) if args.out else _default_out(cfg.seed)
-    out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / "corpus.jsonl"
     lexicon_path = out / "lexicon.json"
     for p in (corpus_path, lexicon_path):
         if p.exists() and not args.force:
-            print(f"refusing to overwrite {p} (use --force)", file=sys.stderr)
-            return EXIT_DATA
+            raise DataError(f"refusing to overwrite {p} (use --force)")
 
     lexicon, examples = generate_corpus(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_lexicon(lexicon_path, lexicon)
     write_corpus(corpus_path, examples)
     write_manifest(
@@ -182,7 +180,7 @@ def cmd_gen_data(args):
         started,
         _now(),
     )
-    counts = {s: sum(1 for e in examples if e.split == s) for s in ("train", "valid", "test")}
+    counts = {s: sum(1 for e in examples if e.split == s) for s in SPLITS}
     print(f"wrote {len(examples)} examples {counts} to {corpus_path}")
     return 0
 
@@ -198,8 +196,6 @@ RESUME_FREE_FIELDS = ("epochs", "max_steps", "eval_every")
 
 def _resumed_configs(ckpt, resolved, explicit):
     """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises."""
-    from .trainer import CheckpointError
-
     saved = {**dataclasses.asdict(ckpt.train_config), **dataclasses.asdict(ckpt.model_config)}
     for key in sorted(explicit - set(RESUME_FREE_FIELDS)):
         if resolved[key] != saved[key]:
@@ -208,12 +204,12 @@ def _resumed_configs(ckpt, resolved, explicit):
     return tcfg, ckpt.model_config
 
 
-def _check_vocabulary(ckpt, vocab):
-    """A checkpoint only reads the corpus vocabulary its embeddings were trained on."""
-    from .trainer import CheckpointError
-
+def _load_checkpoint(path, vocab):
+    """The checkpoint at ``path``; it only reads the corpus vocabulary its embeddings were trained on."""
+    ckpt = load_checkpoint(path)
     if ckpt.model_config.vocab_size != len(vocab):
         raise CheckpointError(f"checkpoint vocabulary has {ckpt.model_config.vocab_size} tokens, corpus {len(vocab)}")
+    return ckpt
 
 
 def _check_target_length(examples, vocab, mcfg, splits):
@@ -224,9 +220,6 @@ def _check_target_length(examples, vocab, mcfg, splits):
 
 
 def cmd_train(args):
-    from .model import ModelConfig
-    from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
-
     started = _now()
     train_defaults = dataclasses.asdict(TrainConfig())
     model_defaults = {k: f.default for k, f in ModelConfig.__dataclass_fields__.items() if k != "vocab_size"}
@@ -237,8 +230,7 @@ def cmd_train(args):
     start_step = 0
     inputs = [corpus_path, lexicon_path]
     if args.resume:
-        loaded = load_checkpoint(args.resume)
-        _check_vocabulary(loaded, vocab)
+        loaded = _load_checkpoint(args.resume, vocab)
         tcfg, mcfg = _resumed_configs(loaded, resolved, explicit)
         params, adam, start_step = loaded.params, loaded.adam, loaded.step
         inputs.append(Path(args.resume))
@@ -266,8 +258,8 @@ def cmd_train(args):
     save_checkpoint(ckpt_path, ckpt)
 
     manifest_cfg = {
-        "train": tcfg.to_dict(),
-        "model": mcfg.to_dict(),
+        "train": dataclasses.asdict(tcfg),
+        "model": dataclasses.asdict(mcfg),
         "corpus_digest": _sha256(corpus_path),
     }
     write_manifest(
@@ -282,31 +274,28 @@ def cmd_train(args):
 # generate
 
 
-def _check_limit(limit):
-    """``--limit`` counts examples from the front; 0 means all of them."""
+def _examples(corpus, split, limit):
+    """The examples of ``split`` ("" for every split), the first ``limit`` of them (0 for all); none is an error."""
     if limit < 0:
         raise ConfigError(f"--limit must be >= 0 (0 means all examples), got {limit}")
+    examples = corpus.split(split) if split else corpus.examples
+    if not examples:
+        raise ConfigError(f"split {split!r} is empty")
+    return examples[:limit] if limit else examples
 
 
 def cmd_generate(args):
-    from .evaluation import decode_corpus
-    from .trainer import load_checkpoint
-
     started = _now()
-    _check_limit(args.limit)
-    ckpt = load_checkpoint(args.ckpt)
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
-    _check_vocabulary(ckpt, vocab)
-    examples = corpus.split(args.split) if args.split else corpus.examples
-    if args.limit:
-        examples = examples[: args.limit]
+    examples = _examples(corpus, args.split, args.limit)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
 
-    out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
     preds = decode_corpus(
         ckpt.params, ckpt.model_config, examples, corpus.lexicon, vocab,
         beam_size=args.beam, length_norm=args.length_norm,
     )
+    out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
+    out.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(out) as f:
         for i, pred in enumerate(preds):
             f.write(json.dumps({"example_id": i, "prediction": pred}, sort_keys=True) + "\n")
@@ -325,8 +314,6 @@ def cmd_generate(args):
 
 def _read_predictions(path, n_expected):
     """Token lists by example_id from a JSONL file; malformed lines raise EvalError."""
-    from .evaluation import EvalError
-
     preds = {}
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
@@ -347,31 +334,16 @@ def _read_predictions(path, n_expected):
 
 
 def cmd_evaluate(args):
-    from .evaluation import (
-        decode_corpus,
-        mean_entity_swap_similarity,
-        metrics_report,
-        perplexity,
-        write_report,
-    )
-    from .trainer import load_checkpoint
-
     started = _now()
     if not args.ckpt and not args.predictions:
         raise ConfigError("evaluate needs --ckpt or --predictions")
-    _check_limit(args.limit)
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
-    examples = corpus.split(args.split)
-    if args.limit:
-        examples = examples[: args.limit]
-    if not examples:
-        raise ConfigError(f"split {args.split!r} is empty")
+    examples = _examples(corpus, args.split, args.limit)
 
     inputs = [corpus_path, lexicon_path]
     ckpt = None
     if args.ckpt:
-        ckpt = load_checkpoint(args.ckpt)
-        _check_vocabulary(ckpt, vocab)
+        ckpt = _load_checkpoint(args.ckpt, vocab)
         _check_target_length(examples, vocab, ckpt.model_config, args.split)
         inputs.append(Path(args.ckpt))
 
@@ -453,16 +425,19 @@ def _run_children(cmds, jobs):
 
 def cmd_ablate(args):
     started = _now()
-    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs), ("--beam", args.beam)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    out = Path(args.out) if args.out else _default_out(args.seed0)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = [args.seed0 + i for i in range(args.seeds)]
+    # the children's training settings, checked once here rather than in each child after others have run
+    TrainConfig(learning_rate=args.lr, gamma=args.gamma, batch_size=args.batch, epochs=args.epochs,
+                seed=args.seed0, eval_every=args.eval_every)
     arms = list(ABLATION_ARMS) if not args.arms else [a.strip() for a in args.arms.split(",")]
     for arm in arms:
         if arm not in ABLATION_ARMS:
             raise ConfigError(f"unknown ablation arm {arm!r}; choose from {sorted(ABLATION_ARMS)}")
+    out = Path(args.out) if args.out else _default_out(args.seed0)
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = [args.seed0 + i for i in range(args.seeds)]
 
     base = [sys.executable, "-m", "colo"]
     train_cmds, eval_cmds = [], []
@@ -512,9 +487,7 @@ def cmd_ablate(args):
         "gamma": args.gamma, "beam": args.beam, "corpus": str(args.corpus),
     }}
     ablation_path = out / "ablation.json"
-    with atomic_write(ablation_path) as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(ablation_path, doc)
 
     header = f"{'arm':10s} {'Cover':>14s} {'Entail':>14s} {'B-4':>14s} {'ES-sim':>14s}"
     print(header)
@@ -537,9 +510,7 @@ def cmd_ablate(args):
 
 
 def cmd_gradcheck(args):
-    from .gradcheck import run_all
-
-    results = run_all()
+    results = gradcheck.run_all()
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -558,8 +529,6 @@ def _neg_types(text):
 
 
 def build_parser():
-    from .trainer import TrainConfig
-
     p = argparse.ArgumentParser(prog="colo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

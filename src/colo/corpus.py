@@ -50,6 +50,7 @@ _CATEGORY_PREFIX = {
 }
 
 ATTR_TAG = "[ATTR]"
+SPLITS = ("train", "valid", "test")
 
 _DISTRACTOR_VERBS = ("has", "features", "offers", "shows")
 _ECHO_TOKENS = (",", "overall")
@@ -187,7 +188,7 @@ class Example:
     tuple: ClrTuple
     profiles: tuple  # (EntityProfile for entity_a, EntityProfile for entity_b)
     reference: list  # token strings
-    split: str
+    split: str  # one of SPLITS
 
 
 @dataclass(frozen=True)
@@ -307,20 +308,6 @@ def serialize_tuple(t: ClrTuple, lexicon: Lexicon, alias_choice=None):
         tok.OPN_TAG,
         _resolve_surface(lexicon, "opinion", t.opinion, alias_choice, "opinion"),
     ]
-
-
-def parse_serialized_tuple(tokens_seq, lexicon: Lexicon) -> ClrTuple:
-    """Inverse of :func:`serialize_tuple` (first 8 tokens)."""
-    if len(tokens_seq) < 8 or tokens_seq[0] != tok.EA_TAG:
-        raise ParseError("not a serialized tuple")
-    by_surface = lexicon.surface_to_id()
-    ids = []
-    for pos, kind in ((1, "entity"), (3, "entity"), (5, "aspect"), (7, "opinion")):
-        got = by_surface.get(tokens_seq[pos])
-        if got is None or got[0] != kind:
-            raise ParseError(f"token {tokens_seq[pos]!r} is not a {kind} surface")
-        ids.append(got[1])
-    return ClrTuple(*ids)
 
 
 def attr_token(category, attr):
@@ -650,6 +637,8 @@ def read_corpus(path):
                 )
                 for prof in profiles:
                     prof.validate()
+                if rec["split"] not in SPLITS:
+                    raise CorpusError(f"split {rec['split']!r} is not one of {list(SPLITS)}")
                 ex = Example(t, profiles, list(rec["reference"]), rec["split"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError, CorpusError) as e:
                 raise ParseError(f"corpus file {path}, line {lineno}: {e}") from None

@@ -9,7 +9,6 @@ learned NLI judge, it does not approximate one.  Perplexity is the trained
 model's own held-out teacher-forced PPL, not a pretrained-LM score.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -23,7 +22,7 @@ from .contrastive import _encode_variant, swap_entities
 from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, WIN, encode_example
 from .decoding import beam_search
 from .errors import DataError
-from .fileio import atomic_write
+from .fileio import write_json
 
 
 SCORE_BATCH = 32  # examples per no-grad pass of the model-dependent metrics
@@ -300,6 +299,4 @@ def write_report(path, report: EvalReport, extra=None):
     doc["scaled"] = report.scaled()
     if extra:
         doc.update(extra)
-    with atomic_write(path) as f:
-        json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, doc)

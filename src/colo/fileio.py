@@ -1,6 +1,7 @@
 """Atomic artifact writes: a reader sees the old file or the whole new one, never a part."""
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
@@ -24,3 +25,10 @@ def atomic_write(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, doc):
+    """Write ``doc`` atomically as a JSON artifact: ASCII, sorted keys, indent 2, trailing newline."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, ensure_ascii=True, sort_keys=True, indent=2)
+        f.write("\n")

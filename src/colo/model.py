@@ -59,9 +59,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def _param_shapes(cfg: ModelConfig):
     d, dff, ph = cfg.d_model, cfg.d_ff, cfg.proj_hidden
@@ -111,10 +108,6 @@ def _param_shapes(cfg: ModelConfig):
         shapes[f"proj.{side}.w2"] = (ph, d)
         shapes[f"proj.{side}.b2"] = (d,)
     return shapes
-
-
-def expected_param_count(cfg: ModelConfig):
-    return sum(int(np.prod(s)) for s in _param_shapes(cfg).values())
 
 
 def init_params(cfg: ModelConfig, seed, dtype=np.float32):

@@ -7,7 +7,7 @@ run resumed from a checkpoint matches the uninterrupted run exactly.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,11 +67,6 @@ class TrainConfig:
             raise ConfigError(f"duplicate negative types in {list(self.neg_types)}")
         if (self.use_ce or self.use_cd) and not self.neg_types:
             raise ConfigError("contrastive losses need at least one negative type")
-
-    def to_dict(self):
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["neg_types"] = list(self.neg_types)
-        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -170,8 +165,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         )
         offset += nbytes
     header = {
-        "model_config": ckpt.model_config.to_dict(),
-        "train_config": ckpt.train_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
+        "train_config": asdict(ckpt.train_config),
         "adam_step": ckpt.adam.step,
         "rng": {k: int(v) for k, v in ckpt.rng_state.items()},
         "step": ckpt.step,
@@ -277,12 +272,8 @@ def _read_array(path, entry, payload):
 def _quick_eval(params, mcfg, valid, lexicon, vocab):
     lm = E.perplexity(params, mcfg, valid[:QUICK_EVAL_LM_EXAMPLES], lexicon, vocab)
     sample = valid[:QUICK_EVAL_DECODE_EXAMPLES]
-    preds = E.decode_corpus(params, mcfg, sample, lexicon, vocab, beam_size=1)
-    return {
-        "valid_ppl": lm,
-        "valid_cover": float(np.mean([E.coverage(p, ex.tuple, lexicon) for p, ex in zip(preds, sample)])),
-        "valid_entail": float(np.mean([E.entail_oracle(p, ex.tuple, lexicon) for p, ex in zip(preds, sample)])),
-    }
+    report = E.metrics_report(E.decode_corpus(params, mcfg, sample, lexicon, vocab, beam_size=1), sample, lexicon)
+    return {"valid_ppl": lm, "valid_cover": report.cover, "valid_entail": report.entail}
 
 
 def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None, start_step=0, log_file=None):

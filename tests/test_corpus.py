@@ -69,8 +69,13 @@ def test_lexicon_validate_rejects_asymmetric_antonyms():
 def test_serialize_round_trip(small_corpus):
     lexicon, examples = small_corpus
     for ex in examples[:20]:
-        seq = C.serialize_tuple(ex.tuple, lexicon)
-        assert C.parse_serialized_tuple(seq, lexicon) == ex.tuple
+        t = ex.tuple
+        assert C.serialize_tuple(t, lexicon) == [
+            tok.EA_TAG, lexicon.canonical("entity", t.entity_a),
+            tok.EB_TAG, lexicon.canonical("entity", t.entity_b),
+            tok.ASP_TAG, lexicon.canonical("aspect", t.aspect),
+            tok.OPN_TAG, lexicon.canonical("opinion", t.opinion),
+        ]
 
 
 def test_serialize_swap_differs_only_in_entity_slots(small_corpus):
@@ -244,6 +249,21 @@ def test_corpus_read_rejects_a_profile_that_is_not_an_object(tmp_path, small_cor
     with pytest.raises(C.ParseError) as err:
         C.read_corpus(path)
     assert str(err.value) == f"corpus file {path}, line 3: a profile is not a JSON object"
+
+
+@pytest.mark.parametrize("split", [7, "dev", None, ""], ids=["number", "unknown", "null", "empty"])
+def test_corpus_read_rejects_a_split_outside_train_valid_test(tmp_path, small_corpus, split):
+    _, examples = small_corpus
+    path = tmp_path / "corpus.jsonl"
+    C.write_corpus(path, examples[:5])
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["split"] = split
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.ParseError) as err:
+        C.read_corpus(path)
+    assert str(err.value) == f"corpus file {path}, line 2: split {split!r} is not one of ['train', 'valid', 'test']"
 
 
 def test_lexicon_file_round_trip(tmp_path, small_corpus):

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -228,3 +229,71 @@ def test_evaluate_references_longer_than_max_tgt_len_is_config_error(tmp_path, c
     assert longest > 30
     assert f"config error: max_tgt_len is 30, but the corpus has a test reference of {longest} tokens" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_corpus_line_with_a_split_outside_train_valid_test_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys):
+    bad = tmp_path / "corpus"
+    bad.mkdir()
+    (bad / "lexicon.json").write_bytes((corpus_dir / "lexicon.json").read_bytes())
+    lines = (corpus_dir / "corpus.jsonl").read_text(encoding="ascii").splitlines()
+    (bad / "corpus.jsonl").write_text(
+        "".join(json.dumps({**json.loads(line), "split": 7}) + "\n" for line in lines), encoding="ascii"
+    )
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
+    assert "corpus.jsonl, line 1: split 7 is not one of ['train', 'valid', 'test']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_empty_split_is_config_error_writing_nothing(tmp_path, corpus_dir, trained_ckpt, capsys, command):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--split", "foo", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: split 'foo' is empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_split_left_empty_reads_every_example(tmp_path, corpus_dir, trained_ckpt, command):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--split", "", "--beam", "1",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    n = len(out.read_text().splitlines()) if command == "generate" else json.loads(out.read_text())["n_examples"]
+    assert n == 30
+
+
+def test_generate_failing_in_the_search_leaves_no_directory(tmp_path, corpus_dir, trained_ckpt, capsys):
+    out = tmp_path / "new" / "sub" / "p.jsonl"
+    argv = ["generate", "--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--beam", "0", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: beam_size must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_gen_data_refusing_to_overwrite_is_data_error(corpus_dir, capsys):
+    before = {p.name: p.read_bytes() for p in corpus_dir.iterdir()}
+    assert cli.main(["gen-data", "--n-examples", "30", "--seed", "2", "--out", str(corpus_dir)]) == cli.EXIT_DATA
+    assert f"data error: refusing to overwrite {corpus_dir / 'corpus.jsonl'} (use --force)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in corpus_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--beam", "0"], "--beam must be >= 1, got 0"),
+    (["--lr", "-1"], "learning_rate must be a finite number > 0, got -1.0"),
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--eval-every", "-1"], "eval_every must be >= 0, got -1"),
+    (["--arms", "full,bogus"], "unknown ablation arm 'bogus'"),
+], ids=["beam", "lr", "epochs", "eval-every", "arm"])
+def test_ablate_setting_is_config_error_before_any_child_or_the_out_dir(tmp_path, corpus_dir, monkeypatch, capsys,
+                                                                      extra, message):
+    started = []
+    monkeypatch.setattr(cli.subprocess, "Popen", lambda *a, **k: started.append(a))
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--corpus", str(corpus_dir), "--out", str(out), "--arms", "lm_only,full", "--seeds", "1",
+            "--epochs", "1"] + extra
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert started == []

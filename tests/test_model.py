@@ -80,7 +80,6 @@ def test_param_count_matches_formula():
         + 2 * ln
         + 2 * (d * ph + ph + ph * d + d)
     )
-    assert M.expected_param_count(cfg) == expected
     assert sum(t.size for t in params.values()) == expected
 
 
