@@ -24,7 +24,9 @@ import time
 from pathlib import Path
 
 from . import gradcheck
-from .corpus import SPLITS, Corpus, CorpusConfig, Vocab, generate_corpus, read_corpus, read_lexicon, write_corpus, write_lexicon
+from .corpus import (
+    SPLITS, Corpus, CorpusConfig, Vocab, generate_corpus, read_corpus, read_lexicon, write_corpus, write_lexicon,
+)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import EvalError, decode_corpus, mean_entity_swap_similarity, metrics_report, perplexity, write_report
 from .fileio import atomic_write, write_json
@@ -344,7 +346,7 @@ def cmd_evaluate(args):
     ckpt = None
     if args.ckpt:
         ckpt = _load_checkpoint(args.ckpt, vocab)
-        _check_target_length(examples, vocab, ckpt.model_config, args.split)
+        _check_target_length(examples, vocab, ckpt.model_config, args.split or "/".join(SPLITS))
         inputs.append(Path(args.ckpt))
 
     if args.predictions:
@@ -428,13 +430,14 @@ def cmd_ablate(args):
     for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs), ("--beam", args.beam)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    # the children's training settings, checked once here rather than in each child after others have run
+    # what every child reads is checked once here, not in each child after others have run
     TrainConfig(learning_rate=args.lr, gamma=args.gamma, batch_size=args.batch, epochs=args.epochs,
                 seed=args.seed0, eval_every=args.eval_every)
     arms = list(ABLATION_ARMS) if not args.arms else [a.strip() for a in args.arms.split(",")]
     for arm in arms:
         if arm not in ABLATION_ARMS:
             raise ConfigError(f"unknown ablation arm {arm!r}; choose from {sorted(ABLATION_ARMS)}")
+    _load_bundle(args.corpus)
     out = Path(args.out) if args.out else _default_out(args.seed0)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed0 + i for i in range(args.seeds)]

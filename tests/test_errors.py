@@ -143,7 +143,10 @@ def test_train_setting_out_of_range_is_config_error_before_the_run_dir(tmp_path,
     ([], "split_ratio = [1.2, -0.1, -0.1]", "split_ratio values must each be in [0, 1], got [1.2, -0.1, -0.1]"),
     ([], "split_ratio = [0.5, 0.5]", "split_ratio must have 3 values, got [0.5, 0.5]"),
     ([], "distractor_range = [1]", "distractor_range must have 2 values, got [1]"),
-], ids=["examples-negative", "examples-zero", "aliases", "seed", "split-ratio-range", "split-ratio-count", "range-count"])
+    (["--template-pool", "99"], "", "template pool size must be in 1..6"),
+    (["--n-examples", "5000", "--entities", "2"], "", "5000 examples requested but only"),
+], ids=["examples-negative", "examples-zero", "aliases", "seed", "split-ratio-range", "split-ratio-count", "range-count",
+        "template-pool", "capacity"])
 def test_gen_data_setting_out_of_range_is_config_error_naming_the_key(tmp_path, capsys, extra, config, message):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(config + "\n")
@@ -229,6 +232,10 @@ def test_evaluate_references_longer_than_max_tgt_len_is_config_error(tmp_path, c
     assert longest > 30
     assert f"config error: max_tgt_len is 30, but the corpus has a test reference of {longest} tokens" in capsys.readouterr().err
     assert not report.exists()
+    argv = ["evaluate", "--ckpt", str(run / "model.ckpt"), "--corpus", str(corpus_dir), "--split", "", "--out", str(report)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    longest = max(len(vocab.tokenize(ex.reference)) for ex in corpus.examples)
+    assert f"the corpus has a train/valid/test reference of {longest} tokens" in capsys.readouterr().err
 
 
 def test_corpus_line_with_a_split_outside_train_valid_test_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys):
@@ -280,20 +287,22 @@ def test_gen_data_refusing_to_overwrite_is_data_error(corpus_dir, capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--beam", "0"], "--beam must be >= 1, got 0"),
-    (["--lr", "-1"], "learning_rate must be a finite number > 0, got -1.0"),
-    (["--epochs", "0"], "epochs must be >= 1, got 0"),
-    (["--eval-every", "-1"], "eval_every must be >= 0, got -1"),
-    (["--arms", "full,bogus"], "unknown ablation arm 'bogus'"),
-], ids=["beam", "lr", "epochs", "eval-every", "arm"])
-def test_ablate_setting_is_config_error_before_any_child_or_the_out_dir(tmp_path, corpus_dir, monkeypatch, capsys,
-                                                                      extra, message):
+    (["--corpus", "missing"], "data error: missing: expected corpus.jsonl and lexicon.json"),
+    (["--beam", "0"], "config error: --beam must be >= 1, got 0"),
+    (["--lr", "-1"], "config error: learning_rate must be a finite number > 0, got -1.0"),
+    (["--epochs", "0"], "config error: epochs must be >= 1, got 0"),
+    (["--eval-every", "-1"], "config error: eval_every must be >= 0, got -1"),
+    (["--arms", "full,bogus"], "config error: unknown ablation arm 'bogus'"),
+], ids=["corpus", "beam", "lr", "epochs", "eval-every", "arm"])
+def test_ablate_bad_setting_or_corpus_fails_before_any_child_or_the_out_dir(
+    tmp_path, corpus_dir, monkeypatch, capsys, extra, message
+):
     started = []
     monkeypatch.setattr(cli.subprocess, "Popen", lambda *a, **k: started.append(a))
     out = tmp_path / "ablate"
     argv = ["ablate", "--corpus", str(corpus_dir), "--out", str(out), "--arms", "lm_only,full", "--seeds", "1",
             "--epochs", "1"] + extra
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert cli.main(argv) == (cli.EXIT_DATA if message.startswith("data error") else cli.EXIT_CONFIG)
+    assert message in capsys.readouterr().err
     assert not out.exists()
     assert started == []
