@@ -315,7 +315,7 @@ def cmd_generate(args):
 
 
 def _read_predictions(path, n_expected):
-    """Token lists by example_id from a JSONL file; malformed lines raise EvalError."""
+    """Token lists by example_id from a JSONL file; a malformed line or a repeated example_id raises EvalError."""
     preds = {}
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
@@ -323,9 +323,13 @@ def _read_predictions(path, n_expected):
                 continue
             try:
                 rec = json.loads(line)
-                example_id, prediction = int(rec["example_id"]), rec["prediction"]
+                example_id, prediction = rec["example_id"], rec["prediction"]
             except (ValueError, KeyError, TypeError) as e:
                 raise EvalError(f"{path}:{lineno}: malformed prediction line: {e!r}") from None
+            if type(example_id) is not int or example_id < 0:  # a JSON true loads as bool, whose type is not int
+                raise EvalError(f"{path}:{lineno}: example_id must be an integer >= 0, got {example_id!r}")
+            if example_id in preds:
+                raise EvalError(f"{path}:{lineno}: example_id {example_id} appears twice")
             if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):
                 raise EvalError(f"{path}:{lineno}: prediction must be a list of string tokens")
             preds[example_id] = prediction

@@ -20,8 +20,9 @@ The detached pass runs once per example, at that example's own target and
 source length, so it computes no padding and an example's margins depend
 on that example alone.
 
-There is one loss path, :func:`total_loss_batch`: the LM loss plus both
-hinges for a batch, each the batch mean.  A single example is a batch of one.
+There is one loss path, :func:`total_loss_batch` (the LM loss plus both
+hinges, each the batch mean; one example is a batch of one), and one
+encoder path, :func:`encode_variants`, which evaluation's ES pairs share.
 """
 
 from dataclasses import dataclass, replace
@@ -152,19 +153,16 @@ class LossBreakdown:
         return {k: float(getattr(self, k).data) for k in ("lm", "ce", "cd", "total")}
 
 
-def _zero_scalar(dtype):
-    return Tensor(np.zeros((), dtype=dtype))
+def encode_variants(params, cfg, tuples, examples, lexicon, vocab, alias_choices=None, train=False, rng=None):
+    """Encoder states of tuple variants in one padded pass; return (states, mask).
 
-
-def _profiles_map(example):
-    return {p.entity_id: p for p in example.profiles}
-
-
-def _encode_variant(params, cfg, tuples, examples, lexicon, vocab, alias_choices, train, rng):
-    """Encode one serialization variant for the whole batch; return (states, mask)."""
+    Row i is ``tuples[i]`` with the profiles of ``examples[i]`` and the surfaces ``alias_choices[i]`` picks (default:
+    canonical).  A row's masked mean pool is its relation vector, which the hinges and the ES similarity compare.
+    """
+    aliases = [None] * len(tuples) if alias_choices is None else alias_choices
     sources = []
-    for t, ex, alias in zip(tuples, examples, alias_choices):
-        src = build_source(t, _profiles_map(ex), lexicon, cfg.max_src_len, alias)
+    for t, ex, alias in zip(tuples, examples, aliases):
+        src = build_source(t, ex.profiles, lexicon, cfg.max_src_len, alias)
         sources.append(vocab.tokenize(src))
     src_arr, mask = M.pad_sources(sources)
     states = M.encode_batch(params, cfg, src_arr, mask, train=train, rng=rng)
@@ -195,7 +193,6 @@ def total_loss_batch(
     example's length that only sets the margin ranks.
     """
     b = len(examples)
-    dtype = params["emb.tok"].dtype
     neg_types = tuple(k for k in NEG_ORDER if k in neg_types)
     hinged = use_ce or use_cd
     if hinged and not neg_types:
@@ -213,7 +210,7 @@ def total_loss_batch(
         variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
     tuples, aliases = zip(*variants)
     groups = len(variants) // b
-    states, mask = _encode_variant(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, train, rng)
+    states, mask = encode_variants(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, train, rng)
     enc_orig = states
     if hinged:  # pooled before the LM pass, so the backward sums into states in a fixed order
         pooled = T.masked_mean_pool(states, mask)
@@ -232,19 +229,18 @@ def total_loss_batch(
         neg_losses = _margin_losses(params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask)
         xi = margin_schedule(gamma, neg_losses)
 
-    ce = _zero_scalar(dtype)
+    ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))  # an inactive term
     if use_ce:
         q, k_pos, k_neg = z, blocks[0], negs
         if project_in_ce:
-            q, k_pos = M.project_enc(params, z), M.project_enc(params, k_pos)
-            k_neg = [M.project_enc(params, k) for k in negs]
+            q, k_pos = M.project(params, "enc", z), M.project(params, "enc", k_pos)
+            k_neg = [M.project(params, "enc", k) for k in negs]
         ce = T.mean_(_hinge_rows(*_cosines(q, k_pos, k_neg), xi))
 
-    cd = _zero_scalar(dtype)
     if use_cd:
-        z_y = M.project_dec(params, T.masked_mean_pool(dec_states, label_mask))
-        pz = M.project_enc(params, z)
-        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, [M.project_enc(params, k) for k in negs]), xi))
+        z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
+        pz = M.project(params, "enc", z)
+        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, [M.project(params, "enc", k) for k in negs]), xi))
 
     total = T.add(T.add(lm, ce), cd)
     return LossBreakdown(lm, ce, cd, total)

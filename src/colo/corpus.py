@@ -155,6 +155,8 @@ class Lexicon:
                 if len(set(surfaces)) != len(surfaces):
                     raise LexiconError(f"{item_id} has duplicate surface forms")
                 for s in surfaces:
+                    if s.split() != [s]:  # the generator, vocabulary and metrics all read a surface as one token
+                        raise LexiconError(f"surface {s!r} of {item_id} is not a single whitespace-free token")
                     if s in seen:
                         raise LexiconError(f"surface {s!r} maps to both {seen[s]} and {item_id}")
                     seen[s] = item_id
@@ -317,12 +319,13 @@ def attr_token(category, attr):
 def build_source(t: ClrTuple, profiles, lexicon: Lexicon, max_src_len, alias_choice=None):
     """Encoder input: serialized tuple plus both profiles' attribute tokens.
 
-    ``profiles`` maps entity id -> EntityProfile; output is truncated to
-    ``max_src_len`` tokens.
+    ``profiles`` is the example's EntityProfile pair, matched to ``t``'s entities
+    by id (so an entity swap keeps them); truncated to ``max_src_len`` tokens.
     """
+    by_id = {p.entity_id: p for p in profiles}
     seq = serialize_tuple(t, lexicon, alias_choice)
     for ent in (t.entity_a, t.entity_b):
-        prof = profiles[ent]
+        prof = by_id[ent]
         for cat in CATEGORIES:
             for attr in prof.attrs[cat]:
                 seq.extend((ATTR_TAG, attr_token(cat, attr)))
@@ -378,8 +381,7 @@ class EncodedExample:
 
 
 def encode_example(example: Example, lexicon: Lexicon, vocab: Vocab, max_src_len) -> EncodedExample:
-    profiles = {p.entity_id: p for p in example.profiles}
-    src = build_source(example.tuple, profiles, lexicon, max_src_len)
+    src = build_source(example.tuple, example.profiles, lexicon, max_src_len)
     return EncodedExample(vocab.tokenize(src), vocab.tokenize(example.reference))
 
 

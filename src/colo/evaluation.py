@@ -6,7 +6,8 @@ the candidate for comparative-template instantiations, normalizes inverted
 templates through the antonym map, and accepts only extractions that match
 the tuple (any contradicting extraction fails the candidate).  It replaces a
 learned NLI judge, it does not approximate one.  Perplexity is the trained
-model's own held-out teacher-forced PPL, not a pretrained-LM score.
+model's own held-out teacher-forced PPL, not a pretrained-LM score.  The ES
+similarity encodes through ``contrastive.encode_variants``, as the hinges do.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from . import tokens as tok
-from .contrastive import _encode_variant, swap_entities
+from .contrastive import encode_variants, swap_entities
 from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, WIN, encode_example
 from .decoding import beam_search
 from .errors import DataError
@@ -230,9 +231,7 @@ def mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab):
             chunk = examples[i : i + SCORE_BATCH]
             pooled = []
             for tuples in ([ex.tuple for ex in chunk], [swap_entities(ex.tuple) for ex in chunk]):
-                states, mask = _encode_variant(
-                    params, cfg, tuples, chunk, lexicon, vocab, alias_choices=[None] * len(chunk), train=False, rng=None
-                )
+                states, mask = encode_variants(params, cfg, tuples, chunk, lexicon, vocab)
                 pooled.append(T.masked_mean_pool(states, mask))
             sims.extend(T.cosine_rows(*pooled).data.tolist())
     return float(np.mean(sims))

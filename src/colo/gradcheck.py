@@ -59,7 +59,7 @@ def op_cases():
     v36 = c(3, 6)
     # decoder self-attention mask, (B, 1, T, T): causal, and the second example's last key is padding
     f64 = np.dtype(np.float64)
-    amask = M._causal_mask(4, f64) + M._key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
+    amask = M.causal_mask(4, f64) + M.key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
     w2344 = c(2, 3, 4, 4)
     cases = [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),

@@ -60,7 +60,7 @@ class ModelConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
 
-def _param_shapes(cfg: ModelConfig):
+def param_shapes(cfg: ModelConfig):
     d, dff, ph = cfg.d_model, cfg.d_ff, cfg.proj_hidden
     shapes = {
         "emb.tok": (cfg.vocab_size, d),
@@ -113,7 +113,7 @@ def _param_shapes(cfg: ModelConfig):
 def init_params(cfg: ModelConfig, seed, dtype=np.float32):
     """Parameter tensors by name, sorted: scaled-normal weights (std 0.02), zero biases, unit layer-norm gains."""
     tensors = {}
-    for idx, (name, shape) in enumerate(sorted(_param_shapes(cfg).items())):
+    for idx, (name, shape) in enumerate(sorted(param_shapes(cfg).items())):
         leaf = name.rsplit(".", 1)[-1]
         if leaf.startswith("b") or name.endswith(".b"):
             data = np.zeros(shape, dtype=dtype)
@@ -181,13 +181,13 @@ def _ln(params, prefix, x):
     return T.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _key_mask(mask_bool, dtype):
+def key_mask(mask_bool, dtype):
     # (B, Tk) boolean -> additive (B, 1, 1, Tk)
     m = np.where(np.asarray(mask_bool, dtype=bool), dtype.type(0.0), dtype.type(ATTN_MASK_OFF))
     return m[:, None, None, :]
 
 
-def _causal_mask(t, dtype):
+def causal_mask(t, dtype):
     m = np.triu(np.full((t, t), ATTN_MASK_OFF, dtype=dtype), k=1)
     return m[None, None, :, :]
 
@@ -210,7 +210,7 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
         raise LengthError("encode_batch expects a (B, T) id array")
     if src_ids.shape[1] > cfg.max_src_len:
         raise LengthError(f"source length {src_ids.shape[1]} > max_src_len {cfg.max_src_len}")
-    mask = _key_mask(src_mask, params["emb.tok"].dtype)
+    mask = key_mask(src_mask, params["emb.tok"].dtype)
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
         h, p = _ln(params, f"enc.{i}.ln1", x), f"enc.{i}.attn"
@@ -231,8 +231,8 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
         raise ValueError("decoder input must begin with BOS")
     t = tgt_in.shape[1]
     dtype = params["emb.tok"].dtype
-    self_mask = _causal_mask(t, dtype) + _key_mask(tgt_mask, dtype)
-    cross_mask = _key_mask(enc_mask, dtype)
+    self_mask = causal_mask(t, dtype) + key_mask(tgt_mask, dtype)
+    cross_mask = key_mask(enc_mask, dtype)
     x = _embed(params, tgt_in, "emb.pos_dec")
     return _decoder_layers(
         params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h, cfg),
@@ -330,18 +330,10 @@ def decode_step(params, cfg, cache, tokens):
 # projections
 
 
-def _project(params, side, x):
-    """Side-specific two-layer tanh head over (B, d) pooled representations."""
+def project(params, side, x):
+    """Side-specific two-layer tanh head over (B, d) pooled representations; ``side`` is "enc" or "dec"."""
     h = T.tanh(T.linear(x, params[f"proj.{side}.w1"], params[f"proj.{side}.b1"]))
     return T.linear(h, params[f"proj.{side}.w2"], params[f"proj.{side}.b2"])
-
-
-def project_enc(params, e):
-    return _project(params, "enc", e)
-
-
-def project_dec(params, e):
-    return _project(params, "dec", e)
 
 
 # ---------------------------------------------------------------------------

@@ -742,22 +742,17 @@ def masked_mean_pool(states, mask):
     return mul(sum_(mul(states, mf), axis=-2), inv)
 
 
-def maximum_floor(a, floor):
-    """Elementwise max(a, floor) for a constant floor."""
-    return add(relu(sub(a, _as_tensor(floor, a.dtype))), _as_tensor(floor, a.dtype))
-
-
 def cosine_rows(u, v):
     """Row-wise cosine similarity of two (B, d) tensors, returning (B,)."""
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeError("cosine_rows expects matching 2-D tensors")
-    nu = np.sqrt((u.data * u.data).sum(axis=-1))
-    nv = np.sqrt((v.data * v.data).sum(axis=-1))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
     dot = sum_(mul(u, v), axis=-1)
-    denom = maximum_floor(mul(sqrt(sum_(mul(u, u), axis=-1)), sqrt(sum_(mul(v, v), axis=-1))), COSINE_EPS)
-    return div(dot, denom)
+    nu = sqrt(sum_(mul(u, u), axis=-1))
+    nv = sqrt(sum_(mul(v, v), axis=-1))
+    if np.any(nu.data == 0.0) or np.any(nv.data == 0.0):
+        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
+    eps = _as_tensor(COSINE_EPS, u.dtype)  # max(|u| |v|, eps) as relu(x - eps) + eps
+    return div(dot, add(relu(sub(mul(nu, nv), eps)), eps))
 
 
 # ---------------------------------------------------------------------------

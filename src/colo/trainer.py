@@ -227,7 +227,7 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state = dict(header["rng"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config in header: {e}") from None
-    expected = M._param_shapes(mcfg)
+    expected = M.param_shapes(mcfg)
     for kind, arrays in groups.items():
         _check_shapes(path, kind, arrays, expected)
     params = {n: Tensor(a, requires_grad=True) for n, a in sorted(groups["param"].items())}

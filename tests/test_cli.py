@@ -419,6 +419,12 @@ def test_train_manifests_keep_their_pinned_config_digests(tmp_path, corpus_dir, 
         '{"example_id": 1, "prediction": "a b"}',
         '{"example_id": 1, "prediction": [["x"]]}',
         '{"example_id": 1, "prediction": [1, null]}',
+        '{"example_id": 0, "prediction": ["garbage"]}',
+        '{"example_id": -7, "prediction": ["a"]}',
+        '{"example_id": "1", "prediction": ["a"]}',
+        '{"example_id": 1.7, "prediction": ["a"]}',
+        '{"example_id": 1.0, "prediction": ["a"]}',
+        '{"example_id": true, "prediction": ["a"]}',
     ],
 )
 def test_malformed_prediction_line_names_path_and_line(tmp_path, bad_line):
@@ -449,6 +455,28 @@ def test_predictions_read_by_example_id(tmp_path):
     lines = [{"example_id": 1, "prediction": ["b"]}, {"example_id": 0, "prediction": ["a", "c"]}]
     path.write_text("\n".join(json.dumps(r) for r in lines) + "\n\n")
     assert cli._read_predictions(path, 2) == [["a", "c"], ["b"]]
+
+
+def test_prediction_ids_past_the_limit_are_read(tmp_path):
+    """``--limit`` scores a prefix of the examples, so a longer file's later ids are well formed."""
+    path = tmp_path / "predictions.jsonl"
+    path.write_text("".join(json.dumps({"example_id": i, "prediction": [str(i)]}) + "\n" for i in (99, 0, 1)))
+    assert cli._read_predictions(path, 2) == [["0"], ["1"]]
+
+
+def test_lexicon_surface_with_whitespace_is_data_error(tmp_path, corpus_dir, capsys):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    doc = json.loads((bad / "lexicon.json").read_text())
+    entity = sorted(doc["entities"])[0]
+    doc["entities"][entity][0] = "ENT 000"
+    (bad / "lexicon.json").write_text(json.dumps(doc))
+    preds = tmp_path / "predictions.jsonl"
+    preds.write_text(json.dumps({"example_id": 0, "prediction": ["a"]}) + "\n")
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--corpus", str(bad), "--predictions", str(preds), "--limit", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"surface 'ENT 000' of {entity} is not a single whitespace-free token" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

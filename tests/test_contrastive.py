@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import rankdata
 
 from colo import contrastive as K
+from colo import evaluation as E
 from colo import model as M
 from colo import tensor as T
 from colo.corpus import ClrTuple, build_lexicon, build_source, CorpusConfig
@@ -365,6 +366,24 @@ def test_batched_matches_sum_of_singles(tiny_bundle, tiny_model_cfg, tiny_model_
         assert float(getattr(got, field).data) == pytest.approx(mean_single, rel=1e-4, abs=1e-6)
 
 
+def test_ce_entity_swap_cosines_are_evaluations_es_similarity(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
+    """The CE hinge and evaluate's ES similarity compare one relation vector: their ES cosines agree."""
+    lexicon, examples, vocab = tiny_bundle
+    seen = []
+    cosines = K._cosines
+
+    def record(anchor, positive, negatives):
+        seen.append(cosines(anchor, positive, negatives))
+        return seen[-1]
+
+    monkeypatch.setattr(K, "_cosines", record)
+    _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, range(len(examples)), use_cd=False)
+    (_, s_neg), = seen
+    es = float(np.mean(s_neg[K.NEG_ORDER.index("ES")].data))
+    want = E.mean_entity_swap_similarity(tiny_model_params, tiny_model_cfg, examples, lexicon, vocab)
+    assert es == pytest.approx(want, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # the detached margin pass
 
@@ -399,7 +418,7 @@ def test_margin_losses_do_not_depend_on_batch_mates(tiny_bundle, tiny_model_cfg,
 
     def src_len(i):
         ex = examples[i]
-        return len(build_source(ex.tuple, K._profiles_map(ex), lexicon, tiny_model_cfg.max_src_len))
+        return len(build_source(ex.tuple, ex.profiles, lexicon, tiny_model_cfg.max_src_len))
 
     # example 14 has the shortest reference and the longest source of its batch,
     # so only the target length pads it

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,18 @@ def test_lexicon_file_round_trip(tmp_path, small_corpus):
     assert back.attributes == lexicon.attributes
 
 
+@pytest.mark.parametrize("surface", ["ENT 000", " ENT_000", "ENT_000\n", ""])
+def test_lexicon_read_rejects_a_surface_that_is_not_one_token(tmp_path, small_corpus, surface):
+    lexicon, _ = small_corpus
+    path = tmp_path / "lexicon.json"
+    C.write_lexicon(path, lexicon)
+    doc = json.loads(path.read_text())
+    doc["entities"]["ENT_000"][0] = surface
+    path.write_text(json.dumps(doc))
+    with pytest.raises(C.LexiconError, match=f"surface {re.escape(repr(surface))} of ENT_000 is not a single"):
+        C.read_lexicon(path)
+
+
 def test_corpus_file_byte_identical_for_same_seed(tmp_path, small_config):
     _, ex_a = C.generate_corpus(small_config)
     _, ex_b = C.generate_corpus(small_config)
@@ -312,8 +325,7 @@ def test_encode_example_shapes(small_corpus):
 def test_build_source_truncates(small_corpus):
     lexicon, examples = small_corpus
     ex = examples[0]
-    profiles = {p.entity_id: p for p in ex.profiles}
-    src = C.build_source(ex.tuple, profiles, lexicon, max_src_len=10)
+    src = C.build_source(ex.tuple, ex.profiles, lexicon, max_src_len=10)
     assert len(src) == 10
 
 

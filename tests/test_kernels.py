@@ -173,9 +173,9 @@ def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
     keys = np.arange(tk)[None, :] < np.array([9, 5, 7])[:, None]
     mask = None
     if masked and broadcast:
-        mask = M._key_mask(keys, np_dtype)
+        mask = M.key_mask(keys, np_dtype)
     elif masked:
-        mask = M._causal_mask(tk, np_dtype) + M._key_mask(keys, np_dtype)
+        mask = M.causal_mask(tk, np_dtype) + M.key_mask(keys, np_dtype)
         # the masks were built in float64 and cast per layer
         off = M.ATTN_MASK_OFF
         want = np.triu(np.full((tk, tk), off), k=1)[None, None] + np.where(keys, 0.0, off)[:, None, None, :]

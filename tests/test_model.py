@@ -220,8 +220,8 @@ def test_tied_embedding_accumulates_all_paths(tiny_cfg):
 
 def test_projections_differ_and_shapes(tiny_params, tiny_cfg):
     v = Tensor(np.random.default_rng(0).standard_normal((3, tiny_cfg.d_model)).astype(np.float32))
-    pe = M.project_enc(tiny_params, v)
-    pd = M.project_dec(tiny_params, v)
+    pe = M.project(tiny_params, "enc", v)
+    pd = M.project(tiny_params, "dec", v)
     assert pe.shape == (3, tiny_cfg.d_model)
     assert pd.shape == (3, tiny_cfg.d_model)
     assert not np.allclose(pe.data, pd.data)
@@ -233,7 +233,7 @@ def test_projection_gradient(tiny_cfg):
     x = Tensor(rng.standard_normal((2, tiny_cfg.d_model)), requires_grad=True, dtype=np.float64)
 
     def f(v):
-        return T.sum_(M.project_enc(params, v))
+        return T.sum_(M.project(params, "enc", v))
 
     assert T.finite_diff_check(f, x) < 1e-4
 
