@@ -18,13 +18,18 @@ form a (B, n) array, the margins ``xi`` are gamma times their row ranks in
 the same shape, and the hinges take the negatives' cosines as a list.
 The detached pass runs once per example, at that example's own target and
 source length, so it computes no padding and an example's margins depend
-on that example alone.
+on that example alone.  It runs on one worker thread, made on first use,
+concurrently with the gradient LM pass in the calling thread: it reads
+only the encoder states' arrays, the parameters and the target arrays,
+draws no randomness and records on no tape (tapes are per-thread), so the
+overlap changes no value.
 
 There is one loss path, :func:`total_loss_batch` (the LM loss plus both
 hinges, each the batch mean; one example is a batch of one), and one
 encoder path, :func:`encode_variants`, which evaluation's ES pairs share.
 """
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,7 +195,10 @@ def total_loss_batch(
     positive, three negatives) in one padded pass, and four teacher-forced
     decoder rows: the original, with gradient, in one padded pass over the
     batch, and the three negatives, detached, in a pass of its own at the
-    example's length that only sets the margin ranks.
+    example's length that only sets the margin ranks.  The detached passes
+    run on the margin worker while this thread runs the gradient pass; the
+    call waits for them whether or not the gradient pass raises, and an
+    error of theirs is raised here with its own type.
     """
     b = len(examples)
     neg_types = tuple(k for k in NEG_ORDER if k in neg_types)
@@ -217,17 +225,24 @@ def total_loss_batch(
         z, *blocks = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(groups)]
         negs = blocks[-len(neg_types):]
         enc_orig = T.slice0(states, 0, b)
+        # detached (B, n) negative LM losses, on the worker while this thread runs the LM pass
+        lo = (groups - len(neg_types)) * b
+        margin = _margin_worker().submit(
+            _margin_losses, params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask
+        )
 
     # original teacher-forced pass (with gradient): LM loss and pooled z_y
-    nll, dec_states = M.nll_per_example(
-        params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, train=train, rng=rng
-    )
+    try:
+        nll, dec_states = M.nll_per_example(
+            params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, train=train, rng=rng
+        )
+    finally:
+        if hinged:
+            margin.exception()  # waits, so no margin pass outlives this call; result() raises its error
     lm = T.mean_(nll)
 
-    if hinged:  # detached (B, n) negative LM losses -> (B, n) margin constants
-        lo = (groups - len(neg_types)) * b
-        neg_losses = _margin_losses(params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask)
-        xi = margin_schedule(gamma, neg_losses)
+    if hinged:  # (B, n) margin constants
+        xi = margin_schedule(gamma, margin.result())
 
     ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))  # an inactive term
     if use_ce:
@@ -239,11 +254,31 @@ def total_loss_batch(
 
     if use_cd:
         z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
-        pz = M.project(params, "enc", z)
-        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, [M.project(params, "enc", k) for k in negs]), xi))
+        if use_ce and project_in_ce:  # both hinges compare the same projections
+            pz, p_neg = q, k_neg
+        else:
+            pz, p_neg = M.project(params, "enc", z), [M.project(params, "enc", k) for k in negs]
+        cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, p_neg), xi))
 
     total = T.add(T.add(lm, ce), cd)
     return LossBreakdown(lm, ce, cd, total)
+
+
+_WORKER = None  # (pid, executor) of the margin worker
+
+
+def _margin_worker():
+    """The one thread the detached margin pass runs on, made on first use.
+
+    A process forked after it was made inherits the executor but not its
+    thread, so a child makes its own.
+    """
+    global _WORKER
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="colo-margin"))
+    return _WORKER[1]
 
 
 def _cosines(anchor, positive, negatives):

@@ -70,7 +70,8 @@ def op_cases():
         ("sqrt", lambda x: _wsum(T.sqrt(x), w34), _pos(rng, 3, 4)),
         ("tanh", lambda x: _wsum(T.tanh(x), w34), leaf(3, 4)),
         ("relu", lambda x: _wsum(T.relu(x), w34), leaf(3, 4)),
-        ("gelu", lambda x: _wsum(T.gelu(x), w34), leaf(3, 4)),
+        # f1, fb1, f2 and fb2 are drawn last; this leaf keeps its draw here
+        ("ffn_x", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2), w32), leaf(3, 4)),
         ("matmul_2d", lambda x: _wsum(T.matmul(x, b42), w32), leaf(3, 4)),
         ("matmul_batched", lambda x: _wsum(T.matmul(x, b42), w232), leaf(2, 3, 4)),
         ("matmul_rhs", lambda x: _wsum(T.matmul(a54, x), w52), leaf(4, 2)),
@@ -107,9 +108,18 @@ def op_cases():
     # cases drop the probabilities a fixed boolean mask marks False
     k2344, q2344, v2344 = c(2, 3, 4, 4), c(2, 3, 4, 4), c(2, 3, 4, 4)
     keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
-    return cases + [
+    cases += [
         ("attention_k", lambda k: _wsum(T.attention(q2344, k, v2344, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
         ("attention_v", lambda v: _wsum(T.attention(q2344, k2344, v, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
+    ]
+    # the ffn cases' other operands, drawn after all of the above; the
+    # weights' and biases' gradients sum over the batched input
+    f1, fb1, f2, fb2 = c(4, 5), c(5), c(5, 2), c(2)
+    return cases + [
+        ("ffn_w1", lambda w: _wsum(T.ffn(a234, w, fb1, f2, fb2), w232), leaf(4, 5)),
+        ("ffn_b1", lambda b: _wsum(T.ffn(a234, f1, b, f2, fb2), w232), leaf(5)),
+        ("ffn_w2", lambda w: _wsum(T.ffn(a234, f1, fb1, w, fb2), w232), leaf(5, 2)),
+        ("ffn_b2", lambda b: _wsum(T.ffn(a234, f1, fb1, f2, b), w232), leaf(2)),
     ]
 
 

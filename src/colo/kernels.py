@@ -120,22 +120,28 @@ def gelu_fwd(x):
 
 
 def gelu_bwd(gy, x):
+    """(``gy`` times gelu's derivative at ``x``, gelu(``x``)): the second remade from the tanh the first reads.
+
+    Both are bitwise what the plain expressions give, the second equal to
+    :func:`gelu_fwd`, so a caller may drop gelu's output after the forward.
+    """
     t = _gelu_tanh(x)
     du = (3.0 * _GELU_A) * x
     du *= x
     du += 1.0
     du *= _GELU_C
-    # gy * (0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du)
+    # gy * (0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du), and gelu(x) = (0.5*x) * (1 + t)
     right = t * t
     np.subtract(1.0, right, out=right)
-    half_x = 0.5 * x
-    half_x *= right
+    out = 0.5 * x
+    half_x = out * right
     half_x *= du
     t += 1.0
+    out *= t
     t *= 0.5
     t += half_x
     t *= gy
-    return t
+    return t, out
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,7 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
 
 
 def _ffn(params, prefix, x, cfg, train, rng):
-    h = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    out = T.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    out = T.ffn(x, *(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
     return _dropout(out, cfg.dropout_rate, train, rng)
 
 

@@ -7,7 +7,9 @@ does not require grad (a mask, a scale) gets no gradient computed at all.
 Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
 gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
 ...), with no operator overloading; pooling and similarity take batched
-operands only.  The tape stack is module state, for one thread.
+operands only.  The tape stack is per-thread: a tape or a ``no_grad``
+block entered in one thread neither records nor silences the ops another
+thread runs, so a no-grad pass may run beside a taped one.
 
 The tape links ops, not tensors.  A recorded op's output tensor points to
 its :class:`_Op`, and each op points to what produced its operands: another
@@ -35,13 +37,15 @@ Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
 model's projections), ``split_heads`` and ``merge_heads`` (a reshape and
 an axis swap, for multi-head attention), ``dropout`` (a product with a
-boolean keep mask and a scale) and ``attention`` (the score product
-``q @ kᵀ``, scale, additive mask and softmax, all in the one score buffer
-it allocates, then dropout on the probabilities and the product with the
+boolean keep mask and a scale), ``ffn`` (``linear``, gelu, ``linear``:
+the feed-forward block) and ``attention`` (the score product ``q @ kᵀ``,
+scale, additive mask and softmax, all in the one score buffer it
+allocates, then dropout on the probabilities and the product with the
 values).  What the tape holds for dropout is the boolean mask: ``dropout``
 keeps it instead of a float mask, and ``attention`` keeps the
 probabilities and the mask and remakes the dropped probabilities in
-backward.  Where no tape records (no tape is active, or a ``no_grad``
+backward.  ``ffn`` keeps the pre-activation and remakes the hidden layer
+in backward.  Where no tape records (no tape is active, or a ``no_grad``
 block is), an op returns right after its forward without building its
 backward rule, and a float32/float64 result is wrapped without
 conversion, so a no-grad pass over small arrays (one decoding step) pays
@@ -53,6 +57,7 @@ mapped from one training step to the next.
 """
 
 import ctypes
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -114,8 +119,15 @@ class VocabularyError(TensorError):
 
 COSINE_EPS = 1e-8
 
-# innermost last; None marks a no_grad block
-_TAPES = []
+
+class _TapeStack(threading.local):
+    """Each thread's stack of active tapes, innermost last; None marks a no_grad block."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_STACK = _TapeStack()
 
 
 class Tape:
@@ -126,26 +138,28 @@ class Tape:
 
     @staticmethod
     def current():
-        return _TAPES[-1] if _TAPES else None
+        tapes = _STACK.tapes
+        return tapes[-1] if tapes else None
 
     def __enter__(self):
-        _TAPES.append(self)
+        _STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
+        popped = _STACK.tapes.pop()
         assert popped is self
         return False
 
 
 @contextmanager
 def no_grad():
-    """Suspend recording: ops inside run as plain numpy forward passes."""
-    _TAPES.append(None)
+    """Suspend recording in this thread: ops inside run as plain numpy forward passes."""
+    tapes = _STACK.tapes
+    tapes.append(None)
     try:
         yield
     finally:
-        _TAPES.pop()
+        tapes.pop()
 
 
 class Tensor:
@@ -243,8 +257,9 @@ def _wrap(out_data):
 
 
 def _untaped():
-    """Whether no tape records ops here (none is active, or a no_grad block is)."""
-    return not _TAPES or _TAPES[-1] is None
+    """Whether no tape records ops in this thread (none is active, or a no_grad block is)."""
+    tapes = _STACK.tapes
+    return not tapes or tapes[-1] is None
 
 
 def _make(out_data, inputs, bwd):
@@ -256,7 +271,7 @@ def _make(out_data, inputs, bwd):
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.op = _Op(tuple(t.op or (t if t.requires_grad else None) for t in inputs), bwd)
-        _TAPES[-1].ops.append(out.op)
+        _STACK.tapes[-1].ops.append(out.op)
     return out
 
 
@@ -420,18 +435,6 @@ def relu(a):
     return _make(out, (a,), bwd)
 
 
-def gelu(a):
-    x = a.data
-    out = kernels.gelu_fwd(x).astype(x.dtype, copy=False)
-    if _untaped():
-        return _wrap(out)
-
-    def bwd(g):
-        return (kernels.gelu_bwd(g, x),)
-
-    return _make(out, (a,), bwd)
-
-
 def _keep_scaled(x, keep, scale):
     """``x * keep * scale`` for a boolean ``keep``: bit for bit ``x`` times the float mask ``keep·scale``."""
     out = x * keep
@@ -582,6 +585,52 @@ def linear(x, w, b=None):
         return gx, gw, gb
 
     return _make(out, (x, w) if b is None else (x, w, b), bwd)
+
+
+def ffn(x, w1, b1, w2, b2):
+    """``gelu(x @ w1 + b1) @ w2 + b2`` as one op: ``x`` is (..., n) with two or more axes, ``w1`` (n, h), ``w2`` (h, m).
+
+    Forward and backward compute exactly what ``linear``, a tanh-approximated
+    gelu and ``linear`` again compute, in the same order, with one tape
+    entry instead of three.  The op holds ``x`` and the pre-activation, not
+    the (..., h) hidden layer: backward remakes it from the tanh that gelu's
+    derivative reads (:func:`kernels.gelu_bwd`).
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]:
+        raise ShapeError(f"ffn needs (..., n) x (n, h) x (h, m), got {xd.shape} x {w1d.shape} x {w2d.shape}")
+    if b1.data.shape != w1d.shape[1:] or b2.data.shape != w2d.shape[1:]:
+        raise ShapeError(f"ffn biases {b1.shape}, {b2.shape} do not match weights {w1d.shape}, {w2d.shape}")
+    pre = np.matmul(xd, w1d)
+    pre += b1.data
+    out = np.matmul(kernels.gelu_fwd(pre), w2d)
+    out += b2.data
+    if _untaped():
+        return _wrap(out)
+    rx, rw1, rb1, rw2, rb2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
+    sx, sw1, sb1, sw2, sb2 = xd.shape, w1d.shape, b1.data.shape, w2d.shape, b2.data.shape
+    to_pre = rx or rw1 or rb1  # whether a gradient flows back through the hidden layer
+    w1r, xl, w2r = (w1d if rx else None), (xd if rw1 else None), (w2d if to_pre else None)
+
+    def bwd(g):
+        gx = gw1 = gb1 = gw2 = gb2 = None
+        if to_pre:
+            gpre, hidden = kernels.gelu_bwd(np.matmul(g, w2r.T), pre)
+            if w1r is not None:
+                gx = _unbroadcast(np.matmul(gpre, w1r.T), sx)
+            if xl is not None:
+                gw1 = _unbroadcast(np.matmul(np.swapaxes(xl, -1, -2), gpre), sw1)
+            if rb1:
+                gb1 = _unbroadcast(gpre, sb1)
+        elif rw2:
+            hidden = kernels.gelu_fwd(pre)
+        if rw2:
+            gw2 = _unbroadcast(np.matmul(np.swapaxes(hidden, -1, -2), g), sw2)
+        if rb2:
+            gb2 = _unbroadcast(g, sb2)
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(out, (x, w1, b1, w2, b2), bwd)
 
 
 def take_rows(table, ids):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import struct
+import threading
 import types
 
 import numpy as np
@@ -70,8 +71,12 @@ def tiny_model_params64(tiny_model_cfg):
     return M.init_params(tiny_model_cfg, seed=0, dtype=np.float64)
 
 
+_COUNT_LOCK = threading.Lock()  # the margin pass runs its decoder passes on another thread
+
+
 def _counted(fn, rows, kind, arg, *args, **kwargs):
-    rows[kind] += len(args[arg])
+    with _COUNT_LOCK:
+        rows[kind] += len(args[arg])
     return fn(*args, **kwargs)
 
 

@@ -1,4 +1,7 @@
 import functools
+import multiprocessing
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -487,3 +490,134 @@ def test_margin_pass_computes_no_padding(tiny_bundle, tiny_model_cfg, tiny_model
     for _, _, _, enc_mask, _, _, label_mask in margin_calls:
         assert enc_mask.all() and label_mask.all()
     assert sum(len(args[4]) for args in margin_calls) == len(K.NEG_ORDER) * len(batch)
+
+
+# ---------------------------------------------------------------------------
+# the margin worker: the detached pass runs beside the gradient LM pass
+
+
+class _PassError(Exception):
+    pass
+
+
+def _fail_on(thread_is_caller, monkeypatch, before_raise=lambda: None):
+    """Make ``M.nll_per_example`` raise ``_PassError`` on the calling thread (the taped LM pass) or off it (the margin pass)."""
+    caller, nll = threading.get_ident(), M.nll_per_example
+
+    def nll_or_fail(*args, **kwargs):
+        if (threading.get_ident() == caller) == thread_is_caller:
+            before_raise()
+            raise _PassError
+        return nll(*args, **kwargs)
+
+    monkeypatch.setattr(M, "nll_per_example", nll_or_fail)
+
+
+def test_a_margin_pass_error_reaches_the_caller_with_its_type(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
+    _fail_on(False, monkeypatch)
+    with pytest.raises(_PassError):
+        _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1])
+
+
+def test_a_failing_lm_pass_waits_for_the_margin_pass(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
+    lm_failed, finished = threading.Event(), []
+    margin_losses = K._margin_losses
+
+    def late_margin_losses(*args):
+        # starts once the LM pass has raised, so only a wait in the caller sees it finish
+        assert lm_failed.wait(timeout=60)
+        time.sleep(0.05)
+        losses = margin_losses(*args)
+        finished.append(losses.shape)
+        return losses
+
+    monkeypatch.setattr(K, "_margin_losses", late_margin_losses)
+    _fail_on(True, monkeypatch, lm_failed.set)
+    with pytest.raises(_PassError):
+        _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1])
+    assert finished == [(2, len(K.NEG_ORDER))]
+
+
+def test_a_forked_child_runs_the_margin_pass(tiny_bundle, tiny_model_cfg, tiny_model_params):
+    """A child forked after the worker was made inherits no worker thread; its loss must not wait on one."""
+    want = _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1]).values()
+    assert K._WORKER is not None
+    ctx = multiprocessing.get_context("fork")
+    got = ctx.Queue()
+
+    def child():
+        got.put(_batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1]).values())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert got.get(timeout=60) == want
+    finally:
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert proc.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# project_in_ce: the CE and CD hinges share the encoder-side projections
+
+
+def _double_projection_loss(params, cfg, bundle, indices, gamma=0.01):
+    """The CE+CD objective with ``project_in_ce``, each hinge projecting z and the negatives itself."""
+    lexicon, examples, vocab = bundle
+    batch = [examples[i] for i in indices]
+    csets = [K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(200 + i)) for i in indices]
+    b, n = len(batch), len(K.NEG_ORDER)
+    tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in batch])
+    variants = [(c.original, None) for c in csets] + [(c.original, c.positive_surfaces) for c in csets]
+    variants += [(c.negatives[kind], None) for kind in K.NEG_ORDER for c in csets]
+    tuples, aliases = zip(*variants)
+    states, mask = K.encode_variants(params, cfg, tuples, batch * (2 + n), lexicon, vocab, aliases)
+    pooled = T.masked_mean_pool(states, mask)
+    z, pos, *negs = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(2 + n)]
+    nll, dec_states = M.nll_per_example(params, cfg, T.slice0(states, 0, b), mask[:b], tgt_in, labels, label_mask)
+    lm = T.mean_(nll)
+    xi = K.margin_schedule(gamma, K._margin_losses(params, cfg, states.data[2 * b:], mask[2 * b:], tgt_in, labels, label_mask))
+
+    def enc(v):
+        return M.project(params, "enc", v)
+
+    ce = T.mean_(K._hinge_rows(*K._cosines(enc(z), enc(pos), [enc(k) for k in negs]), xi))
+    z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
+    cd = T.mean_(K._hinge_rows(*K._cosines(z_y, enc(z), [enc(k) for k in negs]), xi))
+    return K.LossBreakdown(lm, ce, cd, T.add(T.add(lm, ce), cd))
+
+
+def _values_and_grads(params, loss_fn):
+    _clear_grads(params)
+    with Tape():
+        breakdown = loss_fn()
+        backward(breakdown.total)
+    return breakdown.values(), {k: t.grad.copy() for k, t in params.items() if t.grad is not None}
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-4), ("float64", 1e-12)])
+def test_project_in_ce_projects_each_vector_once(
+    tiny_bundle, tiny_model_cfg, tiny_model_params, tiny_model_params64, monkeypatch, dtype, tol
+):
+    """Loss values are unchanged; gradients differ by rounding only, since shared projections sum their uses first."""
+    indices = list(range(6))
+    params = tiny_model_params if dtype == "float32" else tiny_model_params64
+    want, want_grads = _values_and_grads(
+        params, lambda: _double_projection_loss(params, tiny_model_cfg, tiny_bundle, indices)
+    )
+    sides = []
+    project = M.project
+    monkeypatch.setattr(M, "project", lambda p, side, x: sides.append(side) or project(p, side, x))
+    got, grads = _values_and_grads(
+        params, lambda: _batch_loss(params, tiny_model_cfg, tiny_bundle, indices, project_in_ce=True)
+    )
+    # z, the positive and three negatives on the encoder side, z_y on the decoder side
+    assert sorted(sides) == ["dec"] + ["enc"] * (2 + len(K.NEG_ORDER))
+    assert got == want and want["ce"] > 0 and want["cd"] > 0
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        want_g = want_grads[name]
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=tol * np.abs(want_g).max(), err_msg=name)

@@ -94,7 +94,39 @@ def test_gelu_matches_reference(dtype, shape):
     x = _data(dtype, shape, 3)
     gy = _data(dtype, shape, 4)
     _same(kernels.gelu_fwd(x), ref_gelu_fwd(x))
-    _same(kernels.gelu_bwd(gy, x), ref_gelu_bwd(gy, x))
+    dx, out = kernels.gelu_bwd(gy, x)
+    _same(dx, ref_gelu_bwd(gy, x))
+    _same(out, ref_gelu_fwd(x))
+
+
+def ref_ffn(x, w1, b1, w2, b2, g):
+    """(out, dx, dw1, db1, dw2, db2) of the chain ``linear`` → gelu → ``linear`` over a
+    batched (B, T, n) ``x``, as that chain's tape ops computed them; weight and
+    bias gradients sum over the leading axes one at a time."""
+    pre = np.matmul(x, w1) + b1
+    hidden = ref_gelu_fwd(pre)
+    out = np.matmul(hidden, w2) + b2
+    gpre = ref_gelu_bwd(np.matmul(g, w2.T), pre)
+    dw2 = np.matmul(np.swapaxes(hidden, -1, -2), g).sum(axis=0)
+    dw1 = np.matmul(np.swapaxes(x, -1, -2), gpre).sum(axis=0)
+    return out, np.matmul(gpre, w1.T), dw1, gpre.sum(axis=0).sum(axis=0), dw2, g.sum(axis=0).sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ffn_matches_numpy_chain(dtype):
+    """The fused feed-forward op against the unfused chain, bit for bit, in value and in every gradient."""
+    b, t, n, h, m = 3, 7, 16, 37, 16
+    shapes = [(b, t, n), (n, h), (h,), (h, m), (m,)]
+    leaves = [T.Tensor(_data(dtype, s, 20 + i, scale=0.5), requires_grad=True) for i, s in enumerate(shapes)]
+    g = _data(dtype, (b, t, m), 19)
+    want_out, *want_grads = ref_ffn(*(x.data for x in leaves), g)
+
+    with T.Tape():
+        out = T.ffn(*leaves)
+        T.backward(T.sum_(T.mul(out, T.Tensor(g))))
+    _same(out.data, want_out)
+    for x, want in zip(leaves, want_grads):
+        _same(x.grad, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -1,4 +1,6 @@
 import platform
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -428,6 +430,72 @@ def test_no_grad_suppresses_recording():
         assert tape.ops == []
 
 
+def _in_thread(target):
+    """Run ``target`` on a new thread and wait for it."""
+    th = threading.Thread(target=target)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive()
+
+
+def test_no_grad_in_another_thread_leaves_this_tape_recording():
+    x = t64([1.0, 2.0], requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with T.no_grad():
+            entered.set()
+            release.wait(timeout=60)
+
+    th = threading.Thread(target=hold_no_grad)
+    with Tape() as tape:  # entered first, so a shared stack would hold the other thread's block above it
+        th.start()
+        try:
+            assert entered.wait(timeout=60)
+            y = T.tanh(x)
+        finally:
+            release.set()
+            th.join(timeout=60)
+    assert not th.is_alive()
+    assert y.requires_grad and len(tape.ops) == 1
+
+
+def test_an_op_in_another_thread_records_nothing_on_this_tape():
+    x = t64([1.0, 2.0], requires_grad=True)
+    out = []
+    with Tape() as tape:
+        _in_thread(lambda: out.append(T.tanh(x)))
+    (y,) = out
+    assert tape.ops == [] and y.op is None and not y.requires_grad
+
+
+def test_threads_record_on_their_own_tapes():
+    """More threads than cores, switching often: each tape holds exactly the ops its own thread recorded."""
+    counts = {}
+
+    def record(n):
+        x = t64([0.5, 1.5], requires_grad=True)
+        with Tape() as tape:
+            for i in range(n):
+                y = T.tanh(x)
+                with T.no_grad():
+                    T.mul(y, y)
+        counts[n] = len(tape.ops)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=record, args=(200 + i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert counts == {200 + i: 200 + i for i in range(8)}
+
+
 def test_take_rows_scatter_gradient():
     table = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([0, 2, 2])
@@ -448,11 +516,12 @@ def test_forward_determinism():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((16, 16)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((16, 16)).astype(np.float32))
+    b = Tensor(np.zeros(16, dtype=np.float32))
 
     def run():
         x.zero_grad()
         with Tape():
-            loss = T.sum_(T.gelu(matmul(x, w)))
+            loss = T.sum_(T.ffn(x, w, b, w, b))
             backward(loss)
         return loss.data.copy(), x.grad.copy()
 

@@ -261,9 +261,12 @@ def small_checkpoint(tmp_path_factory):
 
 def _load_prefix(small_checkpoint, n):
     raw, _, tmp = small_checkpoint
-    (tmp / "prefix.ckpt").write_bytes(raw[:n])
+    path = tmp / "prefix.ckpt"
+    # a fresh file each time: rewriting one in place is tens of ms on some filesystems
+    path.unlink(missing_ok=True)
+    path.write_bytes(raw[:n])
     with pytest.raises(TR.CheckpointError):
-        TR.load_checkpoint(tmp / "prefix.ckpt")
+        TR.load_checkpoint(path)
 
 
 def test_checkpoint_every_prefix_below_header_end_rejected(small_checkpoint):
