@@ -147,9 +147,9 @@ def _load_bundle(corpus_dir):
     lexicon_path = corpus_dir / "lexicon.json"
     if not corpus_path.exists() or not lexicon_path.exists():
         raise FileNotFoundError(f"{corpus_dir}: expected corpus.jsonl and lexicon.json")
-    lexicon = read_lexicon(lexicon_path)
-    examples = read_corpus(corpus_path)
-    return Corpus(lexicon, examples), Vocab.build(lexicon), corpus_path, lexicon_path
+    corpus = Corpus(read_lexicon(lexicon_path), read_corpus(corpus_path))
+    corpus.validate()
+    return corpus, Vocab.build(corpus.lexicon), corpus_path, lexicon_path
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +441,8 @@ def cmd_ablate(args):
     for arm in arms:
         if arm not in ABLATION_ARMS:
             raise ConfigError(f"unknown ablation arm {arm!r}; choose from {sorted(ABLATION_ARMS)}")
+    if len(set(arms)) != len(arms):
+        raise ConfigError(f"duplicate ablation arms in {arms}")
     _load_bundle(args.corpus)
     out = Path(args.out) if args.out else _default_out(args.seed0)
     out.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,8 @@ overlap changes no value.
 
 There is one loss path, :func:`total_loss_batch` (the LM loss plus both
 hinges, each the batch mean; one example is a batch of one), and one
-encoder path, :func:`encode_variants`, which evaluation's ES pairs share.
+encoder path, :func:`encode_variants`, through which evaluation's
+perplexity and ES similarity encode too.
 """
 
 import os
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import ClrTuple, build_source
+from .corpus import TUPLE_SLOTS, ClrTuple, build_source
 from .errors import DataError
 from .tensor import Tensor, no_grad
 
@@ -58,13 +59,8 @@ class InvalidLossError(Exception):
 def make_positive(t: ClrTuple, lexicon, rng):
     """Surface form per slot for the positive, which keeps the original's ids: an alias where one exists."""
     surfaces = {}
-    for slot, kind, item_id in (
-        ("entity_a", "entity", t.entity_a),
-        ("entity_b", "entity", t.entity_b),
-        ("aspect", "aspect", t.aspect),
-        ("opinion", "opinion", t.opinion),
-    ):
-        forms = lexicon.surfaces(kind, item_id)
+    for slot, kind, _ in TUPLE_SLOTS:
+        forms = lexicon.surfaces(kind, getattr(t, slot))
         canonical = forms[0]
         alts = [s for s in forms if s != canonical]
         if alts:
@@ -158,11 +154,12 @@ class LossBreakdown:
         return {k: float(getattr(self, k).data) for k in ("lm", "ce", "cd", "total")}
 
 
-def encode_variants(params, cfg, tuples, examples, lexicon, vocab, alias_choices=None, train=False, rng=None):
+def encode_variants(params, cfg, tuples, examples, lexicon, vocab, alias_choices=None, rng=None):
     """Encoder states of tuple variants in one padded pass; return (states, mask).
 
     Row i is ``tuples[i]`` with the profiles of ``examples[i]`` and the surfaces ``alias_choices[i]`` picks (default:
     canonical).  A row's masked mean pool is its relation vector, which the hinges and the ES similarity compare.
+    The pass uses dropout when given the generator ``rng``.
     """
     aliases = [None] * len(tuples) if alias_choices is None else alias_choices
     sources = []
@@ -170,7 +167,7 @@ def encode_variants(params, cfg, tuples, examples, lexicon, vocab, alias_choices
         src = build_source(t, ex.profiles, lexicon, cfg.max_src_len, alias)
         sources.append(vocab.tokenize(src))
     src_arr, mask = M.pad_sources(sources)
-    states = M.encode_batch(params, cfg, src_arr, mask, train=train, rng=rng)
+    states = M.encode_batch(params, cfg, src_arr, mask, rng)
     return states, mask
 
 
@@ -186,10 +183,12 @@ def total_loss_batch(
     use_cd=True,
     neg_types=NEG_ORDER,
     project_in_ce=False,
-    train=True,
     rng=None,
 ):
     """LossBreakdown for a batch; each component is the batch mean.
+
+    The gradient passes use dropout when given the generator ``rng``; the
+    detached margin pass never does.
 
     With both losses active, each example is five encoder rows (original,
     positive, three negatives) in one padded pass, and four teacher-forced
@@ -218,7 +217,7 @@ def total_loss_batch(
         variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
     tuples, aliases = zip(*variants)
     groups = len(variants) // b
-    states, mask = encode_variants(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, train, rng)
+    states, mask = encode_variants(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, rng)
     enc_orig = states
     if hinged:  # pooled before the LM pass, so the backward sums into states in a fixed order
         pooled = T.masked_mean_pool(states, mask)
@@ -233,9 +232,7 @@ def total_loss_batch(
 
     # original teacher-forced pass (with gradient): LM loss and pooled z_y
     try:
-        nll, dec_states = M.nll_per_example(
-            params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, train=train, rng=rng
-        )
+        nll, dec_states = M.nll_per_example(params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, rng)
     finally:
         if hinged:
             margin.exception()  # waits, so no margin pass outlives this call; result() raises its error

@@ -118,6 +118,15 @@ class ClrTuple:
         return [self.entity_a, self.entity_b, self.aspect, self.opinion]
 
 
+# each ClrTuple field in order, with the lexicon kind it names and the source tag before it
+TUPLE_SLOTS = (
+    ("entity_a", "entity", tok.EA_TAG),
+    ("entity_b", "entity", tok.EB_TAG),
+    ("aspect", "aspect", tok.ASP_TAG),
+    ("opinion", "opinion", tok.OPN_TAG),
+)
+
+
 @dataclass
 class Lexicon:
     entities: dict  # id -> [canonical, alias, ...]
@@ -300,16 +309,10 @@ def _resolve_surface(lexicon, kind, item_id, alias_choice, slot):
 
 def serialize_tuple(t: ClrTuple, lexicon: Lexicon, alias_choice=None):
     """Tagged flat token sequence; round-trips to ids unambiguously."""
-    return [
-        tok.EA_TAG,
-        _resolve_surface(lexicon, "entity", t.entity_a, alias_choice, "entity_a"),
-        tok.EB_TAG,
-        _resolve_surface(lexicon, "entity", t.entity_b, alias_choice, "entity_b"),
-        tok.ASP_TAG,
-        _resolve_surface(lexicon, "aspect", t.aspect, alias_choice, "aspect"),
-        tok.OPN_TAG,
-        _resolve_surface(lexicon, "opinion", t.opinion, alias_choice, "opinion"),
-    ]
+    seq = []
+    for slot, kind, tag in TUPLE_SLOTS:
+        seq += [tag, _resolve_surface(lexicon, kind, getattr(t, slot), alias_choice, slot)]
+    return seq
 
 
 def attr_token(category, attr):
@@ -405,12 +408,8 @@ def realize_comparative(t: ClrTuple, lexicon: Lexicon, template: Template, rng):
         surfaces = lexicon.surfaces(kind, item_id)
         return surfaces[int(rng.integers(len(surfaces)))]
 
-    fill = {
-        WIN: pick("entity", t.entity_a),
-        LOS: pick("entity", t.entity_b),
-        ASP: pick("aspect", t.aspect),
-        OPN: pick("opinion", opinion_id),
-    }
+    ids = (t.entity_a, t.entity_b, t.aspect, opinion_id)
+    fill = {slot: pick(kind, item_id) for (slot, kind), item_id in zip(SLOT_KINDS.items(), ids)}
     return [fill.get(token, token) for token in template.tokens]
 
 
@@ -557,6 +556,20 @@ class Corpus:
 
     def split(self, name):
         return [e for e in self.examples if e.split == name]
+
+    def validate(self):
+        """Every example's tuple ids and profile attributes must be in the lexicon."""
+        for i, ex in enumerate(self.examples):
+            try:
+                for slot, kind, _ in TUPLE_SLOTS:
+                    self.lexicon.surfaces(kind, getattr(ex.tuple, slot))
+                for prof in ex.profiles:
+                    for cat in CATEGORIES:
+                        for attr in prof.attrs[cat]:
+                            if attr not in self.lexicon.attributes[cat]:
+                                raise LexiconError(f"unknown {cat} attribute {attr!r} of {prof.entity_id}")
+            except LexiconError as e:
+                raise LexiconError(f"corpus example {i} ({ex.split} split): {e}") from None
 
     @property
     def train(self):

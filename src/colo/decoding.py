@@ -88,6 +88,8 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
+    if not np.isfinite(length_norm):
+        raise ConfigError(f"length_norm must be finite, got {length_norm}")
     ids, logprob, rank = np.full((1, 1), bos), np.zeros(1), np.zeros(1, dtype=np.intp)
     state = stepper.start()
     pool = []

@@ -1,13 +1,14 @@
 """Automatic metrics: BLEU, ROUGE-L, Distinct-4, coverage, entailment, PPL.
 
 Coverage checks that a surface form of each tuple component appears in the
-candidate.  The entailment check is exact on the synthetic grammar: it scans
-the candidate for comparative-template instantiations, normalizes inverted
-templates through the antonym map, and accepts only extractions that match
-the tuple (any contradicting extraction fails the candidate).  It replaces a
-learned NLI judge, it does not approximate one.  Perplexity is the trained
-model's own held-out teacher-forced PPL, not a pretrained-LM score.  The ES
-similarity encodes through ``contrastive.encode_variants``, as the hinges do.
+candidate; a surface form is one token.  The entailment check is exact on the
+synthetic grammar: it scans the candidate for comparative-template
+instantiations, normalizes inverted templates through the antonym map, and
+accepts only extractions that match the tuple (any contradicting extraction
+fails the candidate).  It replaces a learned NLI judge, it does not approximate
+one.  Perplexity is the trained model's own held-out teacher-forced PPL, not a
+pretrained-LM score.  Perplexity and the ES similarity encode through
+``contrastive.encode_variants``, as the hinges do.
 """
 
 import math
@@ -20,7 +21,7 @@ from . import model as M
 from . import tensor as T
 from . import tokens as tok
 from .contrastive import encode_variants, swap_entities
-from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, WIN, encode_example
+from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, TUPLE_SLOTS, WIN, encode_example
 from .decoding import beam_search
 from .errors import DataError
 from .fileio import write_json
@@ -128,26 +129,13 @@ def distinct_n(candidates, n=4):
 # coverage
 
 
-def _contains(candidate, surface_tokens):
-    k = len(surface_tokens)
-    if k == 0 or k > len(candidate):
-        return False
-    return any(candidate[i : i + k] == surface_tokens for i in range(len(candidate) - k + 1))
-
-
 def coverage(candidate, t, lexicon):
-    """Fraction of the four components with any surface form in the candidate."""
-    hits = 0
-    for kind, item_id in (
-        ("entity", t.entity_a),
-        ("entity", t.entity_b),
-        ("aspect", t.aspect),
-        ("opinion", t.opinion),
-    ):
-        surfaces = lexicon.surfaces(kind, item_id)
-        if any(_contains(list(candidate), s.split()) for s in surfaces):
-            hits += 1
-    return hits / 4.0
+    """Fraction of the tuple's slots with any surface form among the candidate's tokens; a surface is one token."""
+    tokens = set(candidate)
+    hits = sum(
+        any(s in tokens for s in lexicon.surfaces(kind, getattr(t, slot))) for slot, kind, _ in TUPLE_SLOTS
+    )
+    return hits / len(TUPLE_SLOTS)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +200,8 @@ def perplexity(params, cfg, examples, lexicon, vocab):
     with T.no_grad():
         for i in range(0, len(examples), SCORE_BATCH):
             chunk = examples[i : i + SCORE_BATCH]
-            encs = [encode_example(ex, lexicon, vocab, cfg.max_src_len) for ex in chunk]
-            src, smask = M.pad_sources([e.src_ids for e in encs])
-            tgt_in, labels, lmask = M.make_target_arrays([e.ref_ids for e in encs])
-            enc_states = M.encode_batch(params, cfg, src, smask)
+            enc_states, smask = encode_variants(params, cfg, [ex.tuple for ex in chunk], chunk, lexicon, vocab)
+            tgt_in, labels, lmask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in chunk])
             nll, _ = M.nll_per_example(params, cfg, enc_states, smask, tgt_in, labels, lmask)
             counts = lmask.sum(axis=1)
             total_nll += float((nll.data * counts).sum())

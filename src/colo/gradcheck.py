@@ -177,9 +177,7 @@ def composite_checks():
 
     def loss_fn(component):
         def f(_):
-            bd = K.total_loss_batch(
-                params, mcfg, examples, csets, corpus.lexicon, vocab, train=False
-            )
+            bd = K.total_loss_batch(params, mcfg, examples, csets, corpus.lexicon, vocab)
             return getattr(bd, component)
 
         return f

@@ -1,10 +1,11 @@
 """Small transformer encoder-decoder with pooled relation embeddings.
 
 Pre-LN layers, learned absolute positions, embeddings tied three ways
-(encoder input, decoder input, LM head).  Every forward function takes a
-padded (B, T) id batch plus its mask and returns tape tensors; a single
-sequence is a batch of one.  Two feed-forward projection heads (one per
-side) map (B, d) pooled representations before similarity scoring.
+(encoder input, decoder input, LM head).  Every forward function takes a padded
+(B, T) id batch plus its mask and returns tape tensors; a single sequence is a
+batch of one.  A pass uses dropout when it is given a generator ``rng``, and
+only then.  Two feed-forward projection heads (one per side) map (B, d) pooled
+representations before similarity scoring.
 
 Generation runs the same decoder layers a position at a time: :func:`decode_step`
 takes a token per row and a :class:`DecoderCache` of the rows' earlier
@@ -130,9 +131,9 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32):
 # forward pieces
 
 
-def _keep_mask(shape, rate, train, rng, dtype):
+def _keep_mask(shape, rate, rng, dtype):
     """Inverted dropout over ``shape``: (boolean keep mask, scale of the kept entries), or (None, None) when off."""
-    if not train or rate <= 0.0:
+    if rng is None or rate <= 0.0:  # a pass uses dropout when it is given a generator, and only then
         return None, None
     # the float64 draw fixes the RNG stream; the mask stays boolean, and the
     # ops that take it multiply kept entries by 1/(1-rate) in the tensor's dtype
@@ -140,8 +141,8 @@ def _keep_mask(shape, rate, train, rng, dtype):
     return rng.random(shape) >= rate, dt(1.0) / dt(1.0 - rate)
 
 
-def _dropout(x, rate, train, rng):
-    keep, scale = _keep_mask(x.data.shape, rate, train, rng, x.data.dtype)
+def _dropout(x, rate, rng):
+    keep, scale = _keep_mask(x.data.shape, rate, rng, x.data.dtype)
     return x if keep is None else T.dropout(x, keep, scale)
 
 
@@ -156,7 +157,7 @@ def _keys_values(params, prefix, kv_in, cfg):
     return k, v
 
 
-def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
+def _attend(params, prefix, q, k, v, add_mask, cfg, rng):
     """Multi-head attention over head-split q, k, v.
 
     ``add_mask`` is an additive mask in the params' dtype, or None.
@@ -166,14 +167,14 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, train, rng):
     """
     scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
     probs_shape = q.data.shape[:-1] + k.data.shape[-2:-1]
-    keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, train, rng, q.data.dtype)
+    keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, rng, q.data.dtype)
     ctx = T.merge_heads(T.attention(q, k, v, scale, add_mask, keep, keep_scale))
     return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
-def _ffn(params, prefix, x, cfg, train, rng):
+def _ffn(params, prefix, x, cfg, rng):
     out = T.ffn(x, *(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
-    return _dropout(out, cfg.dropout_rate, train, rng)
+    return _dropout(out, cfg.dropout_rate, rng)
 
 
 def _ln(params, prefix, x):
@@ -202,7 +203,7 @@ def _embed(params, ids, pos_table, start=0):
 # encoder / decoder
 
 
-def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
+def encode_batch(params, cfg, src_ids, src_mask, rng=None):
     """Contextual states for a (B, T) id batch; returns a (B, T, d) tensor."""
     src_ids = np.asarray(src_ids)
     if src_ids.ndim != 2:
@@ -214,12 +215,12 @@ def encode_batch(params, cfg, src_ids, src_mask, train=False, rng=None):
     for i in range(cfg.n_enc_layers):
         h, p = _ln(params, f"enc.{i}.ln1", x), f"enc.{i}.attn"
         q = _queries(params, p, h, cfg)
-        x = T.add(x, _attend(params, p, q, *_keys_values(params, p, h, cfg), mask, cfg, train, rng))
-        x = T.add(x, _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x), cfg, train, rng))
+        x = T.add(x, _attend(params, p, q, *_keys_values(params, p, h, cfg), mask, cfg, rng))
+        x = T.add(x, _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x), cfg, rng))
     return _ln(params, "enc.ln_f", x)
 
 
-def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, train=False, rng=None):
+def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, rng=None):
     """Decoder hidden states (pre-logits) for teacher forcing."""
     tgt_in = np.asarray(tgt_in)
     if tgt_in.ndim != 2:
@@ -235,11 +236,11 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, tra
     x = _embed(params, tgt_in, "emb.pos_dec")
     return _decoder_layers(
         params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h, cfg),
-        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states, cfg), self_mask, cross_mask, train, rng,
+        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states, cfg), self_mask, cross_mask, rng,
     )
 
 
-def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, train, rng):
+def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, rng):
     """Decoder layers and final norm over embedded targets ``x``.
 
     ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's head-split keys and
@@ -247,10 +248,10 @@ def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, tr
     """
     for i in range(cfg.n_dec_layers):
         h, p = _ln(params, f"dec.{i}.ln1", x), f"dec.{i}.self"
-        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *self_kv(i, h), self_mask, cfg, train, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *self_kv(i, h), self_mask, cfg, rng))
         h, p = _ln(params, f"dec.{i}.ln2", x), f"dec.{i}.cross"
-        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *cross_kv(i), cross_mask, cfg, train, rng))
-        x = T.add(x, _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x), cfg, train, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *cross_kv(i), cross_mask, cfg, rng))
+        x = T.add(x, _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x), cfg, rng))
     return _ln(params, "dec.ln_f", x)
 
 
@@ -319,7 +320,7 @@ def decode_step(params, cfg, cache, tokens):
         x = _embed(params, np.asarray(tokens)[:, None], "emb.pos_dec", start=cache.t)
         states = _decoder_layers(
             params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h, cfg)),
-            cache.cross.__getitem__, None, None, False, None,
+            cache.cross.__getitem__, None, None, None,
         )
         cache.t += 1
         return lm_head(params, states).data[:, 0]
@@ -367,9 +368,9 @@ def pad_sources(src_ids_list, dtype=np.int32):
     return src, mask
 
 
-def nll_per_example(params, cfg, enc_states, enc_mask, tgt_in, labels, label_mask, train=False, rng=None):
+def nll_per_example(params, cfg, enc_states, enc_mask, tgt_in, labels, label_mask, rng=None):
     """Per-example mean NLL (B,) plus the decoder states used to compute it."""
-    states = decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, label_mask, train, rng)
+    states = decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, label_mask, rng)
     logits = lm_head(params, states)
     b, t, v = logits.shape
     nll = T.cross_entropy_rows(T.reshape(logits, (b * t, v)), labels.reshape(-1))

@@ -338,7 +338,6 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
                     use_cd=tcfg.use_cd,
                     neg_types=tcfg.neg_types,
                     project_in_ce=tcfg.project_in_ce,
-                    train=True,
                     rng=drop_rng,
                 )
             except K.InvalidLossError as e:

@@ -294,7 +294,7 @@ def loss1(params, cfg, bundle, i, seed, **kwargs):
     """total_loss_batch on a batch of one: example ``i`` with its contrastive set drawn from ``seed``."""
     lexicon, examples, vocab = bundle
     cset = K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(seed))
-    return K.total_loss_batch(params, cfg, [examples[i]], [cset], lexicon, vocab, train=False, **kwargs)
+    return K.total_loss_batch(params, cfg, [examples[i]], [cset], lexicon, vocab, **kwargs)
 
 
 def test_total_loss_lm_only(tiny_bundle, tiny_model_cfg, tiny_model_params):
@@ -302,6 +302,16 @@ def test_total_loss_lm_only(tiny_bundle, tiny_model_cfg, tiny_model_params):
     vals = breakdown.values()
     assert vals["ce"] == 0.0 and vals["cd"] == 0.0
     assert vals["total"] == pytest.approx(vals["lm"])
+
+
+def test_total_loss_without_a_generator_uses_no_dropout(tiny_bundle, tiny_model_cfg, tiny_model_params):
+    """The loss's defaults on a model with a dropout rate give the values of the same model at rate 0."""
+    lexicon, examples, vocab = tiny_bundle
+    batch = examples[:2]
+    csets = [K.build_contrastive_set(ex.tuple, lexicon, derive_rng(i)) for i, ex in enumerate(batch)]
+    with_rate = replace(tiny_model_cfg, dropout_rate=0.1)
+    got = K.total_loss_batch(tiny_model_params, with_rate, batch, csets, lexicon, vocab).values()
+    assert got == K.total_loss_batch(tiny_model_params, tiny_model_cfg, batch, csets, lexicon, vocab).values()
 
 
 def test_total_loss_components_add_exactly(tiny_bundle, tiny_model_cfg, tiny_model_params):
@@ -357,11 +367,9 @@ def test_batched_matches_sum_of_singles(tiny_bundle, tiny_model_cfg, tiny_model_
     lexicon, examples, vocab = tiny_bundle
     batch = examples[:3]
     csets = [K.build_contrastive_set(ex.tuple, lexicon, derive_rng(100 + i)) for i, ex in enumerate(batch)]
-    got = K.total_loss_batch(
-        tiny_model_params, tiny_model_cfg, batch, csets, lexicon, vocab, train=False
-    )
+    got = K.total_loss_batch(tiny_model_params, tiny_model_cfg, batch, csets, lexicon, vocab)
     singles = [
-        K.total_loss_batch(tiny_model_params, tiny_model_cfg, [ex], [cs], lexicon, vocab, train=False)
+        K.total_loss_batch(tiny_model_params, tiny_model_cfg, [ex], [cs], lexicon, vocab)
         for ex, cs in zip(batch, csets)
     ]
     for field in ("lm", "ce", "cd", "total"):
@@ -395,7 +403,7 @@ def _batch_loss(params, cfg, bundle, indices, **kwargs):
     lexicon, examples, vocab = bundle
     batch = [examples[i] for i in indices]
     csets = [K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(200 + i)) for i in indices]
-    return K.total_loss_batch(params, cfg, batch, csets, lexicon, vocab, train=False, **kwargs)
+    return K.total_loss_batch(params, cfg, batch, csets, lexicon, vocab, **kwargs)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,27 @@ def test_profiles_fully_populated(small_corpus):
     for ex in examples:
         for prof in ex.profiles:
             prof.validate()
+
+
+def test_tuple_slots_name_every_tuple_field_in_order():
+    assert [slot for slot, _, _ in C.TUPLE_SLOTS] == [f.name for f in fields(C.ClrTuple)]
+
+
+def test_corpus_validate_names_the_example_the_lexicon_does_not_cover(small_corpus):
+    lexicon, examples = small_corpus
+    C.Corpus(lexicon, examples).validate()
+    ex = examples[5]
+    prof = ex.profiles[1]
+    for bad, message in (
+        (replace(ex, tuple=replace(ex.tuple, aspect="ASP_999")), "unknown aspect id 'ASP_999'"),
+        (
+            replace(ex, profiles=(ex.profiles[0], C.EntityProfile(prof.entity_id, {**prof.attrs, "texture": ["TEX_999"]}))),
+            f"unknown texture attribute 'TEX_999' of {prof.entity_id}",
+        ),
+    ):
+        with pytest.raises(C.LexiconError) as err:
+            C.Corpus(lexicon, examples[:5] + [bad] + examples[6:]).validate()
+        assert str(err.value) == f"corpus example 5 ({ex.split} split): {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,64 @@ def test_corpus_line_with_a_split_outside_train_valid_test_is_data_error_before_
     assert not out.exists()
 
 
+def _corpus_with(tmp_path, corpus_dir, split, edit):
+    """A copy of ``corpus_dir`` whose first ``split`` example goes through ``edit``; returns (dir, that example's index)."""
+    bad = tmp_path / "corpus"
+    bad.mkdir()
+    (bad / "lexicon.json").write_bytes((corpus_dir / "lexicon.json").read_bytes())
+    recs = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text(encoding="ascii").splitlines()]
+    i = next(i for i, rec in enumerate(recs) if rec["split"] == split)
+    recs[i] = edit(recs[i])
+    (bad / "corpus.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in recs), encoding="ascii")
+    return bad, i
+
+
+def _unknown_entity(rec):
+    return {**rec, "tuple": ["ENT_999"] + rec["tuple"][1:]}
+
+
+def _unknown_attribute(rec):
+    return {**rec, "profiles": [{**rec["profiles"][0], "efficacy": ["EFF_999"]}, rec["profiles"][1]]}
+
+
+@pytest.mark.parametrize("split, edit, message", [
+    ("train", _unknown_entity, "unknown entity id 'ENT_999'"),
+    ("test", _unknown_entity, "unknown entity id 'ENT_999'"),
+    ("train", _unknown_attribute, "unknown efficacy attribute 'EFF_999'"),
+], ids=["train-tuple-id", "test-tuple-id", "profile-attribute"])
+def test_corpus_the_lexicon_does_not_cover_is_data_error_before_the_run_dir(
+    tmp_path, corpus_dir, capsys, split, edit, message
+):
+    bad, i = _corpus_with(tmp_path, corpus_dir, split, edit)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
+    assert f"data error: corpus example {i} ({split} split): {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_on_a_corpus_the_lexicon_does_not_cover_is_data_error_writing_nothing(
+    tmp_path, corpus_dir, trained_ckpt, capsys
+):
+    bad, i = _corpus_with(tmp_path, corpus_dir, "test", _unknown_entity)
+    out = tmp_path / "out" / "report.json"
+    argv = ["evaluate", "--ckpt", str(trained_ckpt), "--corpus", str(bad), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"data error: corpus example {i} (test split): unknown entity id 'ENT_999'" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_length_norm_that_is_not_finite_is_config_error_writing_nothing(
+    tmp_path, corpus_dir, trained_ckpt, capsys, value
+):
+    out = tmp_path / "out" / "predictions.jsonl"
+    argv = ["generate", "--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--length-norm", value,
+            "--limit", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: length_norm must be finite, got {value}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_empty_split_is_config_error_writing_nothing(tmp_path, corpus_dir, trained_ckpt, capsys, command):
     out = tmp_path / "out.jsonl"
@@ -293,7 +351,8 @@ def test_gen_data_refusing_to_overwrite_is_data_error(corpus_dir, capsys):
     (["--epochs", "0"], "config error: epochs must be >= 1, got 0"),
     (["--eval-every", "-1"], "config error: eval_every must be >= 0, got -1"),
     (["--arms", "full,bogus"], "config error: unknown ablation arm 'bogus'"),
-], ids=["corpus", "beam", "lr", "epochs", "eval-every", "arm"])
+    (["--arms", "full,full"], "config error: duplicate ablation arms in ['full', 'full']"),
+], ids=["corpus", "beam", "lr", "epochs", "eval-every", "arm", "repeated-arm"])
 def test_ablate_bad_setting_or_corpus_fails_before_any_child_or_the_out_dir(
     tmp_path, corpus_dir, monkeypatch, capsys, extra, message
 ):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from colo import evaluation as E
 from colo.contrastive import swap_entities
-from colo.corpus import MASTER_TEMPLATES, ClrTuple, Lexicon, build_lexicon, CorpusConfig, realize_comparative
+from colo.corpus import MASTER_TEMPLATES, ClrTuple, build_lexicon, CorpusConfig, realize_comparative
 from colo.rng import derive_rng
 
 
@@ -211,20 +211,6 @@ def test_coverage_antonym_does_not_count(lex, tup):
 def test_coverage_counts_aliases(lex, tup):
     cand = ["ENT_000_ALT2", "ENT_001_ALT1", "ASP_000_ALT1", "OPN_P000_ALT2"]
     assert E.coverage(cand, tup, lex) == 1.0
-
-
-def test_coverage_multi_token_surface():
-    lex2 = Lexicon(
-        entities={"E1": ["alpha one"], "E2": ["beta"]},
-        aspects={"A1": ["quality"]},
-        opinions={"O1": ["good"]},
-        opinion_polarity={"O1": "+"},
-        antonyms={"O1": None},
-        attributes={c: ["x"] for c in ("brand", "ingredient", "efficacy", "texture", "appearance", "fragrance")},
-    )
-    t = ClrTuple("E1", "E2", "A1", "O1")
-    assert E.coverage(toks("alpha one beta quality good"), t, lex2) == 1.0
-    assert E.coverage(toks("one alpha beta quality good"), t, lex2) == 0.75
 
 
 def test_entail_own_reference(lex, tup):

@@ -238,12 +238,12 @@ def test_dropout_mask_matches_two_pass_expression(dtype):
     g = _data(dtype, shape, 17)
     keep = np.random.default_rng(13).random(shape) >= rate
     keep_f = (np.random.default_rng(13).random(shape) >= rate).astype(dtype) / (1.0 - rate)
-    got_keep, scale = M._keep_mask(shape, rate, True, np.random.default_rng(13), np.dtype(dtype))
+    got_keep, scale = M._keep_mask(shape, rate, np.random.default_rng(13), np.dtype(dtype))
     assert got_keep.dtype == np.bool_
     _same(got_keep, keep)
     _same(_dropout_float_mask(keep, scale, dtype), keep_f)
     with T.Tape():
-        y = M._dropout(x, rate, True, np.random.default_rng(13))
+        y = M._dropout(x, rate, np.random.default_rng(13))
         T.backward(T.sum_(T.mul(y, T.Tensor(g))))
     _same(y.data, x.data * keep_f)
     _same(x.grad, g * keep_f)

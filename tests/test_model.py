@@ -285,8 +285,8 @@ def test_dropout_changes_output_and_eval_is_deterministic(tiny_cfg):
     params = M.init_params(cfg, seed=9)
     src = np.array([[4, 5, 6]], dtype=np.int32)
     mask = np.ones((1, 3), dtype=bool)
-    t1 = M.encode_batch(params, cfg, src, mask, train=True, rng=derive_rng(0)).data
-    t2 = M.encode_batch(params, cfg, src, mask, train=True, rng=derive_rng(1)).data
+    t1 = M.encode_batch(params, cfg, src, mask, rng=derive_rng(0)).data
+    t2 = M.encode_batch(params, cfg, src, mask, rng=derive_rng(1)).data
     assert not np.allclose(t1, t2)
     e1 = M.encode_batch(params, cfg, src, mask).data
     e2 = M.encode_batch(params, cfg, src, mask).data
