@@ -262,7 +262,7 @@ def cmd_train(args):
     manifest_cfg = {
         "train": dataclasses.asdict(tcfg),
         "model": dataclasses.asdict(mcfg),
-        "corpus_digest": _sha256(corpus_path),
+        "corpus_digest": input_digests[str(corpus_path)],
     }
     write_manifest(
         out / "train.manifest.json", "train", manifest_cfg, tcfg.seed,
@@ -286,17 +286,25 @@ def _examples(corpus, split, limit):
     return examples[:limit] if limit else examples
 
 
+def _input_digests(inputs, out):
+    """The inputs' digests, taken before the command writes ``out``, which must not be one of them."""
+    if out.resolve() in {p.resolve() for p in inputs}:
+        raise ConfigError(f"--out {out} is one of the command's inputs")
+    return _digests(inputs)
+
+
 def cmd_generate(args):
     started = _now()
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     examples = _examples(corpus, args.split, args.limit)
     ckpt = _load_checkpoint(args.ckpt, vocab)
+    out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
+    input_digests = _input_digests([Path(args.ckpt), corpus_path, lexicon_path], out)
 
     preds = decode_corpus(
         ckpt.params, ckpt.model_config, examples, corpus.lexicon, vocab,
         beam_size=args.beam, length_norm=args.length_norm,
     )
-    out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(out) as f:
         for i, pred in enumerate(preds):
@@ -304,7 +312,7 @@ def cmd_generate(args):
     config = {"beam": args.beam, "length_norm": args.length_norm, "split": args.split, "limit": args.limit}
     write_manifest(
         Path(str(out) + ".manifest.json"), "generate", config,
-        ckpt.train_config.seed, _digests([Path(args.ckpt), corpus_path, lexicon_path]), [out], started, _now(),
+        ckpt.train_config.seed, input_digests, [out], started, _now(),
     )
     print(f"wrote {len(examples)} predictions -> {out}")
     return 0
@@ -346,16 +354,16 @@ def cmd_evaluate(args):
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     examples = _examples(corpus, args.split, args.limit)
 
-    inputs = [corpus_path, lexicon_path]
     ckpt = None
     if args.ckpt:
         ckpt = _load_checkpoint(args.ckpt, vocab)
         _check_target_length(examples, vocab, ckpt.model_config, args.split or "/".join(SPLITS))
-        inputs.append(Path(args.ckpt))
+    out = Path(args.out) if args.out else Path("report.json")
+    inputs = [Path(p) for p in (corpus_path, lexicon_path, args.ckpt, args.predictions) if p]
+    input_digests = _input_digests(inputs, out)
 
     if args.predictions:
         preds = _read_predictions(args.predictions, len(examples))
-        inputs.append(Path(args.predictions))
     else:
         preds = decode_corpus(
             ckpt.params, ckpt.model_config, examples, corpus.lexicon, vocab,
@@ -375,17 +383,16 @@ def cmd_evaluate(args):
         "beam": args.beam,
         "length_norm": args.length_norm,
         "limit": args.limit,
-        "corpus_digest": _sha256(corpus_path),
-        "ckpt_digest": _sha256(args.ckpt) if args.ckpt else None,
+        "corpus_digest": input_digests[str(corpus_path)],
+        "ckpt_digest": input_digests[str(Path(args.ckpt))] if args.ckpt else None,
         "predictions": bool(args.predictions),
     }
-    out = Path(args.out) if args.out else Path("report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     extra = {"es_similarity": es_sim, "config_digest": _digest_of(config)}
     write_report(out, report, extra=extra)
     write_manifest(
         Path(str(out) + ".manifest.json"), "evaluate", config,
-        ckpt.train_config.seed if ckpt else 0, _digests(inputs), [out], started, _now(),
+        ckpt.train_config.seed if ckpt else 0, input_digests, [out], started, _now(),
     )
     print(json.dumps(report.scaled(), sort_keys=True))
     return 0

@@ -27,7 +27,9 @@ overlap changes no value.
 There is one loss path, :func:`total_loss_batch` (the LM loss plus both
 hinges, each the batch mean; one example is a batch of one), and one
 encoder path, :func:`encode_variants`, through which evaluation's
-perplexity and ES similarity encode too.
+perplexity and ES similarity encode too.  The objective's settings come
+from the run's ``trainer.TrainConfig``, which this module reads but does
+not import (the trainer imports it).
 """
 
 import os
@@ -171,22 +173,12 @@ def encode_variants(params, cfg, tuples, examples, lexicon, vocab, alias_choices
     return states, mask
 
 
-def total_loss_batch(
-    params,
-    cfg,
-    examples,
-    csets,
-    lexicon,
-    vocab,
-    gamma=0.01,
-    use_ce=True,
-    use_cd=True,
-    neg_types=NEG_ORDER,
-    project_in_ce=False,
-    rng=None,
-):
+def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=None):
     """LossBreakdown for a batch; each component is the batch mean.
 
+    The objective's settings are those of ``tcfg``, the run's
+    ``trainer.TrainConfig``, which checks them: ``gamma``, ``use_ce``,
+    ``use_cd``, ``neg_types`` (taken in ``NEG_ORDER``) and ``project_in_ce``.
     The gradient passes use dropout when given the generator ``rng``; the
     detached margin pass never does.
 
@@ -200,10 +192,8 @@ def total_loss_batch(
     error of theirs is raised here with its own type.
     """
     b = len(examples)
-    neg_types = tuple(k for k in NEG_ORDER if k in neg_types)
-    hinged = use_ce or use_cd
-    if hinged and not neg_types:
-        raise ValueError("contrastive losses need at least one negative type")
+    neg_types = tuple(k for k in NEG_ORDER if k in tcfg.neg_types)
+    hinged = tcfg.use_ce or tcfg.use_cd
 
     tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in examples])
 
@@ -211,7 +201,7 @@ def total_loss_batch(
     # kind); variants of one example serialize to the same length, so shared
     # padding changes nothing
     variants = [(c.original, None) for c in csets]
-    if use_ce:
+    if tcfg.use_ce:
         variants += [(c.original, c.positive_surfaces) for c in csets]
     if hinged:
         variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
@@ -239,19 +229,19 @@ def total_loss_batch(
     lm = T.mean_(nll)
 
     if hinged:  # (B, n) margin constants
-        xi = margin_schedule(gamma, margin.result())
+        xi = margin_schedule(tcfg.gamma, margin.result())
 
     ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))  # an inactive term
-    if use_ce:
+    if tcfg.use_ce:
         q, k_pos, k_neg = z, blocks[0], negs
-        if project_in_ce:
+        if tcfg.project_in_ce:
             q, k_pos = M.project(params, "enc", z), M.project(params, "enc", k_pos)
             k_neg = [M.project(params, "enc", k) for k in negs]
         ce = T.mean_(_hinge_rows(*_cosines(q, k_pos, k_neg), xi))
 
-    if use_cd:
+    if tcfg.use_cd:
         z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
-        if use_ce and project_in_ce:  # both hinges compare the same projections
+        if tcfg.use_ce and tcfg.project_in_ce:  # both hinges compare the same projections
             pz, p_neg = q, k_neg
         else:
             pz, p_neg = M.project(params, "enc", z), [M.project(params, "enc", k) for k in negs]

@@ -12,7 +12,7 @@ efficacy:EFF_004.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,15 +183,25 @@ class Lexicon:
         return out
 
 
+def _is_strings(value):
+    """Whether a value read from a file is a list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class EntityProfile:
     entity_id: str
-    attrs: dict  # category -> [token, ...]; every category populated
+    attrs: dict  # category -> [token, ...]; every category populated, and no other key
 
     def validate(self):
+        unknown = sorted(set(self.attrs) - set(CATEGORIES))
+        if unknown:
+            raise CorpusError(f"profile of {self.entity_id} has unknown categories {unknown}")
         for cat in CATEGORIES:
             if not self.attrs.get(cat):
                 raise CorpusError(f"profile of {self.entity_id} missing category {cat!r}")
+            if not _is_strings(self.attrs[cat]):
+                raise CorpusError(f"profile of {self.entity_id}: category {cat!r} is not a list of string tokens")
 
 
 @dataclass
@@ -643,6 +653,10 @@ def read_corpus(path):
                 continue
             try:
                 rec = json.loads(line.decode("ascii"))
+                if not (_is_strings(rec["tuple"]) and len(rec["tuple"]) == len(TUPLE_SLOTS)):
+                    raise CorpusError(f"tuple must be a list of {len(TUPLE_SLOTS)} string ids")
+                if not _is_strings(rec["reference"]):
+                    raise CorpusError("reference must be a list of string tokens")
                 t = ClrTuple(*rec["tuple"])
                 if not all(isinstance(attrs, dict) for attrs in rec["profiles"][:2]):
                     raise CorpusError("a profile is not a JSON object")
@@ -654,7 +668,7 @@ def read_corpus(path):
                     prof.validate()
                 if rec["split"] not in SPLITS:
                     raise CorpusError(f"split {rec['split']!r} is not one of {list(SPLITS)}")
-                ex = Example(t, profiles, list(rec["reference"]), rec["split"])
+                ex = Example(t, profiles, rec["reference"], rec["split"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError, CorpusError) as e:
                 raise ParseError(f"corpus file {path}, line {lineno}: {e}") from None
             examples.append(ex)

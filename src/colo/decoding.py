@@ -7,8 +7,9 @@ probability tables and brute-force enumerate optima.  The model's stepper,
 the key/value-cached pass through the same decoder layers teacher forcing
 runs.  Greedy decoding is beam search of width 1.  The search holds its
 live beam as arrays and makes a :class:`Hypothesis` only of a row that
-retires.  ``greedy_decode`` and ``beam_search`` are the model-facing entry
-points; both decode one source sequence.
+retires.  Every search starts at ``BOS_ID`` and retires a hypothesis at
+``EOS_ID``.  ``greedy_decode`` and ``beam_search`` are the model-facing
+entry points; both decode one source sequence.
 """
 
 from dataclasses import dataclass
@@ -70,12 +71,12 @@ class TransformerStepper:
 # search over a stepper
 
 
-def greedy_steps(stepper, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID):
+def greedy_steps(stepper, max_len):
     """Argmax decoding: beam search of width 1, so ties resolve to the smallest token id."""
-    return beam_pool(stepper, 1, max_len, bos, eos)[0]
+    return beam_pool(stepper, 1, max_len)[0]
 
 
-def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, length_norm=1.0):
+def beam_pool(stepper, beam_size, max_len, length_norm=1.0):
     """All finished hypotheses the beam discovered, ranked best first.
 
     Candidates are ranked by cumulative log-probability with ties broken
@@ -90,7 +91,7 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     if not np.isfinite(length_norm):
         raise ConfigError(f"length_norm must be finite, got {length_norm}")
-    ids, logprob, rank = np.full((1, 1), bos), np.zeros(1), np.zeros(1, dtype=np.intp)
+    ids, logprob, rank = np.full((1, 1), tok.BOS_ID), np.zeros(1), np.zeros(1, dtype=np.intp)
     state = stepper.start()
     pool = []
     for _ in range(max_len):
@@ -98,8 +99,8 @@ def beam_pool(stepper, beam_size, max_len, bos=tok.BOS_ID, eos=tok.EOS_ID, lengt
             break
         logprobs, state = stepper.step(state, ids[:, -1])
         parents, tokens, scores = _top_candidates(logprob, rank, logprobs, beam_size)
-        done = tokens == eos
-        pool += [Hypothesis(ids[p].tolist() + [eos], s) for p, s in zip(parents[done], scores[done].tolist())]
+        done = tokens == tok.EOS_ID
+        pool += [Hypothesis(ids[p].tolist() + [tok.EOS_ID], s) for p, s in zip(parents[done], scores[done].tolist())]
         keep = ~done
         parents, tokens, logprob = parents[keep], tokens[keep], scores[keep]
         ids = np.concatenate((ids[parents], tokens[:, None]), axis=1)
@@ -122,10 +123,7 @@ def _top_candidates(logprob, rank, logprobs, beam_size):
     v = logprobs.shape[1]
     flat = (logprob[:, None] + logprobs).reshape(-1)
     k = min(beam_size, flat.size)
-    if flat.size > k:
-        cand = np.flatnonzero(flat >= np.partition(flat, -k)[-k])
-    else:
-        cand = np.arange(flat.size)
+    cand = np.flatnonzero(flat >= np.partition(flat, -k)[-k])
     parents, tokens = np.divmod(cand, v)
     scores = flat[cand]
     order = np.lexsort((tokens, rank[parents], -scores))[:k]
@@ -149,7 +147,7 @@ def greedy_decode(params, cfg, src_ids):
     return greedy_steps(stepper, cfg.max_tgt_len).generated()
 
 
-def beam_search(params, cfg, src_ids, beam_size=5, length_norm=1.0):
+def beam_search(params, cfg, src_ids, beam_size, length_norm=1.0):
     """The top beam_size generated-token sequences by normalized score, best first."""
     pool = beam_pool(TransformerStepper(params, cfg, src_ids), beam_size, cfg.max_tgt_len, length_norm=length_norm)
     return [h.generated() for h in pool[:beam_size]]

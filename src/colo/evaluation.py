@@ -268,7 +268,7 @@ def metrics_report(predictions, examples, lexicon, ppl=None):
     )
 
 
-def decode_corpus(params, cfg, examples, lexicon, vocab, beam_size=5, length_norm=1.0):
+def decode_corpus(params, cfg, examples, lexicon, vocab, beam_size, length_norm=1.0):
     """Beam-decode every example; returns token-string predictions."""
     preds = []
     for ex in examples:

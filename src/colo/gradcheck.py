@@ -12,6 +12,7 @@ from . import tensor as T
 from .corpus import Corpus, CorpusConfig, Vocab, generate_corpus
 from .rng import derive_rng
 from .tensor import Tensor, finite_diff_check
+from .trainer import TrainConfig
 
 OP_THRESHOLD = 1e-5
 COMPOSITE_THRESHOLD = 1e-3
@@ -167,7 +168,7 @@ def _micro_fixture():
 
 
 def composite_checks():
-    """Check lm/ce/cd/total gradients for every parameter of a micro model."""
+    """Check the default ``TrainConfig`` objective's lm/ce/cd/total gradients for every micro-model parameter."""
     corpus, vocab, mcfg, params = _micro_fixture()
     examples = corpus.examples[:2]
     csets = [
@@ -177,7 +178,7 @@ def composite_checks():
 
     def loss_fn(component):
         def f(_):
-            bd = K.total_loss_batch(params, mcfg, examples, csets, corpus.lexicon, vocab)
+            bd = K.total_loss_batch(params, mcfg, examples, csets, corpus.lexicon, vocab, TrainConfig())
             return getattr(bd, component)
 
         return f
@@ -187,7 +188,7 @@ def composite_checks():
         worst = 0.0
         f = loss_fn(component)
         for name in params:
-            err = finite_diff_check(f, params[name], eps=1e-5)
+            err = finite_diff_check(f, params[name])
             worst = max(worst, err)
         results.append((f"composite_{component}", worst))
     return results

@@ -340,12 +340,12 @@ def project(params, side, x):
 # teacher-forced language modeling
 
 
-def make_target_arrays(ref_ids_list, dtype=np.int32):
-    """Pad refs into (tgt_in, labels, label_mask) arrays with BOS/EOS."""
+def make_target_arrays(ref_ids_list):
+    """Pad refs into int32 (tgt_in, labels) and boolean label_mask arrays, with BOS/EOS."""
     b = len(ref_ids_list)
     t = max(len(r) for r in ref_ids_list) + 1
-    tgt_in = np.full((b, t), tok.PAD_ID, dtype=dtype)
-    labels = np.full((b, t), tok.PAD_ID, dtype=dtype)
+    tgt_in = np.full((b, t), tok.PAD_ID, dtype=np.int32)
+    labels = np.full((b, t), tok.PAD_ID, dtype=np.int32)
     mask = np.zeros((b, t), dtype=bool)
     for i, ref in enumerate(ref_ids_list):
         n = len(ref)
@@ -357,10 +357,11 @@ def make_target_arrays(ref_ids_list, dtype=np.int32):
     return tgt_in, labels, mask
 
 
-def pad_sources(src_ids_list, dtype=np.int32):
+def pad_sources(src_ids_list):
+    """Pad sources into an int32 id array and its boolean mask."""
     b = len(src_ids_list)
     t = max(len(s) for s in src_ids_list)
-    src = np.full((b, t), tok.PAD_ID, dtype=dtype)
+    src = np.full((b, t), tok.PAD_ID, dtype=np.int32)
     mask = np.zeros((b, t), dtype=bool)
     for i, s in enumerate(src_ids_list):
         src[i, : len(s)] = s

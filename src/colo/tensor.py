@@ -118,6 +118,8 @@ class VocabularyError(TensorError):
 
 
 COSINE_EPS = 1e-8
+LAYER_NORM_EPS = 1e-5
+FINITE_DIFF_STEP = 1e-5
 
 
 class _TapeStack(threading.local):
@@ -528,9 +530,9 @@ def sum_(a, axis=None, keepdims=False):
     return _make(out, (a,), bwd)
 
 
-def mean_(a, axis=None, keepdims=False):
-    n = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n, a.dtype))
+def mean_(a):
+    """The mean of every element, as a scalar tensor."""
+    return mul(sum_(a), _as_tensor(1.0 / a.size, a.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -729,15 +731,15 @@ def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
     return _make(out, (q, k, v), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row zero-mean/unit-variance normalization followed by an affine map."""
+def layer_norm(x, gain, bias):
+    """Per-row zero-mean/unit-variance normalization (``LAYER_NORM_EPS`` added to the variance), then an affine map."""
     shape = x.data.shape
     d = shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the feature width")
     flat = np.ascontiguousarray(x.data.reshape(-1, d))
     gd = gain.data
-    y, xhat, rstd = kernels.layer_norm_fwd(flat, gd, bias.data, eps)
+    y, xhat, rstd = kernels.layer_norm_fwd(flat, gd, bias.data, LAYER_NORM_EPS)
     out = y.reshape(shape)
     if _untaped():
         return _wrap(out)
@@ -808,8 +810,8 @@ def cosine_rows(u, v):
 # gradient checking
 
 
-def finite_diff_check(f, at, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
+def finite_diff_check(f, at):
+    """Max relative error between analytic gradients and central differences of step ``FINITE_DIFF_STEP``.
 
     ``f`` maps a tensor to a scalar tensor.  The relative error per
     coordinate is |a - n| / (|a| + |n| + 1e-12); use float64 inputs for
@@ -828,12 +830,12 @@ def finite_diff_check(f, at, eps=1e-5):
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FINITE_DIFF_STEP
             hi = float(f(at).data)
-            flat[i] = orig - eps
+            flat[i] = orig - FINITE_DIFF_STEP
             lo = float(f(at).data)
             flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * eps)
+            numeric[i] = (hi - lo) / (2.0 * FINITE_DIFF_STEP)
     a = analytic.reshape(-1)
     rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + 1e-12)
     return float(rel.max())

@@ -53,6 +53,7 @@ class TrainConfig:
     max_steps: int = 0  # 0 means run all epochs
 
     def __post_init__(self):
+        object.__setattr__(self, "neg_types", tuple(self.neg_types))  # a checkpoint header holds a JSON list
         for name in ("learning_rate", "gamma", "grad_clip_norm"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -67,12 +68,6 @@ class TrainConfig:
             raise ConfigError(f"duplicate negative types in {list(self.neg_types)}")
         if (self.use_ce or self.use_cd) and not self.neg_types:
             raise ConfigError("contrastive losses need at least one negative type")
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["neg_types"] = tuple(d.get("neg_types", K.NEG_ORDER))
-        return cls(**d)
 
 
 @dataclass
@@ -223,7 +218,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         mcfg = M.ModelConfig(**header["model_config"])
-        tcfg = TrainConfig.from_dict(header["train_config"])
+        tcfg = TrainConfig(**header["train_config"])
         rng_state = dict(header["rng"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config in header: {e}") from None
@@ -326,20 +321,7 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
             t.grad = None
         with Tape():
             try:
-                breakdown = K.total_loss_batch(
-                    params,
-                    mcfg,
-                    batch,
-                    csets,
-                    lexicon,
-                    vocab,
-                    gamma=tcfg.gamma,
-                    use_ce=tcfg.use_ce,
-                    use_cd=tcfg.use_cd,
-                    neg_types=tcfg.neg_types,
-                    project_in_ce=tcfg.project_in_ce,
-                    rng=drop_rng,
-                )
+                breakdown = K.total_loss_batch(params, mcfg, batch, csets, lexicon, vocab, tcfg, drop_rng)
             except K.InvalidLossError as e:
                 raise NumericError(f"non-finite loss at step {step}: {e}") from None
             vals = breakdown.values()

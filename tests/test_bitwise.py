@@ -52,7 +52,7 @@ def _one_step_tape(corpus, vocab, cfg, seed, batch_size):
     csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(seed, i)) for i, ex in enumerate(batch)]
     with Tape() as tape:
         K.total_loss_batch(
-            M.init_params(cfg, seed), cfg, batch, csets, corpus.lexicon, vocab, rng=derive_rng(1)
+            M.init_params(cfg, seed), cfg, batch, csets, corpus.lexicon, vocab, TR.TrainConfig(), derive_rng(1)
         )
     return tape
 

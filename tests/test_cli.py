@@ -309,6 +309,30 @@ def test_profile_that_is_not_an_object_is_data_error_before_the_run_dir(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rec: rec.update(tuple=[["ENT_000"], *rec["tuple"][1:]]), "tuple must be a list of 4 string ids"),
+        (lambda rec: rec.update(reference="ENT_000"), "reference must be a list of string tokens"),
+        (lambda rec: rec.update(reference=" ".join(rec["reference"])), "reference must be a list of string tokens"),
+        (lambda rec: rec["profiles"][0].update(fragance=["x"]), "unknown categories ['fragance']"),
+    ],
+    ids=["list-id", "short-string-reference", "long-string-reference", "unknown-category"],
+)
+def test_mistyped_corpus_field_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys, edit, message):
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    lines = (bad / "corpus.jsonl").read_text(encoding="ascii").splitlines()
+    rec = json.loads(lines[0])
+    edit(rec)
+    lines[0] = json.dumps(rec)
+    (bad / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(bad), "--out", str(out), "--max-steps", "1"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "corpus.jsonl, line 1: " in err and message in err
+    assert not out.exists()
+
+
 def test_non_ascii_corpus_byte_is_data_error(tmp_path, corpus_dir, capsys):
     bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
     with open(bad / "corpus.jsonl", "ab") as f:
@@ -441,6 +465,17 @@ def test_negative_limit_is_config_error(tmp_path, corpus_dir, trained_ckpt, caps
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "config error: --limit must be >= 0 (0 means all examples), got -2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_out_naming_an_input_is_config_error_before_any_write(tmp_path, corpus_dir, trained_ckpt, capsys, command):
+    ckpt = shutil.copy(trained_ckpt, tmp_path / "model.ckpt")
+    before = ckpt.read_bytes()
+    argv = [command, "--ckpt", str(ckpt), "--corpus", str(corpus_dir), "--limit", "1", "--out", str(ckpt)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"--out {ckpt} is one of the command's inputs" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_missing_example_id_is_eval_error(tmp_path):

@@ -151,7 +151,7 @@ def test_greedy_argmax_tie_breaks_to_smallest_id():
         def select(self, state, idx):
             return state
 
-    hyp = D.greedy_steps(TieStepper(), max_len=3, eos=tok.EOS_ID)
+    hyp = D.greedy_steps(TieStepper(), max_len=3)
     assert hyp.ids[1] == 0  # all-equal row: argmax picks id 0
 
 

@@ -1,9 +1,9 @@
-"""No module of the package reads another module's private names.
+"""No module of the package reads another module's private names, or imports a name it never reads.
 
 A name with a leading underscore belongs to its own module.  When a second
 module needs it, it gets a public name instead, so every cross-module
 dependency is visible in the public surface.  Tests may still read private
-names.
+names.  An import no code reads is a dependency the module does not have.
 """
 
 import ast
@@ -60,3 +60,38 @@ def test_the_guard_sees_imported_and_attribute_reads(tmp_path):
         "M.__name__, M.encode_batch\n"
     )
     assert private_reads(path) == ["contrastive._encode", "model._causal_mask", "tensor._as_tensor"]
+
+
+def unused_imports(path):
+    """Each name ``path`` binds by an import and never reads, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c``
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(bound - read)
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    unused = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_import_guard_sees_names_never_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import os.path\n"
+        "import json, sys\n"
+        "from dataclasses import dataclass, field as f, replace\n"
+        "from . import model as M\n"
+        "replace = None\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: int = M.WIDTH\n"
+        "print(sys.argv)\n"
+    )
+    assert unused_imports(path) == ["f", "json", "os", "replace"]

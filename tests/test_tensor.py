@@ -30,6 +30,7 @@ from colo.tensor import (
     masked_mean_pool,
     matmul,
 )
+from colo.trainer import TrainConfig
 
 
 def t64(data, requires_grad=False):
@@ -541,7 +542,7 @@ def _toy_step_leaf_grads(toy):
     csets = [K.build_contrastive_set(ex.tuple, corpus.lexicon, derive_rng(3, i)) for i, ex in enumerate(batch)]
     params = M.init_params(cfg, 3)
     with Tape():
-        bd = K.total_loss_batch(params, cfg, batch, csets, corpus.lexicon, vocab, rng=derive_rng(1))
+        bd = K.total_loss_batch(params, cfg, batch, csets, corpus.lexicon, vocab, TrainConfig(), derive_rng(1))
         backward(bd.total)
     return {n: (t.grad.dtype, t.grad.tobytes()) for n, t in params.items()}
 
