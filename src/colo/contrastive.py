@@ -15,7 +15,9 @@ rank, so the negative that most easily still produces the reference gets
 the largest margin.  Those LM losses are detached; margins are constants.
 Negatives lie on one axis in kind order throughout: the detached losses
 form a (B, n) array, the margins ``xi`` are gamma times their row ranks in
-the same shape, and the hinges take the negatives' cosines as a list.
+the same shape, and the pooled negatives are one kind-major (n, B, d) block
+from pooling to hinge: one projection, one cosine and one hinge expression
+over all kinds, with no loop over kinds.
 The detached pass runs once per example, at that example's own target and
 source length, so it computes no padding and an example's margins depend
 on that example alone.  It runs on one worker thread, made on first use,
@@ -206,16 +208,15 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
     if hinged:
         variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
     tuples, aliases = zip(*variants)
-    groups = len(variants) // b
-    states, mask = encode_variants(params, cfg, tuples, examples * groups, lexicon, vocab, aliases, rng)
+    states, mask = encode_variants(params, cfg, tuples, examples * (len(variants) // b), lexicon, vocab, aliases, rng)
     enc_orig = states
     if hinged:  # pooled before the LM pass, so the backward sums into states in a fixed order
         pooled = T.masked_mean_pool(states, mask)
-        z, *blocks = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(groups)]
-        negs = blocks[-len(neg_types):]
+        lo = len(variants) - len(neg_types) * b  # the negatives' first row
+        z = T.slice0(pooled, 0, b)
+        negs = T.reshape(T.slice0(pooled, lo, len(variants)), (len(neg_types), b, pooled.shape[-1]))
         enc_orig = T.slice0(states, 0, b)
         # detached (B, n) negative LM losses, on the worker while this thread runs the LM pass
-        lo = (groups - len(neg_types)) * b
         margin = _margin_worker().submit(
             _margin_losses, params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask
         )
@@ -233,10 +234,9 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
 
     ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))  # an inactive term
     if tcfg.use_ce:
-        q, k_pos, k_neg = z, blocks[0], negs
+        q, k_pos, k_neg = z, T.slice0(pooled, b, 2 * b), negs
         if tcfg.project_in_ce:
-            q, k_pos = M.project(params, "enc", z), M.project(params, "enc", k_pos)
-            k_neg = [M.project(params, "enc", k) for k in negs]
+            q, k_pos, k_neg = (M.project(params, "enc", v) for v in (q, k_pos, k_neg))
         ce = T.mean_(_hinge_rows(*_cosines(q, k_pos, k_neg), xi))
 
     if tcfg.use_cd:
@@ -244,7 +244,7 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
         if tcfg.use_ce and tcfg.project_in_ce:  # both hinges compare the same projections
             pz, p_neg = q, k_neg
         else:
-            pz, p_neg = M.project(params, "enc", z), [M.project(params, "enc", k) for k in negs]
+            pz, p_neg = M.project(params, "enc", z), M.project(params, "enc", negs)
         cd = T.mean_(_hinge_rows(*_cosines(z_y, pz, p_neg), xi))
 
     total = T.add(T.add(lm, ce), cd)
@@ -269,22 +269,19 @@ def _margin_worker():
 
 
 def _cosines(anchor, positive, negatives):
-    """Row cosines of the (B, d) anchor to its positive and to each negative, in kind order."""
-    return T.cosine_rows(anchor, positive), [T.cosine_rows(anchor, n) for n in negatives]
+    """Row cosines of the (B, d) anchor to its positive, (B,), and to the (n, B, d) negatives, (n, B)."""
+    return T.cosine_rows(anchor, positive), T.cosine_rows(anchor, negatives)
 
 
 def _hinge_rows(s_pos, s_neg, xi):
     """Per-example hinge totals, (B,): sum over kinds of max(0, s- - s+ + margin).
 
-    ``s_pos`` is the (B,) positive cosine, ``s_neg`` lists each negative
-    kind's (B,) cosine and ``xi`` is the (B, n) array of margin constants,
-    one column per kind; gradient flows only through the similarities.
+    ``s_pos`` is the (B,) positive cosine, ``s_neg`` the (n, B) negative
+    cosines, one row per kind, and ``xi`` the (B, n) array of margin
+    constants, one column per kind; gradient flows only through the
+    similarities.
     """
-    per_ex = None
-    for j, s in enumerate(s_neg):
-        term = T.relu(T.add(T.sub(s, s_pos), Tensor(xi[:, j].astype(s_pos.dtype))))
-        per_ex = term if per_ex is None else T.add(per_ex, term)
-    return per_ex
+    return T.sum_(T.relu(T.add(T.sub(s_neg, s_pos), Tensor(xi.T.astype(s_pos.dtype)))), axis=0)
 
 
 def _margin_losses(params, cfg, neg_state_data, neg_mask, tgt_in, labels, label_mask):

@@ -331,7 +331,7 @@ def decode_step(params, cfg, cache, tokens):
 
 
 def project(params, side, x):
-    """Side-specific two-layer tanh head over (B, d) pooled representations; ``side`` is "enc" or "dec"."""
+    """Side-specific two-layer tanh head over (..., d) pooled representations; ``side`` is "enc" or "dec"."""
     h = T.tanh(T.linear(x, params[f"proj.{side}.w1"], params[f"proj.{side}.b1"]))
     return T.linear(h, params[f"proj.{side}.w2"], params[f"proj.{side}.b2"])
 

@@ -794,9 +794,9 @@ def masked_mean_pool(states, mask):
 
 
 def cosine_rows(u, v):
-    """Row-wise cosine similarity of two (B, d) tensors, returning (B,)."""
-    if u.ndim != 2 or u.shape != v.shape:
-        raise ShapeError("cosine_rows expects matching 2-D tensors")
+    """Row-wise cosine similarity of a (B, d) ``u`` to a (B, d) ``v``, (B,), or to each (B, d) block of an (n, B, d) ``v``, (n, B)."""
+    if u.ndim != 2 or v.ndim not in (2, 3) or v.shape[-2:] != u.shape:
+        raise ShapeError("cosine_rows expects a 2-D u and a v of shape u.shape or (n, *u.shape)")
     dot = sum_(mul(u, v), axis=-1)
     nu = sqrt(sum_(mul(u, u), axis=-1))
     nv = sqrt(sum_(mul(v, v), axis=-1))

@@ -214,7 +214,7 @@ def rows(x):
 def hinge(s_pos, negs):
     """K._hinge_rows over rows of cosines; ``negs`` maps kind -> (negative cosines, margins), in kind order."""
     xi = np.stack([np.asarray(m, dtype=np.float64) for _, m in negs.values()], axis=1)
-    return K._hinge_rows(rows(s_pos), [rows(s) for s, _ in negs.values()], xi)
+    return K._hinge_rows(rows(s_pos), rows([s for s, _ in negs.values()]), xi)
 
 
 def test_hinge_inactive():
@@ -259,12 +259,12 @@ def test_hinge_empty_sets_rejected(tiny_bundle, tiny_model_cfg, tiny_model_param
 
 def test_hinge_gradient_flows_through_similarities():
     sp = Tensor(np.asarray([0.2]), requires_grad=True, dtype=np.float64)
-    sn = Tensor(np.asarray([0.5]), requires_grad=True, dtype=np.float64)
+    sn = Tensor(np.asarray([[0.5]]), requires_grad=True, dtype=np.float64)
     with Tape():
-        loss = K._hinge_rows(sp, [sn], np.asarray([[0.03]]))
+        loss = K._hinge_rows(sp, sn, np.asarray([[0.03]]))
         backward(T.sum_(loss))
     assert sp.grad == pytest.approx([-1.0])
-    assert sn.grad == pytest.approx([1.0])
+    assert sn.grad == pytest.approx(np.asarray([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +273,14 @@ def test_hinge_gradient_flows_through_similarities():
 
 def test_ce_geometry_orthogonal_negatives_zero_loss():
     z = rows([[1.0, 0.0, 0.0]])
-    negs = [rows([[0.0, 1.0, 0.0]]), rows([[0.0, 0.0, 1.0]])]
+    negs = rows([[[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]])
     xi = np.asarray([[0.01, 0.03]])
     assert K._hinge_rows(*K._cosines(z, rows([[1.0, 0.0, 0.0]]), negs), xi).data == pytest.approx([0.0])
 
 
 def test_ce_geometry_negative_equal_to_anchor():
     z = rows([[1.0, 0.0]])
-    s_pos, s_neg = K._cosines(z, rows([[0.0, 1.0]]), [rows([[1.0, 0.0]])])
+    s_pos, s_neg = K._cosines(z, rows([[0.0, 1.0]]), rows([[[1.0, 0.0]]]))
     assert K._hinge_rows(s_pos, s_neg, np.asarray([[0.02]])).data == pytest.approx([1.02])
 
 
@@ -396,7 +396,7 @@ def test_ce_entity_swap_cosines_are_evaluations_es_similarity(tiny_bundle, tiny_
     monkeypatch.setattr(K, "_cosines", record)
     _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, range(len(examples)), use_cd=False)
     (_, s_neg), = seen
-    es = float(np.mean(s_neg[K.NEG_ORDER.index("ES")].data))
+    es = float(np.mean(s_neg.data[K.NEG_ORDER.index("ES")]))
     want = E.mean_entity_swap_similarity(tiny_model_params, tiny_model_cfg, examples, lexicon, vocab)
     assert es == pytest.approx(want, rel=1e-6)
 
@@ -598,7 +598,8 @@ def _double_projection_loss(params, cfg, bundle, indices, gamma=0.01):
     tuples, aliases = zip(*variants)
     states, mask = K.encode_variants(params, cfg, tuples, batch * (2 + n), lexicon, vocab, aliases)
     pooled = T.masked_mean_pool(states, mask)
-    z, pos, *negs = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(2 + n)]
+    z, pos = T.slice0(pooled, 0, b), T.slice0(pooled, b, 2 * b)
+    negs = T.reshape(T.slice0(pooled, 2 * b, (2 + n) * b), (n, b, cfg.d_model))
     nll, dec_states = M.nll_per_example(params, cfg, T.slice0(states, 0, b), mask[:b], tgt_in, labels, label_mask)
     lm = T.mean_(nll)
     xi = K.margin_schedule(gamma, K._margin_losses(params, cfg, states.data[2 * b:], mask[2 * b:], tgt_in, labels, label_mask))
@@ -606,9 +607,9 @@ def _double_projection_loss(params, cfg, bundle, indices, gamma=0.01):
     def enc(v):
         return M.project(params, "enc", v)
 
-    ce = T.mean_(K._hinge_rows(*K._cosines(enc(z), enc(pos), [enc(k) for k in negs]), xi))
+    ce = T.mean_(K._hinge_rows(*K._cosines(enc(z), enc(pos), enc(negs)), xi))
     z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
-    cd = T.mean_(K._hinge_rows(*K._cosines(z_y, enc(z), [enc(k) for k in negs]), xi))
+    cd = T.mean_(K._hinge_rows(*K._cosines(z_y, enc(z), enc(negs)), xi))
     return K.LossBreakdown(lm, ce, cd, T.add(T.add(lm, ce), cd))
 
 
@@ -636,9 +637,111 @@ def test_project_in_ce_projects_each_vector_once(
     got, grads = _values_and_grads(
         params, lambda: _batch_loss(params, tiny_model_cfg, tiny_bundle, indices, project_in_ce=True)
     )
-    # z, the positive and three negatives on the encoder side, z_y on the decoder side
-    assert sorted(sides) == ["dec"] + ["enc"] * (2 + len(K.NEG_ORDER))
+    # z, the positive and the (n, B, d) block of negatives on the encoder side, z_y on the decoder side
+    assert sorted(sides) == ["dec"] + ["enc"] * 3
     assert got == want and want["ce"] > 0 and want["cd"] > 0
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        want_g = want_grads[name]
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=tol * np.abs(want_g).max(), err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# the one negative axis against a per-kind reference
+
+
+def _per_kind_cosines(anchor, positive, negatives):
+    """Reference: one (B,) cosine chain per negative kind, ``negatives`` a list of (B, d) tensors."""
+    return T.cosine_rows(anchor, positive), [T.cosine_rows(anchor, n) for n in negatives]
+
+
+def _per_kind_hinge_rows(s_pos, s_neg, xi):
+    """Reference: the kinds' hinges added one term at a time, ``s_neg`` a list of (B,) cosines."""
+    per_ex = None
+    for j, s in enumerate(s_neg):
+        term = T.relu(T.add(T.sub(s, s_pos), Tensor(xi[:, j].astype(s_pos.dtype))))
+        per_ex = term if per_ex is None else T.add(per_ex, term)
+    return per_ex
+
+
+def _per_kind_loss(params, cfg, bundle, indices, tcfg):
+    """Reference objective that holds each negative kind's pooled rows, projections and cosines apart."""
+    lexicon, examples, vocab = bundle
+    batch = [examples[i] for i in indices]
+    csets = [K.build_contrastive_set(examples[i].tuple, lexicon, derive_rng(200 + i)) for i in indices]
+    b = len(batch)
+    neg_types = tuple(k for k in K.NEG_ORDER if k in tcfg.neg_types)
+    hinged = tcfg.use_ce or tcfg.use_cd
+    tgt_in, labels, label_mask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in batch])
+    variants = [(c.original, None) for c in csets]
+    if tcfg.use_ce:
+        variants += [(c.original, c.positive_surfaces) for c in csets]
+    if hinged:
+        variants += [(c.negatives[kind], None) for kind in neg_types for c in csets]
+    tuples, aliases = zip(*variants)
+    groups = len(variants) // b
+    states, mask = K.encode_variants(params, cfg, tuples, batch * groups, lexicon, vocab, aliases)
+    enc_orig = states
+    if hinged:
+        pooled = T.masked_mean_pool(states, mask)
+        z, *blocks = [T.slice0(pooled, i * b, (i + 1) * b) for i in range(groups)]
+        negs = blocks[-len(neg_types):]
+        enc_orig = T.slice0(states, 0, b)
+        lo = (groups - len(neg_types)) * b
+        xi = K.margin_schedule(
+            tcfg.gamma, K._margin_losses(params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask)
+        )
+    nll, dec_states = M.nll_per_example(params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask)
+    lm = T.mean_(nll)
+
+    def enc(v):
+        return M.project(params, "enc", v)
+
+    ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))
+    if tcfg.use_ce:
+        q, k_pos, k_neg = z, blocks[0], negs
+        if tcfg.project_in_ce:
+            q, k_pos, k_neg = enc(z), enc(k_pos), [enc(k) for k in negs]
+        ce = T.mean_(_per_kind_hinge_rows(*_per_kind_cosines(q, k_pos, k_neg), xi))
+    if tcfg.use_cd:
+        z_y = M.project(params, "dec", T.masked_mean_pool(dec_states, label_mask))
+        if tcfg.use_ce and tcfg.project_in_ce:
+            pz, p_neg = q, k_neg
+        else:
+            pz, p_neg = enc(z), [enc(k) for k in negs]
+        cd = T.mean_(_per_kind_hinge_rows(*_per_kind_cosines(z_y, pz, p_neg), xi))
+    return K.LossBreakdown(lm, ce, cd, T.add(T.add(lm, ce), cd))
+
+
+PER_KIND_ARMS = {
+    "full": {},
+    "no_ce": {"use_ce": False},
+    "no_cd": {"use_cd": False},
+    "es_only": {"neg_types": ("ES",)},
+    "as_os": {"neg_types": ("AS", "OS")},
+    "project_in_ce": {"project_in_ce": True},
+}
+
+
+@pytest.mark.parametrize("arm", sorted(PER_KIND_ARMS))
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-4), ("float64", 1e-12)])
+def test_one_negative_axis_matches_the_per_kind_reference(
+    tiny_bundle, tiny_model_cfg, tiny_model_params, tiny_model_params64, arm, dtype, tol
+):
+    """Loss values are bitwise the per-kind code's; gradients differ by rounding only.
+
+    Broadcasting sums the kinds' contributions before adding them to the rest.
+    """
+    indices = list(range(6))
+    params = tiny_model_params if dtype == "float32" else tiny_model_params64
+    kwargs = PER_KIND_ARMS[arm]
+    tcfg = TrainConfig(**kwargs)
+    want, want_grads = _values_and_grads(
+        params, lambda: _per_kind_loss(params, tiny_model_cfg, tiny_bundle, indices, tcfg)
+    )
+    got, grads = _values_and_grads(params, lambda: _batch_loss(params, tiny_model_cfg, tiny_bundle, indices, **kwargs))
+    assert np.array_equal([got[k] for k in sorted(got)], [want[k] for k in sorted(want)])
+    assert (want["ce"] > 0) == tcfg.use_ce and (want["cd"] > 0) == tcfg.use_cd
     assert grads.keys() == want_grads.keys()
     for name, g in grads.items():
         want_g = want_grads[name]

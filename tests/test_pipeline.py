@@ -12,16 +12,16 @@ import pytest
 from colo import cli
 
 ARTIFACT_SHA256 = {
-    "model.ckpt": "096249589f734e2239d1b772885e44f5713dc2adee3a63f9f426d316f4c153e4",
-    "train_log.jsonl": "0bb151d55c2393a455732a438fe7ad79cdb04ae34aac3450f427a24a1ca51c8c",
+    "model.ckpt": "f0b31e7c75e77c9a9f59bfef2a3849dc2394010cff4a615982c3ad32527d23cf",
+    "train_log.jsonl": "b75ac6867f25b4e2d5811d952430b4dc3f6f8f7f2b434612a8e0dc641e1ce54d",
     "predictions.jsonl": "ca6ecc348a79ab7e2d6bb3a68c01d9b46005e1bdc7b431c318a8cc75da3ad52e",
-    "report.json": "c7d95f3960adec278fa465524362f0a7a11bf9b4b641009dd91f13247ee2a962",
+    "report.json": "51fad54159b212b2dfa24e840eb3ed0afa754bbaceb7c5cacf2057f71c7ca448",
 }
 CONFIG_DIGESTS = {
     "gen-data.manifest.json": "8a60b50aadd90cb6",
     "train.manifest.json": "2e6df22e7672875d",
     "predictions.jsonl.manifest.json": "b97f6a7c50a82421",
-    "report.json.manifest.json": "b65d2ea42a35462c",
+    "report.json.manifest.json": "861f46c21c6119fb",
 }
 
 
