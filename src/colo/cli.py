@@ -27,11 +27,11 @@ from . import gradcheck
 from .corpus import (
     SPLITS, Corpus, CorpusConfig, Vocab, generate_corpus, read_corpus, read_lexicon, write_corpus, write_lexicon,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, fits
 from .evaluation import EvalError, decode_corpus, mean_entity_swap_similarity, metrics_report, perplexity, write_report
 from .fileio import atomic_write, write_json
 from .model import ModelConfig
-from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
+from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, total_steps, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -107,17 +107,6 @@ def parse_config_file(path):
     return out
 
 
-def _fits(value, default):
-    """Whether a config-file value can stand for a field whose default is ``default``."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
-    return isinstance(value, type(default))
-
-
 def _resolve(defaults, args):
     """(settings, keys set explicitly): defaults < config file < the flags named in ``defaults``.
 
@@ -129,7 +118,7 @@ def _resolve(defaults, args):
     for key, value in file_cfg.items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
-        if not _fits(value, merged[key]):
+        if not fits(value, merged[key]):
             raise ConfigError(f"config key {key!r} cannot be {value!r}")
         merged[key] = tuple(value) if isinstance(value, list) else value
     merged.update(flags)
@@ -240,6 +229,7 @@ def cmd_train(args):
         tcfg = TrainConfig(**{k: resolved[k] for k in train_defaults})
         mcfg = ModelConfig(vocab_size=len(vocab), **{k: resolved[k] for k in model_defaults})
     _check_target_length(corpus.train + corpus.valid, vocab, mcfg, "train/valid")
+    total_steps(tcfg, len(corpus.train), start_step)  # a budget that ends before the checkpoint raises here
     input_digests = _digests(inputs)
 
     out = Path(args.out) if args.out else _default_out(tcfg.seed)

@@ -116,11 +116,19 @@ def op_cases():
     # the ffn cases' other operands, drawn after all of the above; the
     # weights' and biases' gradients sum over the batched input
     f1, fb1, f2, fb2 = c(4, 5), c(5), c(5, 2), c(2)
-    return cases + [
+    cases += [
         ("ffn_w1", lambda w: _wsum(T.ffn(a234, w, fb1, f2, fb2), w232), leaf(4, 5)),
         ("ffn_b1", lambda b: _wsum(T.ffn(a234, f1, b, f2, fb2), w232), leaf(5)),
         ("ffn_w2", lambda w: _wsum(T.ffn(a234, f1, fb1, w, fb2), w232), leaf(5, 2)),
         ("ffn_b2", lambda b: _wsum(T.ffn(a234, f1, fb1, f2, b), w232), leaf(2)),
+    ]
+    # drawn after all of the above: dropout under a fixed boolean mask, and
+    # the cosines of (3, 6) rows to a (2, 3, 6) block, whose gradient sums over its first axis
+    v236, w23 = c(2, 3, 6), c(2, 3)
+    drop = np.arange(12).reshape(3, 4) % 3 != 0
+    return cases + [
+        ("dropout", lambda x: _wsum(T.dropout(x, drop, 1.5), w34), leaf(3, 4)),
+        ("cosine_rows_stacked", lambda u: _wsum(T.cosine_rows(u, v236), w23), leaf(3, 6)),
     ]
 
 

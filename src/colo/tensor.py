@@ -794,7 +794,11 @@ def masked_mean_pool(states, mask):
 
 
 def cosine_rows(u, v):
-    """Row-wise cosine similarity of a (B, d) ``u`` to a (B, d) ``v``, (B,), or to each (B, d) block of an (n, B, d) ``v``, (n, B)."""
+    """Row-wise cosine similarity of a (B, d) ``u`` to a (B, d) ``v``, returning (B,).
+
+    A ``v`` of shape (n, B, d) is n such blocks, each compared with ``u``,
+    returning (n, B); ``u``'s gradient sums over the blocks.
+    """
     if u.ndim != 2 or v.ndim not in (2, 3) or v.shape[-2:] != u.shape:
         raise ShapeError("cosine_rows expects a 2-D u and a v of shape u.shape or (n, *u.shape)")
     dot = sum_(mul(u, v), axis=-1)

@@ -7,7 +7,7 @@ run resumed from a checkpoint matches the uninterrupted run exactly.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import kernels
 from . import model as M
 from . import rng as rngmod
 from .corpus import Vocab
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, fits
 from .fileio import atomic_write
 from .tensor import Tape, Tensor, backward, no_grad
 
@@ -206,6 +206,8 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("step", "adam_step"):
         if type(header[key]) is not int or header[key] < 0:
             raise CheckpointError(f"{path}: header {key!r} must be a non-negative integer, not {header[key]!r}")
+    if header["adam_step"] != header["step"]:
+        raise CheckpointError(f"{path}: header 'adam_step' {header['adam_step']} is not its 'step' {header['step']}")
 
     payload = raw[header_end:]
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
@@ -216,18 +218,35 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unknown array {name!r}")
         groups[kind][pname] = arr
 
-    try:
-        mcfg = M.ModelConfig(**header["model_config"])
-        tcfg = TrainConfig(**header["train_config"])
-        rng_state = dict(header["rng"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: bad config in header: {e}") from None
+    mcfg = _header_config(path, header, "model_config", M.ModelConfig, vocab_size=0)
+    tcfg = _header_config(path, header, "train_config", TrainConfig)
+    rng_state = {"seed": tcfg.seed, "step": header["step"]}
+    if header["rng"] != rng_state or not all(type(v) is int for v in header["rng"].values()):
+        raise CheckpointError(f"{path}: header 'rng' must be {rng_state}, not {header['rng']!r}")
     expected = M.param_shapes(mcfg)
     for kind, arrays in groups.items():
         _check_shapes(path, kind, arrays, expected)
     params = {n: Tensor(a, requires_grad=True) for n, a in sorted(groups["param"].items())}
     adam = AdamState(m=groups["adam_m"], v=groups["adam_v"], step=header["adam_step"])
     return Checkpoint(mcfg, params, adam, tcfg, rng_state, header["step"])
+
+
+def _header_config(path, header, key, cls, **no_default):
+    """``cls`` built from the header's ``key``, each value of a type a config file may give its field.
+
+    ``no_default`` gives a value of the right type for each field without a default.
+    """
+    values = header[key]
+    if not isinstance(values, dict):
+        raise CheckpointError(f"{path}: header {key!r} is not a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)} | no_default
+    for name, value in values.items():
+        if name in defaults and not fits(value, defaults[name]):
+            raise CheckpointError(f"{path}: bad config in header: {key} {name!r} cannot be {value!r}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config in header: {e}") from None
 
 
 def _check_shapes(path, kind, arrays, expected):
@@ -271,6 +290,20 @@ def _quick_eval(params, mcfg, valid, lexicon, vocab):
     return {"valid_ppl": lm, "valid_cover": report.cover, "valid_entail": report.entail}
 
 
+def total_steps(tcfg: TrainConfig, n_train, start_step=0):
+    """The step count a run of ``tcfg`` over ``n_train`` training examples ends at: its epochs, capped by ``max_steps``.
+
+    A run resumed at ``start_step`` past that count would rewind its
+    checkpoint, so it is a config error; one resumed exactly there is a no-op.
+    """
+    steps = tcfg.epochs * math.ceil(n_train / tcfg.batch_size)
+    if tcfg.max_steps:
+        steps = min(steps, tcfg.max_steps)
+    if start_step > steps:
+        raise ConfigError(f"resume: the checkpoint is at step {start_step}, past the {steps} steps this run trains to")
+    return steps
+
+
 def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None, start_step=0, log_file=None):
     """Run the optimization loop; returns (Checkpoint, list of log records).
 
@@ -283,15 +316,13 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
     valid_ex = corpus.valid
     if not train_ex or not valid_ex:
         raise ConfigError("corpus needs non-empty train and valid splits")
+    last_step = total_steps(tcfg, len(train_ex), start_step)
     if params is None:
         params = M.init_params(mcfg, tcfg.seed)
     if adam is None:
         adam = AdamState.init(params)
 
     steps_per_epoch = math.ceil(len(train_ex) / tcfg.batch_size)
-    total_steps = tcfg.epochs * steps_per_epoch
-    if tcfg.max_steps:
-        total_steps = min(total_steps, tcfg.max_steps)
 
     records = []
 
@@ -302,7 +333,7 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
 
     order = None
     order_epoch = -1
-    for step in range(start_step, total_steps):
+    for step in range(start_step, last_step):
         epoch, pos = divmod(step, steps_per_epoch)
         if epoch != order_epoch:
             order = rngmod.derive_rng(tcfg.seed, rngmod.ORDER, epoch).permutation(len(train_ex))
@@ -350,7 +381,7 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
         params=params,
         adam=adam,
         train_config=tcfg,
-        rng_state={"seed": tcfg.seed, "step": total_steps},
-        step=total_steps,
+        rng_state={"seed": tcfg.seed, "step": last_step},
+        step=last_step,
     )
     return ckpt, records

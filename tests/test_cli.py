@@ -159,6 +159,24 @@ def test_resume_manifest_digests_the_checkpoint_it_read(resumed_in_place):
     assert manifest["outputs"][ckpt] == cli._sha256(ckpt) != before
 
 
+def test_resume_past_the_budget_is_config_error_before_any_write(tmp_path, corpus_dir, resumed_in_place, capsys):
+    """A 4-step checkpoint resumed with a 2-step budget exits 2 before making its run directory.
+
+    Resumed in place with a 4-step budget, it is a no-op that leaves its files as they were.
+    """
+    _, split, _ = resumed_in_place
+    for name in ("model.ckpt", "train_log.jsonl"):
+        shutil.copy(split / name, tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / "resumed"
+    argv = ["train", "--corpus", str(corpus_dir), "--resume", str(tmp_path / "model.ckpt"), "--eval-every", "1"]
+    assert cli.main(argv + ["--out", str(out), "--max-steps", "2"]) == cli.EXIT_CONFIG
+    assert "the checkpoint is at step 4, past the 2 steps this run trains to" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--out", str(tmp_path), "--max-steps", "4"]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 def test_resume_over_malformed_log_is_data_error(tmp_path, corpus_dir, trained_ckpt, capsys):
     shutil.copy(trained_ckpt, tmp_path / "model.ckpt")
     (tmp_path / "train_log.jsonl").write_text("not json\n")

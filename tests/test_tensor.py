@@ -1,7 +1,9 @@
+import ast
 import platform
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,24 @@ def t64(data, requires_grad=False):
 @pytest.mark.parametrize("f, at", [pytest.param(f, at, id=name) for name, f, at in op_cases()])
 def test_op_gradient_matches_finite_differences(f, at):
     assert finite_diff_check(f, at) < OP_THRESHOLD
+
+
+def _taping_functions():
+    """The top-level functions of ``tensor.py`` that record an op on the tape, i.e. call ``_make``."""
+    tree = ast.parse(Path(T.__file__).read_text(encoding="utf-8"))
+    return [
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make" for n in ast.walk(fn))
+    ]
+
+
+def test_every_taping_op_has_a_finite_difference_case():
+    """A case covers an op when its name is the op's name, or that name (trailing underscore dropped) then ``_``."""
+    names = [name for name, _, _ in op_cases()]
+    ops = _taping_functions()
+    assert {"add", "sum_", "attention"} <= set(ops)
+    assert [fn for fn in ops if not any(n == fn or n.startswith(fn.rstrip("_") + "_") for n in names)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +201,20 @@ def test_cosine_rows_matches_single():
     for i in range(3):
         single = u[i] @ v[i] / (np.linalg.norm(u[i]) * np.linalg.norm(v[i]))
         assert batched[i] == pytest.approx(single)
+
+
+def test_cosine_rows_of_a_stacked_v_are_each_blocks_cosines_bit_for_bit():
+    rng = np.random.default_rng(5)
+    u, v = t64(rng.standard_normal((3, 5))), rng.standard_normal((4, 3, 5))
+    stacked = cosine_rows(u, t64(v)).data
+    assert stacked.shape == (4, 3)
+    assert np.array_equal(stacked, [cosine_rows(u, t64(block)).data for block in v])
+
+
+@pytest.mark.parametrize("v_shape", [(3, 4), (2, 5), (2, 2, 5), (2, 1, 3, 5)])
+def test_cosine_rows_rejects_a_v_of_another_row_shape(v_shape):
+    with pytest.raises(ShapeError):
+        cosine_rows(t64(np.ones((3, 5))), t64(np.ones(v_shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from colo import model as M
 from colo import trainer as TR
 from colo.corpus import Corpus
+from colo.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,19 @@ def test_resume_matches_uninterrupted(tmp_path, corpus, tiny_model_cfg):
         assert a.tobytes() == b.tobytes(), name
 
 
+def test_total_steps_counts_epochs_capped_by_max_steps():
+    # 10 examples at batch 4: 3 steps per epoch
+    assert TR.total_steps(TR.TrainConfig(batch_size=4, epochs=2), 10) == 6
+    assert TR.total_steps(TR.TrainConfig(batch_size=4, epochs=2, max_steps=4), 10) == 4
+    assert TR.total_steps(TR.TrainConfig(batch_size=4, epochs=2, max_steps=9), 10, start_step=6) == 6
+
+
+def test_resume_past_the_budget_raises_rather_than_rewinding(corpus, tiny_model_cfg):
+    """A checkpoint at step 2 and a budget of 1 step: the run would write step 1 over step 2's state."""
+    with pytest.raises(ConfigError, match="the checkpoint is at step 2, past the 1 steps this run trains to"):
+        TR.train(TR.TrainConfig(batch_size=4, eval_every=0, max_steps=1), corpus, tiny_model_cfg, start_step=2)
+
+
 def test_reversed_manifest_loads_sorted_and_resumes_alike(tmp_path, corpus, tiny_model_cfg, rewrite_header):
     """Parameters load sorted by name whatever the manifest order, so a resume (gradient-norm sum included) matches."""
     half_cfg = TR.TrainConfig(batch_size=4, epochs=2, seed=5, eval_every=0, max_steps=3)
@@ -316,11 +330,28 @@ def _edited(change):
         (_edited(lambda h: h.update(step=-5)), "'step' must be a non-negative integer, not -5"),
         (_edited(lambda h: h.update(adam_step=True)), "'adam_step' must be a non-negative integer, not True"),
         (_edited(lambda h: h.update(adam_step=None)), "'adam_step' must be a non-negative integer, not None"),
+        # every config value obeys the config-file type rule
+        (_edited(lambda h: h["train_config"].update(batch_size=4.5)), "train_config 'batch_size' cannot be 4.5"),
+        (_edited(lambda h: h["model_config"].update(d_model=16.0)), "model_config 'd_model' cannot be 16.0"),
+        (_edited(lambda h: h["train_config"].update(use_ce="no")), "train_config 'use_ce' cannot be 'no'"),
+        (_edited(lambda h: h["train_config"].update(seed=True)), "train_config 'seed' cannot be True"),
+        (_edited(lambda h: h["train_config"].update(neg_types=["ES", 1])), "train_config 'neg_types' cannot be ['ES', 1]"),
+        (_edited(lambda h: h["model_config"].update(vocab_size=8.0)), "model_config 'vocab_size' cannot be 8.0"),
+        (_edited(lambda h: h.update(model_config=[8])), "header 'model_config' is not a JSON object"),
+        # the optimizer, the random streams and the step agree
+        (_edited(lambda h: h.update(step=1000)), "header 'adam_step' 0 is not its 'step' 1000"),
+        (_edited(lambda h: h.update(step=3, adam_step=3)), "header 'rng' must be {'seed': 0, 'step': 3}"),
+        (_edited(lambda h: h["rng"].update(seed=1)), "header 'rng' must be {'seed': 0, 'step': 0}"),
+        (_edited(lambda h: h["rng"].update(seed=False)), "header 'rng' must be {'seed': 0, 'step': 0}"),
+        (_edited(lambda h: h["rng"].update(epoch=0)), "header 'rng' must be {'seed': 0, 'step': 0}"),
+        (_edited(lambda h: h.update(rng=[0, 0])), "header 'rng' must be {'seed': 0, 'step': 0}"),
     ],
     ids=[
         "list", "no-rng", "no-manifest", "dtype", "shape", "negative-shape", "name", "model-config", "train-config",
         "adam-shape-off-config", "param-missing", "step-str", "step-float", "step-negative", "adam-step-bool",
-        "adam-step-null",
+        "adam-step-null", "batch-size-float", "d-model-float", "use-ce-str", "seed-bool", "neg-types-int",
+        "vocab-size-float", "model-config-list", "step-past-adam-step", "rng-step", "rng-seed", "rng-seed-bool",
+        "rng-extra-key", "rng-list",
     ],
 )
 def test_checkpoint_header_faults_rejected(small_checkpoint, rewrite_header, edit, message):
