@@ -17,7 +17,6 @@ import datetime
 import hashlib
 import itertools
 import json
-import os
 import subprocess
 import sys
 import time
@@ -186,12 +185,15 @@ RESUME_FREE_FIELDS = ("epochs", "max_steps", "eval_every")
 
 
 def _resumed_configs(ckpt, resolved, explicit):
-    """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises."""
+    """(TrainConfig, ModelConfig) for a resume; an explicit value the checkpoint contradicts raises.
+
+    A free field keeps its checkpoint value unless a flag or the config file sets it.
+    """
     saved = {**dataclasses.asdict(ckpt.train_config), **dataclasses.asdict(ckpt.model_config)}
     for key in sorted(explicit - set(RESUME_FREE_FIELDS)):
         if resolved[key] != saved[key]:
             raise CheckpointError(f"resume: {key} is {saved[key]!r} in the checkpoint, not {resolved[key]!r}")
-    tcfg = dataclasses.replace(ckpt.train_config, **{k: resolved[k] for k in RESUME_FREE_FIELDS})
+    tcfg = dataclasses.replace(ckpt.train_config, **{k: resolved[k] for k in RESUME_FREE_FIELDS if k in explicit})
     return tcfg, ckpt.model_config
 
 
@@ -402,16 +404,13 @@ def _run_children(cmds, jobs):
     process is interrupted, the children still running are terminated and
     waited on before the error propagates.
     """
-    env = dict(os.environ)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    env.setdefault("OMP_NUM_THREADS", "1")
     pending = list(cmds)
     running = {}
     try:
         while pending or running:
             while pending and len(running) < jobs:
                 cmd = pending.pop(0)
-                running[subprocess.Popen(cmd, env=env)] = cmd
+                running[subprocess.Popen(cmd)] = cmd
             done = [p for p in running if p.poll() is not None]
             if not done:
                 time.sleep(CHILD_POLL_S)

@@ -20,11 +20,9 @@ from pooling to hinge: one projection, one cosine and one hinge expression
 over all kinds, with no loop over kinds.
 The detached pass runs once per example, at that example's own target and
 source length, so it computes no padding and an example's margins depend
-on that example alone.  It runs on one worker thread, made on first use,
-concurrently with the gradient LM pass in the calling thread: it reads
-only the encoder states' arrays, the parameters and the target arrays,
-draws no randomness and records on no tape (tapes are per-thread), so the
-overlap changes no value.
+on that example alone.  It reads only the encoder states' arrays, the
+parameters and the target arrays, draws no randomness and records on no
+tape.
 
 There is one loss path, :func:`total_loss_batch` (the LM loss plus both
 hinges, each the batch mean; one example is a batch of one), and one
@@ -34,7 +32,6 @@ from the run's ``trainer.TrainConfig``, which this module reads but does
 not import (the trainer imports it).
 """
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -188,10 +185,7 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
     positive, three negatives) in one padded pass, and four teacher-forced
     decoder rows: the original, with gradient, in one padded pass over the
     batch, and the three negatives, detached, in a pass of its own at the
-    example's length that only sets the margin ranks.  The detached passes
-    run on the margin worker while this thread runs the gradient pass; the
-    call waits for them whether or not the gradient pass raises, and an
-    error of theirs is raised here with its own type.
+    example's length that only sets the margin ranks.
     """
     b = len(examples)
     neg_types = tuple(k for k in NEG_ORDER if k in tcfg.neg_types)
@@ -216,21 +210,14 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
         z = T.slice0(pooled, 0, b)
         negs = T.reshape(T.slice0(pooled, lo, len(variants)), (len(neg_types), b, pooled.shape[-1]))
         enc_orig = T.slice0(states, 0, b)
-        # detached (B, n) negative LM losses, on the worker while this thread runs the LM pass
-        margin = _margin_worker().submit(
-            _margin_losses, params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask
+        # (B, n) margin constants from the detached negative LM losses
+        xi = margin_schedule(
+            tcfg.gamma, _margin_losses(params, cfg, states.data[lo:], mask[lo:], tgt_in, labels, label_mask)
         )
 
     # original teacher-forced pass (with gradient): LM loss and pooled z_y
-    try:
-        nll, dec_states = M.nll_per_example(params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, rng)
-    finally:
-        if hinged:
-            margin.exception()  # waits, so no margin pass outlives this call; result() raises its error
+    nll, dec_states = M.nll_per_example(params, cfg, enc_orig, mask[:b], tgt_in, labels, label_mask, rng)
     lm = T.mean_(nll)
-
-    if hinged:  # (B, n) margin constants
-        xi = margin_schedule(tcfg.gamma, margin.result())
 
     ce = cd = Tensor(np.zeros((), dtype=params["emb.tok"].dtype))  # an inactive term
     if tcfg.use_ce:
@@ -249,23 +236,6 @@ def total_loss_batch(params, cfg, examples, csets, lexicon, vocab, tcfg, rng=Non
 
     total = T.add(T.add(lm, ce), cd)
     return LossBreakdown(lm, ce, cd, total)
-
-
-_WORKER = None  # (pid, executor) of the margin worker
-
-
-def _margin_worker():
-    """The one thread the detached margin pass runs on, made on first use.
-
-    A process forked after it was made inherits the executor but not its
-    thread, so a child makes its own.
-    """
-    global _WORKER
-    if _WORKER is None or _WORKER[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="colo-margin"))
-    return _WORKER[1]
 
 
 def _cosines(anchor, positive, negatives):

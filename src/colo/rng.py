@@ -2,7 +2,10 @@
 
 Deriving a fresh generator from integer keys (seed, stream tag, step, ...)
 makes corpus generation order-independent and lets training resume from a
-checkpoint bitwise-exactly without serializing generator internals.
+checkpoint bitwise-exactly without serializing generator internals.  A
+training step's dropout, for instance, draws from ``(seed, DROPOUT, step,
+shard)``: one stream per shard of the step's batch, so the shards' draws do
+not depend on which thread runs first.
 """
 
 import numpy as np

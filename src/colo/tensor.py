@@ -9,7 +9,7 @@ gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
 ...), with no operator overloading; pooling and similarity take batched
 operands only.  The tape stack is per-thread: a tape or a ``no_grad``
 block entered in one thread neither records nor silences the ops another
-thread runs, so a no-grad pass may run beside a taped one.
+thread runs, so the shards of a training step record side by side.
 
 The tape links ops, not tensors.  A recorded op's output tensor points to
 its :class:`_Op`, and each op points to what produced its operands: another

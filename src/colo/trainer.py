@@ -3,10 +3,36 @@
 Every random draw is derived from (seed, stream, step/epoch/example) keys,
 so two runs with the same config produce bitwise-identical parameters and a
 run resumed from a checkpoint matches the uninterrupted run exactly.
+
+A step computes its loss and gradients in shards (:func:`step_gradients`),
+one per CPU of a two-CPU host.  The shards are part of the step's
+arithmetic, not a thread setting, so how the threads are scheduled changes
+no bit:
+
+- **Split.** A batch of B examples splits in batch order into the first
+  ceil(B/2) examples and the rest; an empty shard is dropped, so a batch of
+  one is one shard.
+- **Per shard.** Each shard wraps the shared parameter arrays in leaf
+  tensors of its own, records on a tape of its own and calls
+  :func:`contrastive.total_loss_batch` on its examples.  Its dropout draws
+  from the stream keyed ``(seed, DROPOUT, step, shard)``.
+- **Threads.** Shard 0 runs in the calling thread and shard 1 on a thread
+  made for the step and joined before the step returns, whether or not a
+  shard raises.  A shard's error reaches the caller with its own type; where
+  both raise, shard 0's does.
+- **Phase order.** Every shard finishes its forward pass before any shard
+  starts its backward pass, so a tracer that keeps one span stack for all
+  threads (``benchmarks/spans.py``) never sees a backward span close while
+  another shard's forward spans are open.
+- **Weights and summation order.** Each shard's loss values and gradients
+  are weighted by its share of the batch, n_shard / B, and summed in shard
+  order, so the step's loss is the batch mean.  Only then come the
+  finiteness check, clipping and Adam.
 """
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -304,6 +330,89 @@ def total_steps(tcfg: TrainConfig, n_train, start_step=0):
     return steps
 
 
+def shard_bounds(b):
+    """The (start, stop) of each shard of a b-example batch: the first ceil(b/2) examples, then the rest, if any."""
+    cut = (b + 1) // 2
+    return [(0, cut), (cut, b)] if cut < b else [(0, b)]
+
+
+def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step):
+    """(loss values, gradients) of training step ``step`` on ``batch``, computed in shards.
+
+    The values are the batch means of :meth:`contrastive.LossBreakdown.values`
+    and the gradients one array per parameter, each the shards' weighted sum
+    in shard order (the module docstring states the contract).  The gradient
+    arrays are the caller's to scale in place.
+    """
+    bounds = shard_bounds(len(batch))
+    barrier = threading.Barrier(len(bounds))
+
+    def shard(i, lo, hi):
+        leaves = {n: Tensor(t.data, requires_grad=True) for n, t in params.items()}
+        rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step, i)
+        with Tape():
+            breakdown = K.total_loss_batch(leaves, mcfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg, rng)
+            barrier.wait()  # phase order: every forward ends before any backward starts
+            backward(breakdown.total)
+        return breakdown.values(), {n: t.grad for n, t in leaves.items()}
+
+    results = _run_shards([(shard, i, lo, hi) for i, (lo, hi) in enumerate(bounds)], barrier)
+    weights = [(hi - lo) / len(batch) for lo, hi in bounds]
+    vals = {k: sum(w * v[k] for w, (v, _) in zip(weights, results)) for k in results[0][0]}
+    grads = {}
+    for name, t in params.items():
+        total = None
+        for w, (_, shard_grads) in zip(weights, results):
+            g = shard_grads[name]
+            if g is None:
+                continue
+            g *= w  # the shard leaf's own copy
+            if total is None:
+                total = g
+            else:
+                total += g
+        grads[name] = np.zeros_like(t.data) if total is None else total
+    return vals, grads
+
+
+def _run_shards(calls, barrier):
+    """The result of each ``(fn, *args)`` call, in order: the first in this thread, the others on threads of their own.
+
+    The threads are joined before this returns.  A call that raises breaks
+    ``barrier``, so no other call waits at it for ever, and the first error
+    in call order is raised with its own type; a ``BrokenBarrierError`` is
+    raised only where no call raised anything else.
+    """
+    results = [None] * len(calls)
+    errors = [None] * len(calls)
+
+    def run(i):
+        fn, *args = calls[i]
+        try:
+            results[i] = fn(*args)
+        except BaseException as e:  # kept and re-raised below, in call order
+            errors[i] = e
+            barrier.abort()
+
+    started = []
+    try:
+        for i in range(1, len(calls)):
+            t = threading.Thread(target=run, args=(i,), name=f"colo-shard-{i}")
+            t.start()
+            started.append(t)
+        run(0)
+    except BaseException:  # a thread did not start, or an interrupt came before run(0) could catch it
+        barrier.abort()
+        raise
+    finally:
+        for t in started:
+            t.join()
+    raised = [e for e in errors if e is not None]
+    if raised:
+        raise next((e for e in raised if not isinstance(e, threading.BrokenBarrierError)), raised[0])
+    return results
+
+
 def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None, start_step=0, log_file=None):
     """Run the optimization loop; returns (Checkpoint, list of log records).
 
@@ -346,23 +455,12 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
             )
             for i, ex in zip(batch_idx, batch)
         ]
-        drop_rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step)
-
-        for t in params.values():
-            t.grad = None
-        with Tape():
-            try:
-                breakdown = K.total_loss_batch(params, mcfg, batch, csets, lexicon, vocab, tcfg, drop_rng)
-            except K.InvalidLossError as e:
-                raise NumericError(f"non-finite loss at step {step}: {e}") from None
-            vals = breakdown.values()
-            if not all(math.isfinite(x) for x in vals.values()):
-                raise NumericError(f"non-finite loss at step {step}: {vals}")
-            backward(breakdown.total)
-
-        grads = {
-            n: (t.grad if t.grad is not None else np.zeros_like(t.data)) for n, t in params.items()
-        }
+        try:
+            vals, grads = step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step)
+        except K.InvalidLossError as e:
+            raise NumericError(f"non-finite loss at step {step}: {e}") from None
+        if not all(math.isfinite(x) for x in vals.values()):
+            raise NumericError(f"non-finite loss at step {step}: {vals}")
         norm = clip_gradients(grads, tcfg.grad_clip_norm)
         adam_update(params, grads, adam, tcfg.learning_rate)
 

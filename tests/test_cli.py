@@ -177,6 +177,23 @@ def test_resume_past_the_budget_is_config_error_before_any_write(tmp_path, corpu
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+def test_resume_keeps_the_checkpoints_eval_every_unless_set(tmp_path, corpus_dir, resumed_in_place):
+    """A 4-step ``--eval-every 1`` checkpoint resumed with no ``--eval-every``: at a 4-step budget a no-op, past it
+    still evaluating every step."""
+    _, split, _ = resumed_in_place
+    for name in ("model.ckpt", "train_log.jsonl"):
+        shutil.copy(split / name, tmp_path / name)
+    ckpt = tmp_path / "model.ckpt"
+    before = ckpt.read_bytes()
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path), "--resume", str(ckpt)]
+    assert cli.main(argv + ["--max-steps", "4"]) == 0
+    assert ckpt.read_bytes() == before
+    assert cli.main(argv + ["--max-steps", "5"]) == 0
+    assert load_checkpoint(ckpt).train_config.eval_every == 1
+    records = [json.loads(line) for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+    assert [(r["type"], r["step"]) for r in records[-2:]] == [("train", 4), ("eval", 4)]
+
+
 def test_resume_over_malformed_log_is_data_error(tmp_path, corpus_dir, trained_ckpt, capsys):
     shutil.copy(trained_ckpt, tmp_path / "model.ckpt")
     (tmp_path / "train_log.jsonl").write_text("not json\n")

@@ -1,7 +1,6 @@
 import functools
 import multiprocessing
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,8 @@ from colo import contrastive as K
 from colo import evaluation as E
 from colo import model as M
 from colo import tensor as T
-from colo.corpus import ClrTuple, build_lexicon, build_source, CorpusConfig
+from colo import trainer as TR
+from colo.corpus import ClrTuple, Corpus, build_lexicon, build_source, CorpusConfig
 from colo.rng import derive_rng
 from colo.tensor import Tape, Tensor, backward, no_grad
 from colo.trainer import TrainConfig
@@ -507,60 +507,80 @@ def test_margin_pass_computes_no_padding(tiny_bundle, tiny_model_cfg, tiny_model
 
 
 # ---------------------------------------------------------------------------
-# the margin worker: the detached pass runs beside the gradient LM pass
+# shard threads: a training step runs its second shard on a thread of its own
 
 
 class _PassError(Exception):
     pass
 
 
-def _fail_on(thread_is_caller, monkeypatch, before_raise=lambda: None):
-    """Make ``M.nll_per_example`` raise ``_PassError`` on the calling thread (the taped LM pass) or off it (the margin pass)."""
-    caller, nll = threading.get_ident(), M.nll_per_example
+def _train_within(seconds, train):
+    """``train(caller)``'s result, or its error raised here, where ``caller`` is the thread ``train`` runs in.
 
-    def nll_or_fail(*args, **kwargs):
-        if (threading.get_ident() == caller) == thread_is_caller:
-            before_raise()
+    It runs on a thread of its own, so a step that hangs fails the test after ``seconds``.
+    """
+    out = {}
+
+    def target():
+        try:
+            out["value"] = train(threading.get_ident())
+        except BaseException as e:
+            out["error"] = e
+
+    thread = threading.Thread(target=target, daemon=True)  # a hung step must not hold up the test process's exit
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"the step did not end within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _one_step(tiny_bundle, tiny_model_cfg, monkeypatch, failing_shard=None):
+    """A function running one 4-example (2 + 2) training step; shard ``failing_shard`` raises ``_PassError`` in its loss."""
+    lexicon, examples, _ = tiny_bundle
+    loss, caller = K.total_loss_batch, []
+
+    def loss_or_fail(*args, **kwargs):
+        if failing_shard is not None and (threading.get_ident() != caller[-1]) == failing_shard:
             raise _PassError
-        return nll(*args, **kwargs)
+        return loss(*args, **kwargs)
 
-    monkeypatch.setattr(M, "nll_per_example", nll_or_fail)
+    monkeypatch.setattr(K, "total_loss_batch", loss_or_fail)
+
+    def train(ident):
+        caller.append(ident)
+        tcfg = TrainConfig(batch_size=4, epochs=1, seed=3, eval_every=0, max_steps=1)
+        return TR.train(tcfg, Corpus(lexicon, examples), tiny_model_cfg)[1]
+
+    return train
 
 
-def test_a_margin_pass_error_reaches_the_caller_with_its_type(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
-    _fail_on(False, monkeypatch)
+@pytest.mark.parametrize("shard", [0, 1])
+def test_a_shard_error_reaches_the_train_caller_with_its_type(tiny_bundle, tiny_model_cfg, monkeypatch, shard):
     with pytest.raises(_PassError):
-        _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1])
+        _train_within(60, _one_step(tiny_bundle, tiny_model_cfg, monkeypatch, failing_shard=shard))
 
 
-def test_a_failing_lm_pass_waits_for_the_margin_pass(tiny_bundle, tiny_model_cfg, tiny_model_params, monkeypatch):
-    lm_failed, finished = threading.Event(), []
-    margin_losses = K._margin_losses
-
-    def late_margin_losses(*args):
-        # starts once the LM pass has raised, so only a wait in the caller sees it finish
-        assert lm_failed.wait(timeout=60)
-        time.sleep(0.05)
-        losses = margin_losses(*args)
-        finished.append(losses.shape)
-        return losses
-
-    monkeypatch.setattr(K, "_margin_losses", late_margin_losses)
-    _fail_on(True, monkeypatch, lm_failed.set)
-    with pytest.raises(_PassError):
-        _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1])
-    assert finished == [(2, len(K.NEG_ORDER))]
+@pytest.mark.parametrize("failing_shard", [None, 0, 1], ids=["ok", "shard-0-fails", "shard-1-fails"])
+def test_no_shard_thread_outlives_a_step(tiny_bundle, tiny_model_cfg, monkeypatch, failing_shard):
+    before = threading.enumerate()
+    try:
+        _train_within(60, _one_step(tiny_bundle, tiny_model_cfg, monkeypatch, failing_shard))
+    except _PassError:
+        assert failing_shard is not None
+    assert threading.enumerate() == before
 
 
-def test_a_forked_child_runs_the_margin_pass(tiny_bundle, tiny_model_cfg, tiny_model_params):
-    """A child forked after the worker was made inherits no worker thread; its loss must not wait on one."""
-    want = _batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1]).values()
-    assert K._WORKER is not None
+def test_a_forked_child_runs_a_step(tiny_bundle, tiny_model_cfg, monkeypatch):
+    """A child forked after a step inherits no shard thread; its own step must not wait on one."""
+    step = _one_step(tiny_bundle, tiny_model_cfg, monkeypatch)
+    want = step(threading.get_ident())
     ctx = multiprocessing.get_context("fork")
     got = ctx.Queue()
 
     def child():
-        got.put(_batch_loss(tiny_model_params, tiny_model_cfg, tiny_bundle, [0, 1]).values())
+        got.put(step(threading.get_ident()))
 
     proc = ctx.Process(target=child)
     proc.start()

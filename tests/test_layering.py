@@ -1,9 +1,12 @@
-"""No module of the package reads another module's private names, or imports a name it never reads.
+"""No module of the package reads another module's private names, imports a name it never reads, or starts threads
+outside the trainer.
 
 A name with a leading underscore belongs to its own module.  When a second
 module needs it, it gets a public name instead, so every cross-module
 dependency is visible in the public surface.  Tests may still read private
 names.  An import no code reads is a dependency the module does not have.
+A training step is the one place that runs work on another thread, so
+``threading.Thread`` and ``concurrent.futures`` appear nowhere else.
 """
 
 import ast
@@ -95,3 +98,46 @@ def test_the_import_guard_sees_names_never_read(tmp_path):
         "print(sys.argv)\n"
     )
     assert unused_imports(path) == ["f", "json", "os", "replace"]
+
+
+def thread_starts(path):
+    """Each use of ``threading.Thread`` or ``concurrent.futures`` in ``path``, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    threading_names = set()  # local names bound to the threading module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            threading_names.update(a.asname or a.name for a in node.names if a.name == "threading")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += ["concurrent.futures" for a in node.names if a.name.partition(".")[0] == "concurrent"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = {a.name for a in node.names}
+            if node.module == "concurrent.futures" or (node.module == "concurrent" and "futures" in names):
+                found.append("concurrent.futures")
+            elif node.module == "threading" and "Thread" in names:
+                found.append("threading.Thread")
+        elif isinstance(node, ast.Attribute) and node.attr == "Thread":
+            if isinstance(node.value, ast.Name) and node.value.id in threading_names:
+                found.append("threading.Thread")
+    return sorted(found)
+
+
+def test_only_the_trainer_starts_threads():
+    starts = {path.name: thread_starts(path) for path in sorted(SRC.glob("*.py")) if path.name != "trainer.py"}
+    assert {name: found for name, found in starts.items() if found} == {}
+    assert thread_starts(SRC / "trainer.py") == ["threading.Thread"]
+
+
+def test_the_thread_guard_sees_each_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import threading as th\n"
+        "import concurrent.futures\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from threading import Thread, Lock\n"
+        "th.Thread(target=print)\n"
+        "th.Lock(), Lock()\n"
+    )
+    assert thread_starts(path) == ["concurrent.futures"] * 3 + ["threading.Thread"] * 2

@@ -12,16 +12,16 @@ import pytest
 from colo import cli
 
 ARTIFACT_SHA256 = {
-    "model.ckpt": "f0b31e7c75e77c9a9f59bfef2a3849dc2394010cff4a615982c3ad32527d23cf",
-    "train_log.jsonl": "b75ac6867f25b4e2d5811d952430b4dc3f6f8f7f2b434612a8e0dc641e1ce54d",
-    "predictions.jsonl": "ca6ecc348a79ab7e2d6bb3a68c01d9b46005e1bdc7b431c318a8cc75da3ad52e",
-    "report.json": "51fad54159b212b2dfa24e840eb3ed0afa754bbaceb7c5cacf2057f71c7ca448",
+    "model.ckpt": "a04cb6008d158898ee0c749a4661c995f8ca0b25547e6547944326a034cd159e",
+    "train_log.jsonl": "f67b834d82447a27e906a95abc8c6b34136a87d6db05d23cbda6090ca905e79b",
+    "predictions.jsonl": "3fe4686b064bb2fc8c54f73e25e0b57dfa754b097d6146964539d6b085db6a77",
+    "report.json": "8619613ed7b81c1fa3cbf2e0735dae30a79d72bc56a72f00a6ea85809822877f",
 }
 CONFIG_DIGESTS = {
     "gen-data.manifest.json": "8a60b50aadd90cb6",
     "train.manifest.json": "2e6df22e7672875d",
     "predictions.jsonl.manifest.json": "b97f6a7c50a82421",
-    "report.json.manifest.json": "861f46c21c6119fb",
+    "report.json.manifest.json": "e32831ece68525d1",
 }
 
 

@@ -1,14 +1,18 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colo import contrastive as K
 from colo import model as M
 from colo import trainer as TR
 from colo.corpus import Corpus
 from colo.errors import ConfigError
+from colo.rng import DROPOUT, derive_rng
+from colo.tensor import Tape, Tensor, backward
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +138,78 @@ def test_quick_eval_records(corpus, tiny_model_cfg):
     assert evals
     for r in evals:
         assert {"valid_ppl", "valid_cover", "valid_entail"} <= set(r)
+
+
+# ---------------------------------------------------------------------------
+# sharded steps
+
+
+def _step_inputs(bundle, indices):
+    """(batch, contrastive sets, lexicon, vocab) of the examples at ``indices``."""
+    lexicon, examples, vocab = bundle
+    batch = [examples[i] for i in indices]
+    return batch, [K.build_contrastive_set(ex.tuple, lexicon, derive_rng(300 + i)) for i, ex in zip(indices, batch)], lexicon, vocab
+
+
+def _serial_step(params, cfg, batch, csets, lexicon, vocab, tcfg, step, bounds):
+    """The sharded step recomputed in this thread: each shard's leaves, stream and weight, summed in shard order."""
+    vals, grads = {}, {n: np.zeros_like(t.data) for n, t in params.items()}
+    for i, (lo, hi) in enumerate(bounds):
+        leaves = {n: Tensor(t.data, requires_grad=True) for n, t in params.items()}
+        with Tape():
+            breakdown = K.total_loss_batch(
+                leaves, cfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg,
+                derive_rng(tcfg.seed, DROPOUT, step, i),
+            )
+            backward(breakdown.total)
+        w = (hi - lo) / len(batch)
+        for k, v in breakdown.values().items():
+            vals[k] = vals.get(k, 0) + w * v
+        for n, t in leaves.items():
+            if t.grad is not None:
+                grads[n] += w * t.grad
+    return vals, grads
+
+
+@pytest.mark.parametrize("switch_s", [None, 1e-6], ids=["default-switching", "switch-every-microsecond"])
+@pytest.mark.parametrize("indices, bounds", [([3, 0, 7, 1, 9], [(0, 3), (3, 5)]), ([4], [(0, 1)])], ids=["B=5", "B=1"])
+def test_threaded_step_equals_its_shards_recomputed_serially(toy, tiny_bundle, indices, bounds, switch_s):
+    """Dropout on: the shards' streams, weights and summation order, not the thread schedule, set every bit."""
+    _, _, cfg = toy
+    params = M.init_params(cfg, seed=2)
+    tcfg = TR.TrainConfig(seed=4)
+    inputs = _step_inputs(tiny_bundle, indices)
+    assert TR.shard_bounds(len(indices)) == bounds
+    interval = sys.getswitchinterval()
+    try:
+        if switch_s is not None:
+            sys.setswitchinterval(switch_s)
+        vals, grads = TR.step_gradients(params, cfg, *inputs, tcfg, 7)
+    finally:
+        sys.setswitchinterval(interval)
+    want_vals, want_grads = _serial_step(params, cfg, *inputs, tcfg, 7, bounds)
+    assert vals == want_vals
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g.dtype == want_grads[name].dtype and np.array_equal(g, want_grads[name]), name
+
+
+def test_sharded_gradients_match_the_unsharded_loss_at_float64(tiny_bundle, tiny_model_cfg, tiny_model_params64):
+    """No dropout: the shard-weighted sums equal the whole batch's mean loss and its gradients up to float64 rounding."""
+    tcfg = TR.TrainConfig()
+    batch, csets, lexicon, vocab = _step_inputs(tiny_bundle, [3, 0, 7, 1, 9])
+    vals, grads = TR.step_gradients(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg, 0)
+
+    leaves = {n: Tensor(t.data, requires_grad=True) for n, t in tiny_model_params64.items()}
+    with Tape():
+        whole = K.total_loss_batch(leaves, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg)
+        backward(whole.total)
+    assert whole.values()["ce"] > 0 and whole.values()["cd"] > 0
+    assert vals == pytest.approx(whole.values(), rel=1e-10, abs=0)
+    for name, t in leaves.items():
+        want = np.zeros_like(t.data) if t.grad is None else t.grad
+        assert grads[name].dtype == np.float64
+        assert np.linalg.norm(grads[name] - want) <= 1e-10 * np.linalg.norm(want), name
 
 
 # ---------------------------------------------------------------------------
