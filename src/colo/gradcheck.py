@@ -46,7 +46,8 @@ def _wsum(y, w):
 def op_cases():
     """(name, f, at) per primitive op, at float64: ``f`` maps the leaf ``at`` to a scalar.
 
-    Built fresh on each call, because a check writes into ``at.grad``.
+    Built fresh on each call from a fixed seed, so a check, which perturbs ``at.data`` in place
+    while it differences ``f``, shares no leaf with another caller's check.
     """
     rng = np.random.default_rng(2024)
     leaf = functools.partial(_t, rng)

@@ -2,14 +2,16 @@
 
 Define-by-run: operations executed inside a ``with Tape():`` block record
 their backward rules onto the active tape; :func:`backward` consumes the tape
-in reverse and sums the gradients of each tensor's uses.  An operand that
+in reverse, sums the gradients of each tensor's uses and returns each leaf's
+gradient in a dict, writing none onto a tensor.  An operand that
 does not require grad (a mask, a scale) gets no gradient computed at all.
 Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
 gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
 ...), with no operator overloading; pooling and similarity take batched
 operands only.  The tape stack is per-thread: a tape or a ``no_grad``
 block entered in one thread neither records nor silences the ops another
-thread runs, so the shards of a training step record side by side.
+thread runs, so the shards of a training step record side by side, over
+the same leaves.
 
 The tape links ops, not tensors.  A recorded op's output tensor points to
 its :class:`_Op`, and each op points to what produced its operands: another
@@ -19,19 +21,21 @@ holds its backward rule, whose closure keeps only the shapes, dtypes, flags
 and arrays that rule reads (``add`` keeps no array, ``matmul`` the other
 operand, ``tanh`` its output), and, while backward runs, its output's
 gradient.  So an activation no rule reads is freed as soon as the caller
-drops its tensor, even while the tape is live.  Gradients land on leaves
-only: an intermediate tensor never gets a ``.grad``, and each op popped in
-backward releases its rule, its links and its gradient, whether or not its
-rule ran, so a loss tensor kept past backward keeps no activation alive.
+drops its tensor, even while the tape is live.  Only leaves' gradients
+outlive backward, in the dict it returns: each op popped in backward
+releases its rule, its links and its gradient, whether or not its rule
+ran, so a loss tensor kept past backward keeps no activation alive.  No
+tensor is written to, so threads may run backward on tapes of their own
+over the same leaves.
 
 Gradient ownership: a backward rule never writes into its incoming
 gradient, and may return it, or a view of it, as a contribution (``add``
 hands the same array to both operands; ``sum_`` returns a read-only
-broadcast view).  So :func:`backward` keeps an op's first gradient
-contribution by reference and sums later ones out of place, never writing
-into a gradient array.  Leaves copy their first contribution instead,
-because their ``.grad`` outlives backward and is scaled in place by
-gradient clipping.
+broadcast view).  So :func:`backward` keeps the first gradient
+contribution of an op or a leaf by reference and sums later ones out of
+place, never writing into a gradient array.  A leaf's gradient in the
+returned dict may therefore be read-only or shared with another
+gradient: a caller that scales one in place copies it first.
 
 Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
@@ -165,10 +169,10 @@ def no_grad():
 
 
 class Tensor:
-    """An array, whether it requires grad, its ``.grad`` (leaves only) and ``op``,
-    the :class:`_Op` that produced it on a tape (None for leaves and constants)."""
+    """An array, whether it requires grad, and ``op``, the :class:`_Op` that
+    produced it on a tape (None for leaves and constants)."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op")
+    __slots__ = ("data", "requires_grad", "op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -178,7 +182,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.op = None
 
     # -- introspection ------------------------------------------------
@@ -201,23 +204,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-    # -- gradient plumbing --------------------------------------------
-
-    def zero_grad(self):
-        self.grad = None
-
-    def accumulate_grad(self, g):
-        """Add a gradient contribution to this leaf's ``.grad``.
-
-        :func:`backward` calls it for leaves only, and to seed a leaf root.
-        The first contribution is copied, since it may be a view another gradient
-        shares, and later ones are added in place.
-        """
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
 
 
 def _as_tensor(x, dtype):
@@ -253,7 +239,7 @@ def _wrap(out_data):
     """A Tensor over an op's result: a float32/float64 ndarray as is, anything else through :class:`Tensor`."""
     if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
         out = Tensor.__new__(Tensor)
-        out.data, out.requires_grad, out.grad, out.op = out_data, False, None, None
+        out.data, out.requires_grad, out.op = out_data, False, None
         return out
     return Tensor(out_data)
 
@@ -277,20 +263,26 @@ def _make(out_data, inputs, bwd):
     return out
 
 
+def _summed(prev, g):
+    """A gradient with contribution ``g`` added: ``g`` itself if it is the first, else
+    ``prev + g`` out of place, cast back to ``prev``'s dtype (the values an in-place ``+=`` gives)."""
+    return g if prev is None else (prev + g).astype(prev.dtype, copy=False)
+
+
 def backward(loss):
-    """Populate ``.grad`` on every leaf reachable from ``loss``, emptying the tape.
+    """``{leaf: gradient}`` for every leaf reachable from ``loss``, emptying the active tape.
 
-    Pops the active tape's ops in reverse recording order; gradients from
-    multiple uses of the same tensor are summed.  Each popped op lets go of
-    its rule, its inputs and its gradient, whether or not its rule ran, so
-    activations and gradients are freed while backward runs and nothing
-    stays reachable from ``loss`` afterwards.  Only leaves get ``.grad``.
+    Pops the tape's ops in reverse recording order; gradients from multiple
+    uses of the same tensor are summed by :func:`_summed`, for ops and
+    leaves alike.  Each popped op lets go of its rule, its inputs and its
+    gradient, whether or not its rule ran, so activations and gradients are
+    freed while backward runs and nothing stays reachable from ``loss``
+    afterwards.  No tensor is written to; a leaf root maps to a ones seed.
 
-    An op takes its first contribution by reference; a later one is summed
-    out of place and cast back to the first one's dtype, the values an
-    in-place ``+=`` gives.  Leaves go through :meth:`Tensor.accumulate_grad`.
-    An intermediate made on a tape that an earlier ``backward`` consumed
-    has lost its rule, so using it on this tape raises :class:`TensorError`
+    A leaf's gradient may be an array that another gradient shares, or a
+    read-only view (see "Gradient ownership" in the module docstring).  An
+    intermediate made on a tape that an earlier ``backward`` consumed has
+    lost its rule, so using it on this tape raises :class:`TensorError`
     rather than dropping its gradient.
     """
     if loss.data.ndim != 0:
@@ -299,10 +291,11 @@ def backward(loss):
     if tape is None:
         raise TensorError("backward called with no active tape")
     seed = np.ones((), dtype=loss.dtype)
-    if loss.op is None:
-        loss.accumulate_grad(seed)
-    else:
+    grads = {}
+    if loss.op is not None:
         loss.op.grad = seed
+    elif loss.requires_grad:
+        grads[loss] = seed
     ops = tape.ops
     while ops:
         op = ops.pop()
@@ -314,13 +307,12 @@ def backward(loss):
             if gc is None or src is None:
                 continue
             if type(src) is Tensor:
-                src.accumulate_grad(gc)
+                grads[src] = _summed(grads.get(src), gc)
             elif src.bwd is None:  # an input's op is recorded before its users, so it is still on this tape
                 raise TensorError("an op's input was made on a tape that backward has already consumed")
-            elif src.grad is None:
-                src.grad = gc
             else:
-                src.grad = (src.grad + gc).astype(src.grad.dtype, copy=False)
+                src.grad = _summed(src.grad, gc)
+    return grads
 
 
 def _unbroadcast(g, shape):
@@ -821,13 +813,11 @@ def finite_diff_check(f, at):
     coordinate is |a - n| / (|a| + |n| + 1e-12); use float64 inputs for
     meaningful thresholds.
     """
-    at.zero_grad()
     with Tape():
         out = f(at)
         if out.data.ndim != 0:
             raise RankError("finite_diff_check needs a scalar-valued function")
-        backward(out)
-    analytic = np.zeros_like(at.data) if at.grad is None else at.grad.copy()
+        analytic = backward(out).get(at, np.zeros_like(at.data))
 
     flat = at.data.reshape(-1)
     numeric = np.zeros_like(flat)

@@ -12,10 +12,11 @@ no bit:
 - **Split.** A batch of B examples splits in batch order into the first
   ceil(B/2) examples and the rest; an empty shard is dropped, so a batch of
   one is one shard.
-- **Per shard.** Each shard wraps the shared parameter arrays in leaf
-  tensors of its own, records on a tape of its own and calls
-  :func:`contrastive.total_loss_batch` on its examples.  Its dropout draws
-  from the stream keyed ``(seed, DROPOUT, step, shard)``.
+- **Per shard.** Each shard records on a tape of its own, calls
+  :func:`contrastive.total_loss_batch` on its examples over the shared
+  parameter tensors, and takes its gradients from the dict
+  :func:`tensor.backward` returns, which no other shard sees.  Its dropout
+  draws from the stream keyed ``(seed, DROPOUT, step, shard)``.
 - **Threads.** Shard 0 runs in the calling thread and shard 1 on a thread
   made for the step and joined before the step returns, whether or not a
   shard raises.  A shard's error reaches the caller with its own type; where
@@ -26,8 +27,9 @@ no bit:
   another shard's forward spans are open.
 - **Weights and summation order.** Each shard's loss values and gradients
   are weighted by its share of the batch, n_shard / B, and summed in shard
-  order, so the step's loss is the batch mean.  Only then come the
-  finiteness check, clipping and Adam.
+  order, out of place, so the step's loss is the batch mean; a parameter
+  no shard reaches gets zeros.  Only then come the finiteness check,
+  clipping and Adam.
 """
 
 import json
@@ -339,22 +341,22 @@ def shard_bounds(b):
 def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step):
     """(loss values, gradients) of training step ``step`` on ``batch``, computed in shards.
 
-    The values are the batch means of :meth:`contrastive.LossBreakdown.values`
+    ``params`` are leaf tensors (``requires_grad=True``), as
+    :func:`model.init_params` and :func:`load_checkpoint` make them.  The
+    values are the batch means of :meth:`contrastive.LossBreakdown.values`
     and the gradients one array per parameter, each the shards' weighted sum
     in shard order (the module docstring states the contract).  The gradient
-    arrays are the caller's to scale in place.
+    arrays are new, and the caller's to scale in place.
     """
     bounds = shard_bounds(len(batch))
     barrier = threading.Barrier(len(bounds))
 
     def shard(i, lo, hi):
-        leaves = {n: Tensor(t.data, requires_grad=True) for n, t in params.items()}
         rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step, i)
         with Tape():
-            breakdown = K.total_loss_batch(leaves, mcfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg, rng)
+            breakdown = K.total_loss_batch(params, mcfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg, rng)
             barrier.wait()  # phase order: every forward ends before any backward starts
-            backward(breakdown.total)
-        return breakdown.values(), {n: t.grad for n, t in leaves.items()}
+            return breakdown.values(), backward(breakdown.total)
 
     results = _run_shards([(shard, i, lo, hi) for i, (lo, hi) in enumerate(bounds)], barrier)
     weights = [(hi - lo) / len(batch) for lo, hi in bounds]
@@ -363,14 +365,9 @@ def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step):
     for name, t in params.items():
         total = None
         for w, (_, shard_grads) in zip(weights, results):
-            g = shard_grads[name]
-            if g is None:
-                continue
-            g *= w  # the shard leaf's own copy
-            if total is None:
-                total = g
-            else:
-                total += g
+            if t in shard_grads:
+                g = w * shard_grads[t]
+                total = g if total is None else total + g
         grads[name] = np.zeros_like(t.data) if total is None else total
     return vals, grads
 

@@ -82,12 +82,10 @@ def test_linear_is_matmul_then_add_bit_for_bit(bias, x_shape):
     g = rng.standard_normal(x_shape[:-1] + (24,)).astype(np.float32)
 
     def run(f):
-        for t in leaves:
-            t.zero_grad()
         with Tape():
             y = f(*leaves)
-            backward(T.sum_(T.mul(y, Tensor(g))))
-        return [y.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+            grads = backward(T.sum_(T.mul(y, Tensor(g))))
+        return [y.data.tobytes()] + [grads[t].tobytes() for t in leaves]
 
     def unfused(x, w, b=None):
         y = T.matmul(x, w)
@@ -329,22 +327,22 @@ def test_softmax_rows_sum_to_one():
 def test_backward_sum_gives_ones():
     x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape():
-        backward(T.sum_(x))
-    assert np.allclose(x.grad, 1.0)
+        grads = backward(T.sum_(x))
+    assert np.allclose(grads[x], 1.0)
 
 
 def test_backward_square_gives_two_x():
     x = t64([1.0, -2.0, 3.0], requires_grad=True)
     with Tape():
-        backward(T.sum_(T.mul(x, x)))
-    assert np.allclose(x.grad, 2.0 * x.data)
+        grads = backward(T.sum_(T.mul(x, x)))
+    assert np.allclose(grads[x], 2.0 * x.data)
 
 
 def test_backward_additive_accumulation():
     x = t64([1.0, 2.0], requires_grad=True)
     with Tape():
-        backward(T.add(T.sum_(x), T.sum_(x)))
-    assert np.allclose(x.grad, 2.0)
+        grads = backward(T.add(T.sum_(x), T.sum_(x)))
+    assert np.allclose(grads[x], 2.0)
 
 
 def test_backward_nonscalar_root_raises():
@@ -357,9 +355,9 @@ def test_backward_nonscalar_root_raises():
 def test_backward_empties_the_tape():
     x = t64([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        backward(T.sum_(T.mul(x, x)))
+        grads = backward(T.sum_(T.mul(x, x)))
         assert tape.ops == []
-    assert np.allclose(x.grad, 2.0 * x.data)
+    assert np.allclose(grads[x], 2.0 * x.data)
 
 
 def _tanh_sum(x):
@@ -372,9 +370,9 @@ def test_backward_frees_intermediates():
     with Tape():
         loss, hidden = _tanh_sum(x)
         assert hidden() is not None
-        backward(loss)
+        grads = backward(loss)
         assert hidden() is None
-    assert loss.grad is None and x.grad is not None
+    assert list(grads) == [x]
 
 
 def _captured_tensors(obj, seen):
@@ -413,9 +411,9 @@ def test_tape_does_not_keep_an_activation_no_rule_reads():
         out = layer_norm(s, gain, bias)
         del s
         assert summed() is None
-        backward(T.sum_(out))
+        grads = backward(T.sum_(out))
         assert tape.ops == []
-    assert x.grad is not None and gain.grad is not None
+    assert x in grads and gain in grads
 
 
 def test_backward_releases_what_rules_captured_while_the_loss_lives():
@@ -429,9 +427,9 @@ def test_backward_releases_what_rules_captured_while_the_loss_lives():
         loss, unused = T.sum_(T.mul(h, c)), T.relu(r)
         del h, r
         assert all(ref() is not None for ref in held)
-        backward(loss)
+        grads = backward(loss)
         assert all(ref() is None for ref in held)
-    assert loss.op.bwd is None and unused.op.bwd is None and x.grad is not None
+    assert loss.op.bwd is None and unused.op.bwd is None and x in grads
 
 
 def test_an_intermediate_of_a_consumed_tape_is_rejected_not_dropped():
@@ -535,11 +533,11 @@ def test_take_rows_scatter_gradient():
     table = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([0, 2, 2])
     with Tape():
-        backward(T.sum_(T.take_rows(table, ids)))
+        grads = backward(T.sum_(T.take_rows(table, ids)))
     expected = np.zeros((4, 3))
     expected[0] = 1.0
     expected[2] = 2.0
-    assert np.allclose(table.grad, expected)
+    assert np.allclose(grads[table], expected)
 
 
 def test_finite_diff_check_linear_is_exact():
@@ -554,11 +552,10 @@ def test_forward_determinism():
     b = Tensor(np.zeros(16, dtype=np.float32))
 
     def run():
-        x.zero_grad()
         with Tape():
             loss = T.sum_(T.ffn(x, w, b, w, b))
-            backward(loss)
-        return loss.data.copy(), x.grad.copy()
+            grads = backward(loss)
+        return loss.data.copy(), grads[x].copy()
 
     l1, g1 = run()
     l2, g2 = run()
@@ -577,8 +574,8 @@ def _toy_step_leaf_grads(toy):
     params = M.init_params(cfg, 3)
     with Tape():
         bd = K.total_loss_batch(params, cfg, batch, csets, corpus.lexicon, vocab, TrainConfig(), derive_rng(1))
-        backward(bd.total)
-    return {n: (t.grad.dtype, t.grad.tobytes()) for n, t in params.items()}
+        grads = backward(bd.total)
+    return {n: (grads[t].dtype, grads[t].tobytes()) for n, t in params.items()}
 
 
 def test_no_backward_rule_writes_into_its_incoming_gradient(toy, monkeypatch):
@@ -612,19 +609,30 @@ def test_no_backward_rule_writes_into_its_incoming_gradient(toy, monkeypatch):
 
 
 def _copying_backward(loss):
-    """Reference accumulator: every op and leaf copies its first contribution and adds later ones in place."""
+    """Reference accumulator: every op and leaf copies its first contribution and adds later ones in place.
+
+    Returns ``{leaf: gradient}``, as :func:`backward` does.
+    """
     ops = Tape.current().ops
     loss.op.grad = np.ones((), dtype=loss.dtype)
+    leaf_grads = {}
     while ops:
         op = ops.pop()
         if op.grad is None:
             continue
         for src, gc in zip(op.inputs, op.bwd(op.grad)):
-            if gc is not None and src is not None:
-                if src.grad is None:
-                    src.grad = gc.copy()
+            if gc is None or src is None:
+                continue
+            if type(src) is Tensor:
+                if src in leaf_grads:
+                    leaf_grads[src] += gc
                 else:
-                    src.grad += gc
+                    leaf_grads[src] = gc.copy()
+            elif src.grad is None:
+                src.grad = gc.copy()
+            else:
+                src.grad += gc
+    return leaf_grads
 
 
 _SHAPE = (2, 3, 4)
@@ -684,10 +692,53 @@ def test_copy_free_backward_matches_copying_accumulator(steps, seed):
     def run(accumulate):
         leaves = [Tensor(d.copy(), requires_grad=True) for d in data]
         with Tape():
-            accumulate(_fanout_loss(steps, leaves, weights))
-        return [None if t.grad is None else (t.grad.dtype, t.grad.tobytes()) for t in leaves]
+            grads = accumulate(_fanout_loss(steps, leaves, weights))
+        return [(grads[t].dtype, grads[t].tobytes()) if t in grads else None for t in leaves]
 
     assert run(backward) == run(_copying_backward)
+
+
+def test_threads_backward_over_shared_leaves_as_a_serial_run_does():
+    """Two threads, each with a tape of its own over the same leaves, switching every microsecond:
+    each round gives each thread the dict its loss gives when run alone, since backward writes to no tensor."""
+    rng = np.random.default_rng(25)  # a seed whose two plans each reach all three leaves
+    leaves = [Tensor(rng.standard_normal(_SHAPE).astype(dt), requires_grad=True) for dt in (np.float32, np.float32, np.float64)]
+    weights = [Tensor(rng.standard_normal(_SHAPE).astype(np.float32)) for _ in range(12)]
+    kinds = sorted(_FANOUT_OPS)
+    plans = [
+        [(kinds[k], i, j) for k, i, j in zip(rng.integers(0, len(kinds), 12), rng.integers(0, 5, 12), rng.integers(0, 5, 12))]
+        for _ in range(2)
+    ]
+    rounds = 20
+
+    def run(plan):
+        with Tape():
+            grads = backward(_fanout_loss(plan, leaves, weights))
+        assert set(grads) <= set(leaves)
+        return [(grads[t].dtype, grads[t].tobytes()) if t in grads else None for t in leaves]
+
+    want = [run(plan) for plan in plans]
+    assert want[0] != want[1] and all(g is not None for w in want for g in w)
+    got = [[] for _ in plans]
+    start = threading.Barrier(len(plans))
+
+    def worker(p):
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            got[p].append(run(plans[p]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(p,)) for p in range(len(plans))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[w] * rounds for w in want]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pinned thresholds are glibc's")

@@ -12,7 +12,7 @@ from colo import trainer as TR
 from colo.corpus import Corpus
 from colo.errors import ConfigError
 from colo.rng import DROPOUT, derive_rng
-from colo.tensor import Tape, Tensor, backward
+from colo.tensor import Tape, backward
 
 
 @pytest.fixture(scope="module")
@@ -152,22 +152,21 @@ def _step_inputs(bundle, indices):
 
 
 def _serial_step(params, cfg, batch, csets, lexicon, vocab, tcfg, step, bounds):
-    """The sharded step recomputed in this thread: each shard's leaves, stream and weight, summed in shard order."""
+    """The sharded step recomputed in this thread: each shard's tape, stream and weight, summed in shard order."""
     vals, grads = {}, {n: np.zeros_like(t.data) for n, t in params.items()}
     for i, (lo, hi) in enumerate(bounds):
-        leaves = {n: Tensor(t.data, requires_grad=True) for n, t in params.items()}
         with Tape():
             breakdown = K.total_loss_batch(
-                leaves, cfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg,
+                params, cfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg,
                 derive_rng(tcfg.seed, DROPOUT, step, i),
             )
-            backward(breakdown.total)
+            shard_grads = backward(breakdown.total)
         w = (hi - lo) / len(batch)
         for k, v in breakdown.values().items():
             vals[k] = vals.get(k, 0) + w * v
-        for n, t in leaves.items():
-            if t.grad is not None:
-                grads[n] += w * t.grad
+        for n, t in params.items():
+            if t in shard_grads:
+                grads[n] += w * shard_grads[t]
     return vals, grads
 
 
@@ -200,14 +199,13 @@ def test_sharded_gradients_match_the_unsharded_loss_at_float64(tiny_bundle, tiny
     batch, csets, lexicon, vocab = _step_inputs(tiny_bundle, [3, 0, 7, 1, 9])
     vals, grads = TR.step_gradients(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg, 0)
 
-    leaves = {n: Tensor(t.data, requires_grad=True) for n, t in tiny_model_params64.items()}
     with Tape():
-        whole = K.total_loss_batch(leaves, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg)
-        backward(whole.total)
+        whole = K.total_loss_batch(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg)
+        whole_grads = backward(whole.total)
     assert whole.values()["ce"] > 0 and whole.values()["cd"] > 0
     assert vals == pytest.approx(whole.values(), rel=1e-10, abs=0)
-    for name, t in leaves.items():
-        want = np.zeros_like(t.data) if t.grad is None else t.grad
+    for name, t in tiny_model_params64.items():
+        want = whole_grads.get(t, np.zeros_like(t.data))
         assert grads[name].dtype == np.float64
         assert np.linalg.norm(grads[name] - want) <= 1e-10 * np.linalg.norm(want), name
 
