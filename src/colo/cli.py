@@ -30,7 +30,9 @@ from .errors import ConfigError, DataError, NumericError, fits
 from .evaluation import EvalError, decode_corpus, mean_entity_swap_similarity, metrics_report, perplexity, write_report
 from .fileio import atomic_write, write_json
 from .model import ModelConfig
-from .trainer import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, total_steps, train
+from .trainer import (
+    CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, total_steps, train, training_splits,
+)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -219,6 +221,7 @@ def cmd_train(args):
     resolved, explicit = _resolve({**train_defaults, **model_defaults}, args)
 
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
+    training_splits(corpus)  # before any write: a failed run leaves --out and its log as they were
     params = adam = None
     start_step = 0
     inputs = [corpus_path, lexicon_path]
@@ -539,70 +542,82 @@ def build_parser():
 
     g = sub.add_parser("gen-data", help="generate the synthetic corpus and lexicon")
     g.add_argument("--out", help="output directory (default runs/<ts>-s<seed>)")
-    g.add_argument("--config", help="flat key = value config file")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--n-examples", type=int)
-    g.add_argument("--entities", type=int, dest="n_entities")
-    g.add_argument("--aspects", type=int, dest="n_aspects")
-    g.add_argument("--opinions", type=int, dest="n_opinions")
-    g.add_argument("--aliases", type=int, dest="n_aliases_per_item")
-    g.add_argument("--template-pool", type=int, dest="template_pool_size")
+    g.add_argument("--config", help="flat key = value config file of CorpusConfig fields")
+    g.add_argument("--seed", type=int, help="corpus seed: the same seed and settings write the same files")
+    g.add_argument("--n-examples", type=int, help="number of examples over all three splits")
+    g.add_argument("--entities", type=int, dest="n_entities", help="number of entities in the lexicon")
+    g.add_argument("--aspects", type=int, dest="n_aspects", help="number of aspects in the lexicon")
+    g.add_argument("--opinions", type=int, dest="n_opinions", help="number of opinions in the lexicon, in antonym pairs")
+    g.add_argument("--aliases", type=int, dest="n_aliases_per_item", help="alias surfaces per lexicon item; 0 gives none")
+    g.add_argument("--template-pool", type=int, dest="template_pool_size", help="number of reference templates drawn from")
     g.add_argument("--force", action="store_true", help="overwrite existing files")
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on a generated corpus")
     t.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
-    t.add_argument("--out", help="run directory")
-    t.add_argument("--config")
-    t.add_argument("--lr", type=float, dest="learning_rate")
-    t.add_argument("--gamma", type=float)
-    t.add_argument("--batch", type=int, dest="batch_size")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--eval-every", type=int)
-    t.add_argument("--max-steps", type=int)
-    t.add_argument("--grad-clip", type=float, dest="grad_clip_norm")
-    t.add_argument("--d-model", type=int)
+    t.add_argument("--out", help="run directory (default runs/<ts>-s<seed>)")
+    t.add_argument("--config", help="flat key = value config file of TrainConfig and ModelConfig fields")
+    t.add_argument("--lr", type=float, dest="learning_rate", help="Adam learning rate")
+    t.add_argument(
+        "--gamma", type=float,
+        help="margin scale: each negative's hinge margin is gamma times the rank of its LM loss, largest first",
+    )
+    t.add_argument("--batch", type=int, dest="batch_size", help="examples per training step")
+    t.add_argument("--epochs", type=int, help="passes over the train split")
+    t.add_argument("--seed", type=int, help="seed of the initial parameters, example order, contrastive sets and dropout")
+    t.add_argument("--eval-every", type=int, help="steps between quick evals on the valid split; 0 disables them")
+    t.add_argument("--max-steps", type=int, help="stop after this many steps in all; 0 means run all epochs")
+    t.add_argument("--grad-clip", type=float, dest="grad_clip_norm", help="global L2 norm the gradients are clipped to")
+    t.add_argument("--d-model", type=int, help="model width; must be divisible by n_heads")
     t.add_argument("--no-ce", action="store_false", dest="use_ce", default=None, help="drop the contrastive encoding loss")
     t.add_argument("--no-cd", action="store_false", dest="use_cd", default=None, help="drop the contrastive decoding loss")
     t.add_argument("--neg-types", type=_neg_types, help="comma list from ES,AS,OS (default all)")
-    t.add_argument("--project-in-ce", action="store_true", default=None)
+    t.add_argument(
+        "--project-in-ce", action="store_true", default=None,
+        help="compare projected encodings in the contrastive encoding loss, not the pooled ones",
+    )
     t.add_argument("--resume", help="checkpoint to resume from; its model and training settings are kept")
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("generate", help="decode tuples from a corpus file")
-    d.add_argument("--ckpt", required=True)
-    d.add_argument("--corpus", required=True)
-    d.add_argument("--split", default="test")
-    d.add_argument("--beam", type=int, default=5)
-    d.add_argument("--length-norm", type=float, default=1.0)
-    d.add_argument("--limit", type=int, default=0)
-    d.add_argument("--out")
+    d.add_argument("--ckpt", required=True, help="checkpoint to decode with")
+    d.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    d.add_argument("--split", default="test", help="split to decode; an empty value means all (default %(default)s)")
+    d.add_argument("--beam", type=int, default=5, help="beam size; 1 decodes greedily (default %(default)s)")
+    d.add_argument(
+        "--length-norm", type=float, default=1.0,
+        help="beams rank by log-prob / length ** this; 0 ranks by raw log-prob (default %(default)s)",
+    )
+    d.add_argument("--limit", type=int, default=0, help="decode only the split's first N examples; 0 means all")
+    d.add_argument("--out", help="predictions JSONL file (default runs/<ts>-s<seed>/predictions.jsonl)")
     d.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("evaluate", help="compute the metric report for a split")
-    e.add_argument("--ckpt")
+    e.add_argument("--ckpt", help="checkpoint to decode with and to score perplexity and ES similarity of")
     e.add_argument("--predictions", help="JSONL predictions instead of decoding")
-    e.add_argument("--corpus", required=True)
-    e.add_argument("--split", default="test")
-    e.add_argument("--beam", type=int, default=5)
-    e.add_argument("--length-norm", type=float, default=1.0)
-    e.add_argument("--limit", type=int, default=0)
-    e.add_argument("--out")
+    e.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    e.add_argument("--split", default="test", help="split to score; an empty value means all (default %(default)s)")
+    e.add_argument("--beam", type=int, default=5, help="beam size when decoding; 1 decodes greedily (default %(default)s)")
+    e.add_argument(
+        "--length-norm", type=float, default=1.0,
+        help="beams rank by log-prob / length ** this; 0 ranks by raw log-prob (default %(default)s)",
+    )
+    e.add_argument("--limit", type=int, default=0, help="score only the split's first N examples; 0 means all")
+    e.add_argument("--out", help="report JSON file (default report.json)")
     e.set_defaults(func=cmd_evaluate)
 
     a = sub.add_parser("ablate", help="train and evaluate the ablation arms")
-    a.add_argument("--corpus", required=True)
-    a.add_argument("--out")
-    a.add_argument("--seeds", type=int, default=3)
-    a.add_argument("--seed0", type=int, default=0)
-    a.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    a.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    a.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    a.add_argument("--gamma", type=float, default=TrainConfig.gamma)
-    a.add_argument("--beam", type=int, default=5)
-    a.add_argument("--eval-every", type=int, default=0)
-    a.add_argument("--jobs", type=int, default=1)
+    a.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    a.add_argument("--out", help="directory of the arms' runs and ablation.json (default runs/<ts>-s<seed0>)")
+    a.add_argument("--seeds", type=int, default=3, help="runs per arm, seeded seed0, seed0 + 1, ... (default %(default)s)")
+    a.add_argument("--seed0", type=int, default=0, help="seed of each arm's first run (default %(default)s)")
+    a.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="each run's --epochs (default %(default)s)")
+    a.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="each run's --batch (default %(default)s)")
+    a.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="each run's --lr (default %(default)s)")
+    a.add_argument("--gamma", type=float, default=TrainConfig.gamma, help="each run's --gamma (default %(default)s)")
+    a.add_argument("--beam", type=int, default=5, help="each run's evaluate --beam (default %(default)s)")
+    a.add_argument("--eval-every", type=int, default=0, help="each run's --eval-every; 0 disables quick evals")
+    a.add_argument("--jobs", type=int, default=1, help="child processes run at once (default %(default)s)")
     a.add_argument("--arms", help="comma list (default all seven)")
     a.set_defaults(func=cmd_ablate)
 

@@ -47,7 +47,7 @@ class ModelConfig:
     proj_hidden: int = 128
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "proj_hidden"):
+        for name in ("d_model", "n_heads", "d_ff", "proj_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("n_enc_layers", "n_dec_layers"):

@@ -332,6 +332,13 @@ def total_steps(tcfg: TrainConfig, n_train, start_step=0):
     return steps
 
 
+def training_splits(corpus):
+    """(train, valid) examples of ``corpus``; training needs both, so an empty one is a config error."""
+    if not corpus.train or not corpus.valid:
+        raise ConfigError("corpus needs non-empty train and valid splits")
+    return corpus.train, corpus.valid
+
+
 def shard_bounds(b):
     """The (start, stop) of each shard of a b-example batch: the first ceil(b/2) examples, then the rest, if any."""
     cut = (b + 1) // 2
@@ -418,10 +425,7 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
     """
     lexicon = corpus.lexicon
     vocab = Vocab.build(lexicon)
-    train_ex = corpus.train
-    valid_ex = corpus.valid
-    if not train_ex or not valid_ex:
-        raise ConfigError("corpus needs non-empty train and valid splits")
+    train_ex, valid_ex = training_splits(corpus)
     last_step = total_steps(tcfg, len(train_ex), start_step)
     if params is None:
         params = M.init_params(mcfg, tcfg.seed)

@@ -8,10 +8,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colo import cli
 from colo import gradcheck as G
 from colo.corpus import CorpusConfig
+from colo.errors import DataError
 from colo.evaluation import EvalError
 from colo.model import ModelConfig
 from colo.trainer import TrainConfig, load_checkpoint
@@ -245,6 +248,37 @@ def test_model_width_below_one_is_config_error_before_the_run_dir(tmp_path, corp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [-3, 0])
+def test_d_ff_below_one_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, value):
+    """-3 would crash making the FFN weights; 0 would train FFN blocks that output only their bias."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"d_ff = {value}\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: d_ff must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split_ratio", ["[0.9, 0.0, 0.1]", "[0.0, 0.9, 0.1]"], ids=["no-valid", "no-train"])
+def test_corpus_without_a_train_or_valid_split_is_config_error_before_any_write(tmp_path, capsys, split_ratio):
+    """A run directory that holds a log keeps its bytes; a fresh one is not made."""
+    (tmp_path / "gen.cfg").write_text(f"split_ratio = {split_ratio}\n")
+    corpus = tmp_path / "corpus"
+    gen = ["gen-data", "--n-examples", "30", "--seed", "1", "--out", str(corpus), "--config", str(tmp_path / "gen.cfg")]
+    assert cli.main(gen) == 0
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    kept.mkdir()
+    log = b'{"epoch": 0, "step": 0, "type": "train"}\n'
+    (kept / "train_log.jsonl").write_bytes(log)
+    for out in (kept, fresh):
+        argv = ["train", "--corpus", str(corpus), "--out", str(out), "--max-steps", "1", "--eval-every", "0"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "config error: corpus needs non-empty train and valid splits" in capsys.readouterr().err
+    assert [(p.name, p.read_bytes()) for p in kept.iterdir()] == [("train_log.jsonl", log)]
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("key", ["n_enc_layers", "n_dec_layers"])
 def test_negative_layer_count_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, key):
     cfg = tmp_path / "train.cfg"
@@ -388,6 +422,40 @@ def test_misshapen_lexicon_is_data_error(tmp_path, corpus_dir, capsys):
     assert "lexicon.json" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    name=st.sampled_from(["corpus.jsonl", "lexicon.json"]),
+    kind=st.sampled_from(["truncate", "flip", "substitute"]),
+    where=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    byte=st.integers(0, 255),
+)
+def test_a_corrupted_corpus_or_lexicon_is_data_error_or_loads_valid(corpus_dir, mutation_dir, name, kind, where, bit, byte):
+    """A truncation, a bit flip or a byte substitution in either file: loading raises DataError (exit 3),
+    or gives a corpus that validates; never another exception."""
+    for f in ("corpus.jsonl", "lexicon.json"):
+        raw = bytearray((corpus_dir / f).read_bytes())
+        if f == name:
+            if kind == "truncate":
+                del raw[where % (len(raw) + 1):]
+            elif kind == "flip":
+                raw[where % len(raw)] ^= 1 << bit
+            else:
+                raw[where % len(raw)] = byte
+        (mutation_dir / f).unlink(missing_ok=True)  # a file truncated in place is flushed on close by ext4's auto_da_alloc
+        (mutation_dir / f).write_bytes(raw)
+    try:
+        corpus, _, _, _ = cli._load_bundle(mutation_dir)
+    except DataError:
+        return
+    corpus.validate()
+
+
 @pytest.mark.parametrize("errors, code", [([0.0, 0.0], 0), ([0.0, 1.0], 1)], ids=["pass", "fail"])
 def test_gradcheck_exit_code(monkeypatch, capsys, errors, code):
     results = [G.CheckResult(f"case_{i}", err, 0.5) for i, err in enumerate(errors)]
@@ -426,6 +494,16 @@ def test_every_setting_flag_stores_into_its_config_field(command, configs):
     for action in _subparsers()[command]._actions:
         if NON_CONFIG_OPTIONS.isdisjoint(action.option_strings):
             assert action.dest in fields, action.option_strings
+
+
+def test_every_option_of_every_subcommand_has_help():
+    bare = [
+        (command, action.option_strings)
+        for command, parser in _subparsers().items()
+        for action in parser._actions
+        if action.option_strings and not action.help
+    ]
+    assert bare == []
 
 
 def test_ablate_training_defaults_equal_train_configs():
