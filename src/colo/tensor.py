@@ -2,9 +2,9 @@
 
 Define-by-run: operations executed inside a ``with Tape():`` block record
 their backward rules onto the active tape; :func:`backward` consumes the tape
-in reverse, sums the gradients of each tensor's uses and returns each leaf's
-gradient in a dict, writing none onto a tensor.  An operand that
-does not require grad (a mask, a scale) gets no gradient computed at all.
+in reverse, sums the gradients of each tensor's uses and returns each
+leaf's gradient in a dict.  An operand that does not require grad (a mask,
+a scale) gets no gradient computed at all.
 Tensors are float32 by default; pass ``dtype=np.float64`` at creation for
 gradient-check precision.  Ops are plain functions (``add``, ``matmul``,
 ...), with no operator overloading; pooling and similarity take batched
