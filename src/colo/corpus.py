@@ -317,6 +317,10 @@ def _resolve_surface(lexicon, kind, item_id, alias_choice, slot):
     return lexicon.canonical(kind, item_id)
 
 
+# tokens of a serialized tuple, a tag and a surface per slot: the shortest source that keeps the whole tuple
+SOURCE_TUPLE_LEN = 2 * len(TUPLE_SLOTS)
+
+
 def serialize_tuple(t: ClrTuple, lexicon: Lexicon, alias_choice=None):
     """Tagged flat token sequence; round-trips to ids unambiguously."""
     seq = []
@@ -333,7 +337,8 @@ def build_source(t: ClrTuple, profiles, lexicon: Lexicon, max_src_len, alias_cho
     """Encoder input: serialized tuple plus both profiles' attribute tokens.
 
     ``profiles`` is the example's EntityProfile pair, matched to ``t``'s entities
-    by id (so an entity swap keeps them); truncated to ``max_src_len`` tokens.
+    by id (so an entity swap keeps them); truncated to ``max_src_len`` tokens,
+    which a model config keeps at least :data:`SOURCE_TUPLE_LEN`.
     """
     by_id = {p.entity_id: p for p in profiles}
     seq = serialize_tuple(t, lexicon, alias_choice)

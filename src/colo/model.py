@@ -23,6 +23,7 @@ import numpy as np
 from . import rng as rngmod
 from . import tensor as T
 from . import tokens as tok
+from .corpus import SOURCE_TUPLE_LEN
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -55,8 +56,10 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
-        if self.max_src_len < 2 or self.max_tgt_len < 2:
-            raise ConfigError("max lengths must be >= 2")
+        if self.max_src_len < SOURCE_TUPLE_LEN:  # a shorter source would cut the tuple itself
+            raise ConfigError(f"max_src_len must be >= {SOURCE_TUPLE_LEN}, got {self.max_src_len}")
+        if self.max_tgt_len < 2:
+            raise ConfigError(f"max_tgt_len must be >= 2, got {self.max_tgt_len}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
 

@@ -17,14 +17,11 @@ no bit:
   parameter tensors, and takes its gradients from the dict
   :func:`tensor.backward` returns, which no other shard sees.  Its dropout
   draws from the stream keyed ``(seed, DROPOUT, step, shard)``.
-- **Threads.** Shard 0 runs in the calling thread and shard 1 on a thread
-  made for the step and joined before the step returns, whether or not a
-  shard raises.  A shard's error reaches the caller with its own type; where
-  both raise, shard 0's does.
-- **Phase order.** Every shard finishes its forward pass before any shard
-  starts its backward pass, so a tracer that keeps one span stack for all
-  threads (``benchmarks/spans.py``) never sees a backward span close while
-  another shard's forward spans are open.
+- **Threads.** Shard 0 runs in the calling thread and shard 1 on the
+  run's one worker thread, which :func:`train` starts with its first
+  two-shard step and joins before it returns or raises.  A step waits for
+  shard 1 whether or not shard 0 raises.  A shard's error reaches the caller
+  with its own type; where both raise, shard 0's does.
 - **Weights and summation order.** Each shard's loss values and gradients
   are weighted by its share of the batch, n_shard / B, and summed in shard
   order, out of place, so the step's loss is the batch mean; a parameter
@@ -34,7 +31,7 @@ no bit:
 
 import json
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -345,27 +342,33 @@ def shard_bounds(b):
     return [(0, cut), (cut, b)] if cut < b else [(0, b)]
 
 
-def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step):
+def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step, pool):
     """(loss values, gradients) of training step ``step`` on ``batch``, computed in shards.
 
     ``params`` are leaf tensors (``requires_grad=True``), as
-    :func:`model.init_params` and :func:`load_checkpoint` make them.  The
-    values are the batch means of :meth:`contrastive.LossBreakdown.values`
-    and the gradients one array per parameter, each the shards' weighted sum
-    in shard order (the module docstring states the contract).  The gradient
-    arrays are new, and the caller's to scale in place.
+    :func:`model.init_params` and :func:`load_checkpoint` make them.  Shard 0
+    runs in this thread and shard 1, if there is one, on ``pool``, a
+    single-worker executor; this returns or raises only after shard 1 has
+    ended.  The values are the batch means of
+    :meth:`contrastive.LossBreakdown.values` and the gradients one array per
+    parameter, each the shards' weighted sum in shard order (the module
+    docstring states the contract).  The gradient arrays are new, and the
+    caller's to scale in place.
     """
     bounds = shard_bounds(len(batch))
-    barrier = threading.Barrier(len(bounds))
 
     def shard(i, lo, hi):
         rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step, i)
         with Tape():
             breakdown = K.total_loss_batch(params, mcfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg, rng)
-            barrier.wait()  # phase order: every forward ends before any backward starts
             return breakdown.values(), backward(breakdown.total)
 
-    results = _run_shards([(shard, i, lo, hi) for i, (lo, hi) in enumerate(bounds)], barrier)
+    later = [pool.submit(shard, i, lo, hi) for i, (lo, hi) in enumerate(bounds) if i]
+    try:
+        results = [shard(0, *bounds[0])]
+    finally:
+        wait(later)
+    results += [f.result() for f in later]
     weights = [(hi - lo) / len(batch) for lo, hi in bounds]
     vals = {k: sum(w * v[k] for w, (v, _) in zip(weights, results)) for k in results[0][0]}
     grads = {}
@@ -377,44 +380,6 @@ def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step):
                 total = g if total is None else total + g
         grads[name] = np.zeros_like(t.data) if total is None else total
     return vals, grads
-
-
-def _run_shards(calls, barrier):
-    """The result of each ``(fn, *args)`` call, in order: the first in this thread, the others on threads of their own.
-
-    The threads are joined before this returns.  A call that raises breaks
-    ``barrier``, so no other call waits at it for ever, and the first error
-    in call order is raised with its own type; a ``BrokenBarrierError`` is
-    raised only where no call raised anything else.
-    """
-    results = [None] * len(calls)
-    errors = [None] * len(calls)
-
-    def run(i):
-        fn, *args = calls[i]
-        try:
-            results[i] = fn(*args)
-        except BaseException as e:  # kept and re-raised below, in call order
-            errors[i] = e
-            barrier.abort()
-
-    started = []
-    try:
-        for i in range(1, len(calls)):
-            t = threading.Thread(target=run, args=(i,), name=f"colo-shard-{i}")
-            t.start()
-            started.append(t)
-        run(0)
-    except BaseException:  # a thread did not start, or an interrupt came before run(0) could catch it
-        barrier.abort()
-        raise
-    finally:
-        for t in started:
-            t.join()
-    raised = [e for e in errors if e is not None]
-    if raised:
-        raise next((e for e in raised if not isinstance(e, threading.BrokenBarrierError)), raised[0])
-    return results
 
 
 def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None, start_step=0, log_file=None):
@@ -443,37 +408,38 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
 
     order = None
     order_epoch = -1
-    for step in range(start_step, last_step):
-        epoch, pos = divmod(step, steps_per_epoch)
-        if epoch != order_epoch:
-            order = rngmod.derive_rng(tcfg.seed, rngmod.ORDER, epoch).permutation(len(train_ex))
-            order_epoch = epoch
-        batch_idx = order[pos * tcfg.batch_size : (pos + 1) * tcfg.batch_size]
-        batch = [train_ex[i] for i in batch_idx]
-        csets = [
-            K.build_contrastive_set(
-                ex.tuple, lexicon, rngmod.derive_rng(tcfg.seed, rngmod.CONTRAST, epoch, int(i))
-            )
-            for i, ex in zip(batch_idx, batch)
-        ]
-        try:
-            vals, grads = step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step)
-        except K.InvalidLossError as e:
-            raise NumericError(f"non-finite loss at step {step}: {e}") from None
-        if not all(math.isfinite(x) for x in vals.values()):
-            raise NumericError(f"non-finite loss at step {step}: {vals}")
-        norm = clip_gradients(grads, tcfg.grad_clip_norm)
-        adam_update(params, grads, adam, tcfg.learning_rate)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="colo-shard") as pool:  # shard 1 of every step
+        for step in range(start_step, last_step):
+            epoch, pos = divmod(step, steps_per_epoch)
+            if epoch != order_epoch:
+                order = rngmod.derive_rng(tcfg.seed, rngmod.ORDER, epoch).permutation(len(train_ex))
+                order_epoch = epoch
+            batch_idx = order[pos * tcfg.batch_size : (pos + 1) * tcfg.batch_size]
+            batch = [train_ex[i] for i in batch_idx]
+            csets = [
+                K.build_contrastive_set(
+                    ex.tuple, lexicon, rngmod.derive_rng(tcfg.seed, rngmod.CONTRAST, epoch, int(i))
+                )
+                for i, ex in zip(batch_idx, batch)
+            ]
+            try:
+                vals, grads = step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step, pool)
+            except K.InvalidLossError as e:
+                raise NumericError(f"non-finite loss at step {step}: {e}") from None
+            if not all(math.isfinite(x) for x in vals.values()):
+                raise NumericError(f"non-finite loss at step {step}: {vals}")
+            norm = clip_gradients(grads, tcfg.grad_clip_norm)
+            adam_update(params, grads, adam, tcfg.learning_rate)
 
-        rec = {"type": "train", "step": step, "epoch": epoch, "grad_norm": norm}
-        rec.update(vals)
-        emit(rec)
+            rec = {"type": "train", "step": step, "epoch": epoch, "grad_norm": norm}
+            rec.update(vals)
+            emit(rec)
 
-        if tcfg.eval_every and (step + 1) % tcfg.eval_every == 0:
-            with no_grad():
-                q = _quick_eval(params, mcfg, valid_ex, lexicon, vocab)
-            q.update({"type": "eval", "step": step})
-            emit(q)
+            if tcfg.eval_every and (step + 1) % tcfg.eval_every == 0:
+                with no_grad():
+                    q = _quick_eval(params, mcfg, valid_ex, lexicon, vocab)
+                q.update({"type": "eval", "step": step})
+                emit(q)
 
     ckpt = Checkpoint(
         model_config=mcfg,

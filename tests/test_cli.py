@@ -248,6 +248,18 @@ def test_model_width_below_one_is_config_error_before_the_run_dir(tmp_path, corp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_src_len", [4, 7])
+def test_max_src_len_that_cuts_the_tuple_is_config_error_before_the_run_dir(tmp_path, corpus_dir, capsys, max_src_len):
+    """A source shorter than the serialized tuple would drop a slot from every example, so no run starts."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"max_src_len = {max_src_len}\n")
+    out = tmp_path / "run"
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(out), "--config", str(cfg), "--max-steps", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: max_src_len must be >= 8, got {max_src_len}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("split_ratio", ["[0.9, 0.0, 0.1]", "[0.0, 0.9, 0.1]"], ids=["no-valid", "no-train"])
 def test_corpus_without_a_train_or_valid_split_is_config_error_before_any_write(tmp_path, capsys, split_ratio):
     """A run directory that holds a log keeps its bytes; a fresh one is not made."""

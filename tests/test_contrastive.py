@@ -500,7 +500,7 @@ def test_margin_pass_computes_no_padding(tiny_bundle, tiny_model_cfg, tiny_model
 
 
 # ---------------------------------------------------------------------------
-# shard threads: a training step runs its second shard on a thread of its own
+# shard threads: a training step runs its second shard on its run's one worker thread
 
 
 class _PassError(Exception):
@@ -585,6 +585,22 @@ def test_a_forked_child_runs_a_step(tiny_bundle, tiny_model_cfg, monkeypatch):
             proc.kill()
             proc.join()
     assert proc.exitcode == 0
+
+
+def test_a_run_runs_every_second_shard_on_one_worker(tiny_bundle, tiny_model_cfg, monkeypatch):
+    """Three two-shard steps run shard 1 on one thread, not on a thread per step."""
+    lexicon, examples, _ = tiny_bundle
+    loss, caller, workers = K.total_loss_batch, threading.current_thread(), []
+
+    def loss_noting_thread(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            workers.append(threading.current_thread())  # a reference, so no later thread takes its id
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(K, "total_loss_batch", loss_noting_thread)
+    tcfg = TrainConfig(batch_size=4, epochs=1, seed=3, eval_every=0, max_steps=3)
+    assert len(TR.train(tcfg, Corpus(lexicon, examples), tiny_model_cfg)[1]) == 3
+    assert len(workers) == 3 and len({id(t) for t in workers}) == 1
 
 
 def test_the_loss_takes_gamma_from_its_train_config(tiny_bundle, tiny_model_cfg, tiny_model_params):

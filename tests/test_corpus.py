@@ -349,6 +349,8 @@ def test_build_source_truncates(small_corpus):
     ex = examples[0]
     src = C.build_source(ex.tuple, ex.profiles, lexicon, max_src_len=10)
     assert len(src) == 10
+    # the shortest source a model config allows is the whole serialized tuple
+    assert C.build_source(ex.tuple, ex.profiles, lexicon, C.SOURCE_TUPLE_LEN) == C.serialize_tuple(ex.tuple, lexicon)
 
 
 def test_realize_comparative_inverted_uses_antonym(small_corpus):

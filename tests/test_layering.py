@@ -126,7 +126,7 @@ def thread_starts(path):
 def test_only_the_trainer_starts_threads():
     starts = {path.name: thread_starts(path) for path in sorted(SRC.glob("*.py")) if path.name != "trainer.py"}
     assert {name: found for name, found in starts.items() if found} == {}
-    assert thread_starts(SRC / "trainer.py") == ["threading.Thread"]
+    assert thread_starts(SRC / "trainer.py") == ["concurrent.futures"]
 
 
 def test_the_thread_guard_sees_each_form(tmp_path):

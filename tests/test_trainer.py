@@ -1,5 +1,6 @@
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ def test_threaded_step_equals_its_shards_recomputed_serially(toy, tiny_bundle, i
     try:
         if switch_s is not None:
             sys.setswitchinterval(switch_s)
-        vals, grads = TR.step_gradients(params, cfg, *inputs, tcfg, 7)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            vals, grads = TR.step_gradients(params, cfg, *inputs, tcfg, 7, pool)
     finally:
         sys.setswitchinterval(interval)
     want_vals, want_grads = _serial_step(params, cfg, *inputs, tcfg, 7, bounds)
@@ -197,7 +199,8 @@ def test_sharded_gradients_match_the_unsharded_loss_at_float64(tiny_bundle, tiny
     """No dropout: the shard-weighted sums equal the whole batch's mean loss and its gradients up to float64 rounding."""
     tcfg = TR.TrainConfig()
     batch, csets, lexicon, vocab = _step_inputs(tiny_bundle, [3, 0, 7, 1, 9])
-    vals, grads = TR.step_gradients(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg, 0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        vals, grads = TR.step_gradients(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg, 0, pool)
 
     with Tape():
         whole = K.total_loss_batch(tiny_model_params64, tiny_model_cfg, batch, csets, lexicon, vocab, tcfg)
@@ -340,7 +343,7 @@ def test_training_decreases_lm_loss(corpus, tiny_model_cfg):
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """(bytes, header end, directory) of a saved checkpoint of a 15-array model."""
-    cfg = M.ModelConfig(vocab_size=8, d_model=4, n_heads=1, n_enc_layers=0, n_dec_layers=0, d_ff=4, max_src_len=2, max_tgt_len=2, proj_hidden=4)
+    cfg = M.ModelConfig(vocab_size=8, d_model=4, n_heads=1, n_enc_layers=0, n_dec_layers=0, d_ff=4, max_src_len=8, max_tgt_len=2, proj_hidden=4)
     params, path = M.init_params(cfg, seed=0), tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     TR.save_checkpoint(path, TR.Checkpoint(cfg, params, TR.AdamState.init(params), TR.TrainConfig(), {"seed": 0, "step": 0}, 0))
     raw = path.read_bytes()
@@ -369,6 +372,34 @@ def test_checkpoint_every_prefix_below_header_end_rejected(small_checkpoint):
 def test_checkpoint_payload_prefixes_rejected(small_checkpoint, data):
     raw, header_end, _ = small_checkpoint
     _load_prefix(small_checkpoint, data.draw(st.integers(header_end, len(raw) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_checkpoint_is_checkpoint_error_or_loads_its_config_shapes(small_checkpoint, data):
+    """A truncated file, a flipped bit anywhere or a printable byte put into the header never loads arrays off the config."""
+    raw, header_end, tmp = small_checkpoint
+    buf = bytearray(raw)
+    kind = data.draw(st.sampled_from(["truncate", "flip-bit", "header-byte"]), label="kind")
+    if kind == "truncate":
+        del buf[data.draw(st.integers(0, len(raw) - 1), label="length") :]
+    elif kind == "flip-bit":
+        buf[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    else:
+        buf[data.draw(st.integers(TR.CHECKPOINT_PREAMBLE_LEN, header_end - 1), label="at")] = data.draw(
+            st.integers(0x20, 0x7E), label="byte"
+        )
+    path = tmp / "mutated.ckpt"
+    path.unlink(missing_ok=True)
+    path.write_bytes(bytes(buf))
+    try:
+        ckpt = TR.load_checkpoint(path)
+    except TR.CheckpointError:
+        return
+    want = M.param_shapes(ckpt.model_config)
+    params = {n: t.data for n, t in ckpt.params.items()}
+    for arrays in (params, ckpt.adam.m, ckpt.adam.v):
+        assert {n: a.shape for n, a in arrays.items()} == want
 
 
 def _entry(header, name):
