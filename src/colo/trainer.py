@@ -9,9 +9,13 @@ one per CPU of a two-CPU host.  The shards are part of the step's
 arithmetic, not a thread setting, so how the threads are scheduled changes
 no bit:
 
-- **Split.** A batch of B examples splits in batch order into the first
-  ceil(B/2) examples and the rest; an empty shard is dropped, so a batch of
-  one is one shard.
+- **Split.** :func:`shard_plan` sorts a batch of B examples by target
+  length, stably, and cuts it in two where the costlier shard's padded
+  tokens, its example count times (its longest source plus its longest
+  target), are fewest.  Ties go to the cut nearest B/2, then to the larger
+  first shard, so equal lengths split into the first ceil(B/2) examples
+  and the rest, and a batch of one is one shard.  The long references land
+  in the smaller shard, which shortens the slower shard of the step.
 - **Per shard.** Each shard records on a tape of its own, calls
   :func:`contrastive.total_loss_batch` on its examples over the shared
   parameter tensors, and takes its gradients from the dict
@@ -25,13 +29,14 @@ no bit:
 - **Weights and summation order.** Each shard's loss values and gradients
   are weighted by its share of the batch, n_shard / B, and summed in shard
   order, out of place, so the step's loss is the batch mean; a parameter
-  no shard reaches gets zeros.  Only then come the finiteness check,
-  clipping and Adam.
+  no shard reaches gets zeros.  Only then come the loss's finiteness
+  check, clipping, the gradient norm's finiteness check and Adam, so a
+  non-finite loss or gradient stops the run before Adam or the step's log
+  record.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -41,7 +46,7 @@ from . import evaluation as E
 from . import kernels
 from . import model as M
 from . import rng as rngmod
-from .corpus import Vocab
+from .corpus import Vocab, build_source
 from .errors import ConfigError, DataError, NumericError, fits
 from .fileio import atomic_write
 from .tensor import Tape, Tensor, backward, no_grad
@@ -336,40 +341,61 @@ def training_splits(corpus):
     return corpus.train, corpus.valid
 
 
-def shard_bounds(b):
-    """The (start, stop) of each shard of a b-example batch: the first ceil(b/2) examples, then the rest, if any."""
-    cut = (b + 1) // 2
-    return [(0, cut), (cut, b)] if cut < b else [(0, b)]
+def shard_plan(src_lens, tgt_lens):
+    """The batch positions of each shard of a batch whose examples have these source and target lengths.
+
+    The positions are sorted by target length, stably, and cut where the
+    costlier shard's padded tokens, ``len(shard) * (longest source + longest
+    target)``, are fewest; ties go to the cut nearest the middle, then to
+    the larger first shard.  A batch of one is one shard.
+    """
+    b = len(tgt_lens)
+    order = sorted(range(b), key=tgt_lens.__getitem__)
+    if b < 2:
+        return [order]
+
+    def padded(part):
+        return len(part) * (max(src_lens[i] for i in part) + max(tgt_lens[i] for i in part))
+
+    cut = min(range(1, b), key=lambda c: (max(padded(order[:c]), padded(order[c:])), abs(2 * c - b), -c))
+    return [order[:cut], order[cut:]]
 
 
 def step_gradients(params, mcfg, batch, csets, lexicon, vocab, tcfg, step, pool):
     """(loss values, gradients) of training step ``step`` on ``batch``, computed in shards.
 
     ``params`` are leaf tensors (``requires_grad=True``), as
-    :func:`model.init_params` and :func:`load_checkpoint` make them.  Shard 0
-    runs in this thread and shard 1, if there is one, on ``pool``, a
-    single-worker executor; this returns or raises only after shard 1 has
-    ended.  The values are the batch means of
+    :func:`model.init_params` and :func:`load_checkpoint` make them.  The
+    shards are :func:`shard_plan`'s, from each example's source as
+    :func:`corpus.build_source` serializes it and its reference plus BOS or
+    EOS.  Shard 0 runs in this thread and shard 1, if there is one, on
+    ``pool``, a single-worker executor; this returns or raises only after
+    shard 1 has ended.  The values are the batch means of
     :meth:`contrastive.LossBreakdown.values` and the gradients one array per
     parameter, each the shards' weighted sum in shard order (the module
     docstring states the contract).  The gradient arrays are new, and the
     caller's to scale in place.
     """
-    bounds = shard_bounds(len(batch))
+    plan = shard_plan(
+        [len(build_source(ex.tuple, ex.profiles, lexicon, mcfg.max_src_len)) for ex in batch],
+        [len(ex.reference) + 1 for ex in batch],
+    )
 
-    def shard(i, lo, hi):
+    def shard(i, part):
         rng = rngmod.derive_rng(tcfg.seed, rngmod.DROPOUT, step, i)
+        examples, shard_csets = [batch[j] for j in part], [csets[j] for j in part]
         with Tape():
-            breakdown = K.total_loss_batch(params, mcfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg, rng)
+            breakdown = K.total_loss_batch(params, mcfg, examples, shard_csets, lexicon, vocab, tcfg, rng)
             return breakdown.values(), backward(breakdown.total)
 
-    later = [pool.submit(shard, i, lo, hi) for i, (lo, hi) in enumerate(bounds) if i]
+    later = [pool.submit(shard, i, part) for i, part in enumerate(plan) if i]
     try:
-        results = [shard(0, *bounds[0])]
+        results = [shard(0, plan[0])]
     finally:
-        wait(later)
+        for f in later:
+            f.exception()  # waits for the shard; its error is raised by result() below
     results += [f.result() for f in later]
-    weights = [(hi - lo) / len(batch) for lo, hi in bounds]
+    weights = [len(part) / len(batch) for part in plan]
     vals = {k: sum(w * v[k] for w, (v, _) in zip(weights, results)) for k in results[0][0]}
     grads = {}
     for name, t in params.items():
@@ -408,6 +434,8 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
 
     order = None
     order_epoch = -1
+    from concurrent.futures import ThreadPoolExecutor  # here, so a process that never trains does not load it
+
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="colo-shard") as pool:  # shard 1 of every step
         for step in range(start_step, last_step):
             epoch, pos = divmod(step, steps_per_epoch)
@@ -429,6 +457,8 @@ def train(tcfg: TrainConfig, corpus, mcfg: M.ModelConfig, params=None, adam=None
             if not all(math.isfinite(x) for x in vals.values()):
                 raise NumericError(f"non-finite loss at step {step}: {vals}")
             norm = clip_gradients(grads, tcfg.grad_clip_norm)
+            if not math.isfinite(norm):
+                raise NumericError(f"non-finite gradient norm at step {step}: {norm}")
             adam_update(params, grads, adam, tcfg.learning_rate)
 
             rec = {"type": "train", "step": step, "epoch": epoch, "grad_norm": norm}

@@ -30,8 +30,8 @@ TAPE_OPS = 145  # moves when ops are fused or split; the digests below must not
 TAPE_BYTES = 1635116
 # the same at the default corpus and model config, seed 7, batch 16
 DEFAULT_TAPE_BYTES = 81529604
-PARAMS_SHA256 = "fc6d9300460cb6b3af590cdd71fb498262e1bb560d2af4a7c25806a346517404"
-BEAM5_SHA256 = "c470c936c57a04cc6c761318960f2a5ba58625dc2bf3639d1ab200a18541a958"
+PARAMS_SHA256 = "fa64546fdbb587150685e58b69419271e60ad445b69ab1744c3d8547d2d68312"
+BEAM5_SHA256 = "5df38913bfc0a4b7dbe69cb222122c61d8fcbe0ffe1b77849d530f63c96e1ae0"
 GREEDY_SHA256 = "17085c1c4f193ef9ac21c677cec0f242a02cce335c180953f6b3d7a8418da1f5"
 
 

@@ -10,6 +10,9 @@ A training step is the one place that runs work on another thread, so
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import colo
@@ -127,6 +130,15 @@ def test_only_the_trainer_starts_threads():
     starts = {path.name: thread_starts(path) for path in sorted(SRC.glob("*.py")) if path.name != "trainer.py"}
     assert {name: found for name, found in starts.items() if found} == {}
     assert thread_starts(SRC / "trainer.py") == ["concurrent.futures"]
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """``concurrent.futures`` and the dozen modules it imports load only when ``train`` opens its shard worker."""
+    script = "import sys\nimport colo.cli\nprint('concurrent.futures' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_the_thread_guard_sees_each_form(tmp_path):

@@ -12,16 +12,16 @@ import pytest
 from colo import cli
 
 ARTIFACT_SHA256 = {
-    "model.ckpt": "a04cb6008d158898ee0c749a4661c995f8ca0b25547e6547944326a034cd159e",
-    "train_log.jsonl": "f67b834d82447a27e906a95abc8c6b34136a87d6db05d23cbda6090ca905e79b",
-    "predictions.jsonl": "3fe4686b064bb2fc8c54f73e25e0b57dfa754b097d6146964539d6b085db6a77",
-    "report.json": "8619613ed7b81c1fa3cbf2e0735dae30a79d72bc56a72f00a6ea85809822877f",
+    "model.ckpt": "ae1d22bc3f220b20e9fa035ac6a6d1867361325a7349640c69d06c36bf5c5191",
+    "train_log.jsonl": "c75b81bbc90e2ac4b2bd7993757048cb1fd1aaf3c83ea59ca1534ad40745bcd8",
+    "predictions.jsonl": "c13a75696a34e69ea5aa022995f79a74715db2de87c09cf39e16df8bcbd46d58",
+    "report.json": "08918d103b5efddb08e2cc8494a2f4fa703d31e909522ce7ea11f39febb19c0c",
 }
 CONFIG_DIGESTS = {
     "gen-data.manifest.json": "8a60b50aadd90cb6",
     "train.manifest.json": "2e6df22e7672875d",
     "predictions.jsonl.manifest.json": "b97f6a7c50a82421",
-    "report.json.manifest.json": "e32831ece68525d1",
+    "report.json.manifest.json": "450861a0b381cdd3",
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from colo import contrastive as K
 from colo import model as M
 from colo import trainer as TR
-from colo.corpus import Corpus
+from colo.corpus import Corpus, build_source
 from colo.errors import ConfigError
 from colo.rng import DROPOUT, derive_rng
 from colo.tensor import Tape, backward
@@ -132,6 +134,27 @@ def test_nan_aborts_with_step_number(corpus, tiny_model_cfg, tcfg):
         TR.train(tcfg, corpus, tiny_model_cfg, params=params)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")  # clipping scales inf by 0
+def test_a_non_finite_gradient_under_a_finite_loss_stops_the_run_before_adam_and_the_log(
+    corpus, tiny_model_cfg, tcfg, monkeypatch
+):
+    def poisoned(loss):
+        grads = backward(loss)
+        leaf = next(iter(grads))
+        grads[leaf] = np.full_like(grads[leaf], np.inf)
+        return grads
+
+    monkeypatch.setattr(TR, "backward", poisoned)
+    params = M.init_params(tiny_model_cfg, seed=0)
+    before = {n: t.data.copy() for n, t in params.items()}
+    log = io.StringIO()
+    with pytest.raises(TR.NumericError, match="non-finite gradient norm at step 0"):
+        TR.train(tcfg, corpus, tiny_model_cfg, params=params, log_file=log)
+    assert log.getvalue() == ""
+    for name, t in params.items():
+        assert t.data.tobytes() == before[name].tobytes(), name
+
+
 def test_quick_eval_records(corpus, tiny_model_cfg):
     tcfg = TR.TrainConfig(batch_size=6, epochs=1, seed=1, eval_every=2)
     _, records = TR.train(tcfg, corpus, tiny_model_cfg)
@@ -145,24 +168,30 @@ def test_quick_eval_records(corpus, tiny_model_cfg):
 # sharded steps
 
 
-def _step_inputs(bundle, indices):
-    """(batch, contrastive sets, lexicon, vocab) of the examples at ``indices``."""
+def _step_inputs(bundle, indices, ref_len=None):
+    """(batch, contrastive sets, lexicon, vocab) of the examples at ``indices``, references cut to ``ref_len`` tokens."""
     lexicon, examples, vocab = bundle
-    batch = [examples[i] for i in indices]
+    batch = [dataclasses.replace(examples[i], reference=examples[i].reference[:ref_len]) for i in indices]
     return batch, [K.build_contrastive_set(ex.tuple, lexicon, derive_rng(300 + i)) for i, ex in zip(indices, batch)], lexicon, vocab
 
 
-def _serial_step(params, cfg, batch, csets, lexicon, vocab, tcfg, step, bounds):
+def _lengths(batch, lexicon, vocab, cfg):
+    """(source lengths, target lengths) of ``batch``: the unpadded encoder and decoder rows the loss builds."""
+    srcs = [len(build_source(ex.tuple, ex.profiles, lexicon, cfg.max_src_len)) for ex in batch]
+    return srcs, [M.make_target_arrays([vocab.tokenize(ex.reference)])[0].shape[1] for ex in batch]
+
+
+def _serial_step(params, cfg, batch, csets, lexicon, vocab, tcfg, step, plan):
     """The sharded step recomputed in this thread: each shard's tape, stream and weight, summed in shard order."""
     vals, grads = {}, {n: np.zeros_like(t.data) for n, t in params.items()}
-    for i, (lo, hi) in enumerate(bounds):
+    for i, part in enumerate(plan):
         with Tape():
             breakdown = K.total_loss_batch(
-                params, cfg, batch[lo:hi], csets[lo:hi], lexicon, vocab, tcfg,
+                params, cfg, [batch[j] for j in part], [csets[j] for j in part], lexicon, vocab, tcfg,
                 derive_rng(tcfg.seed, DROPOUT, step, i),
             )
             shard_grads = backward(breakdown.total)
-        w = (hi - lo) / len(batch)
+        w = len(part) / len(batch)
         for k, v in breakdown.values().items():
             vals[k] = vals.get(k, 0) + w * v
         for n, t in params.items():
@@ -172,14 +201,22 @@ def _serial_step(params, cfg, batch, csets, lexicon, vocab, tcfg, step, bounds):
 
 
 @pytest.mark.parametrize("switch_s", [None, 1e-6], ids=["default-switching", "switch-every-microsecond"])
-@pytest.mark.parametrize("indices, bounds", [([3, 0, 7, 1, 9], [(0, 3), (3, 5)]), ([4], [(0, 1)])], ids=["B=5", "B=1"])
-def test_threaded_step_equals_its_shards_recomputed_serially(toy, tiny_bundle, indices, bounds, switch_s):
-    """Dropout on: the shards' streams, weights and summation order, not the thread schedule, set every bit."""
+@pytest.mark.parametrize(
+    "indices, ref_len, plan",
+    [
+        ([3, 0, 7, 1, 9], None, [[1, 3, 0], [4, 2]]),  # target lengths 25, 23, 28, 23, 27
+        ([4], None, [[0]]),
+        ([2, 4, 5, 14], 22, [[0, 1], [2, 3]]),  # sources of 48 tokens, references cut to 22
+    ],
+    ids=["B=5", "B=1", "B=4-equal-lengths"],
+)
+def test_threaded_step_equals_its_shards_recomputed_serially(toy, tiny_bundle, indices, ref_len, plan, switch_s):
+    """Dropout on: the shards' plan, streams, weights and summation order, not the thread schedule, set every bit."""
     _, _, cfg = toy
     params = M.init_params(cfg, seed=2)
     tcfg = TR.TrainConfig(seed=4)
-    inputs = _step_inputs(tiny_bundle, indices)
-    assert TR.shard_bounds(len(indices)) == bounds
+    inputs = _step_inputs(tiny_bundle, indices, ref_len)
+    assert TR.shard_plan(*_lengths(inputs[0], *inputs[2:], cfg)) == plan
     interval = sys.getswitchinterval()
     try:
         if switch_s is not None:
@@ -188,11 +225,47 @@ def test_threaded_step_equals_its_shards_recomputed_serially(toy, tiny_bundle, i
             vals, grads = TR.step_gradients(params, cfg, *inputs, tcfg, 7, pool)
     finally:
         sys.setswitchinterval(interval)
-    want_vals, want_grads = _serial_step(params, cfg, *inputs, tcfg, 7, bounds)
+    want_vals, want_grads = _serial_step(params, cfg, *inputs, tcfg, 7, plan)
     assert vals == want_vals
     assert grads.keys() == want_grads.keys()
     for name, g in grads.items():
         assert g.dtype == want_grads[name].dtype and np.array_equal(g, want_grads[name]), name
+
+
+def _cheapest_cuts(src_lens, tgt_lens):
+    """Every cut of the stably target-sorted batch whose costlier shard pads to the fewest tokens, and that order."""
+    order = [i for _, i in sorted((t, i) for i, t in enumerate(tgt_lens))]
+    cost = {}
+    for cut in range(1, len(order)):
+        shards = order[:cut], order[cut:]
+        cost[cut] = max(len(s) * (max(src_lens[i] for i in s) + max(tgt_lens[i] for i in s)) for s in shards)
+    return order, [cut for cut, c in cost.items() if c == min(cost.values())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 32).flatmap(
+        lambda b: st.tuples(st.lists(st.integers(8, 60), min_size=b, max_size=b), st.lists(st.integers(2, 8), min_size=b, max_size=b))
+    )
+)
+def test_the_shard_plan_is_the_cheapest_cut_of_the_target_sorted_batch(lengths):
+    src_lens, tgt_lens = lengths  # targets drawn from few values, so ties are common
+    b = len(tgt_lens)
+    plan = TR.shard_plan(src_lens, tgt_lens)
+    order, cheapest = _cheapest_cuts(src_lens, tgt_lens)
+    assert [i for part in plan for i in part] == order  # a partition, target-sorted, ties in batch order
+    if b == 1:
+        assert plan == [[0]]
+        return
+    nearest = [c for c in cheapest if abs(2 * c - b) == min(abs(2 * c - b) for c in cheapest)]
+    assert len(plan) == 2 and len(plan[0]) == max(nearest)
+
+
+@given(st.integers(1, 32), st.integers(8, 60), st.integers(2, 200))
+def test_equal_lengths_split_in_batch_order_at_half_rounded_up(b, src_len, tgt_len):
+    cut = (b + 1) // 2
+    want = [list(range(cut)), list(range(cut, b))] if b > 1 else [[0]]
+    assert TR.shard_plan([src_len] * b, [tgt_len] * b) == want
 
 
 def test_sharded_gradients_match_the_unsharded_loss_at_float64(tiny_bundle, tiny_model_cfg, tiny_model_params64):
