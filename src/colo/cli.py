@@ -87,7 +87,7 @@ def write_manifest(path, command, config, seed, inputs, outputs, started, ended)
 
 
 def parse_config_file(path):
-    """Flat ``key = value`` format; values parse as JSON with string fallback."""
+    """Flat ``key = value`` format; values parse as JSON with string fallback.  A key may appear once."""
     try:
         with open(path, encoding="ascii") as f:
             lines = f.readlines()
@@ -100,11 +100,13 @@ def parse_config_file(path):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         try:
-            out[key.strip()] = json.loads(value.strip())
+            out[key] = json.loads(value)
         except json.JSONDecodeError:
-            out[key.strip()] = value.strip()
+            out[key] = value
     return out
 
 
@@ -403,9 +405,9 @@ CHILD_POLL_S = 0.05
 def _run_children(cmds, jobs):
     """Run command lines with at most ``jobs`` concurrent subprocesses.
 
-    Whichever child exits first is noticed first.  On a failure, or if this
-    process is interrupted, the children still running are terminated and
-    waited on before the error propagates.
+    Whichever child exits first is noticed first.  On a non-zero exit, which
+    raises :class:`subprocess.CalledProcessError`, or an interrupt, the children
+    still running are terminated and waited on before the error propagates.
     """
     pending = list(cmds)
     running = {}
@@ -420,7 +422,7 @@ def _run_children(cmds, jobs):
             for proc in done:
                 cmd = running.pop(proc)
                 if proc.returncode != 0:
-                    raise RuntimeError(f"subprocess failed with exit {proc.returncode}: {' '.join(map(str, cmd))}")
+                    raise subprocess.CalledProcessError(proc.returncode, cmd)
     finally:
         for proc in running:
             proc.terminate()
@@ -640,7 +642,7 @@ def main(argv=None):
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except RuntimeError as e:
+    except subprocess.CalledProcessError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

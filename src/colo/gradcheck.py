@@ -62,7 +62,7 @@ def op_cases():
     # decoder self-attention mask, (B, 1, T, T): causal, and the second example's last key is padding
     f64 = np.dtype(np.float64)
     amask = M.causal_mask(4, f64) + M.key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
-    w2344 = c(2, 3, 4, 4)
+    w2412 = c(2, 4, 12)  # weights of the attention cases' merged (B, Tq, H·dh) output
     cases = [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
         ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
@@ -85,7 +85,7 @@ def op_cases():
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
         # k2344 and v2344 are drawn below, after every other case; this leaf keeps its draw here
-        ("attention_q", lambda q: _wsum(T.attention(q, k2344, v2344, 0.7, amask), w2344), leaf(2, 3, 4, 4)),
+        ("attention_q", lambda q: _wsum(T.attention(q, k2344, v2344, 0.7, amask), w2412), leaf(2, 3, 4, 4)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
@@ -104,15 +104,14 @@ def op_cases():
         ("linear_weight_no_bias", lambda w: _wsum(T.linear(a234, w), w232), leaf(4, 2)),
         ("linear_bias", lambda b: _wsum(T.linear(a234, b42, b), w232), leaf(2)),
         ("split_heads", lambda x: _wsum(T.split_heads(x, 2), w2232), leaf(2, 3, 4)),
-        ("merge_heads", lambda x: _wsum(T.merge_heads(x), a234), leaf(2, 2, 3, 2)),
     ]
     # the attention cases' other operands, drawn last in turn; the k and v
     # cases drop the probabilities a fixed boolean mask marks False
     k2344, q2344, v2344 = c(2, 3, 4, 4), c(2, 3, 4, 4), c(2, 3, 4, 4)
     keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
     cases += [
-        ("attention_k", lambda k: _wsum(T.attention(q2344, k, v2344, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
-        ("attention_v", lambda v: _wsum(T.attention(q2344, k2344, v, 0.7, amask, keep, 1.25), w2344), leaf(2, 3, 4, 4)),
+        ("attention_k", lambda k: _wsum(T.attention(q2344, k, v2344, 0.7, amask, keep, 1.25), w2412), leaf(2, 3, 4, 4)),
+        ("attention_v", lambda v: _wsum(T.attention(q2344, k2344, v, 0.7, amask, keep, 1.25), w2412), leaf(2, 3, 4, 4)),
     ]
     # the ffn cases' other operands, drawn after all of the above; the
     # weights' and biases' gradients sum over the batched input
@@ -123,13 +122,15 @@ def op_cases():
         ("ffn_w2", lambda w: _wsum(T.ffn(a234, f1, fb1, w, fb2), w232), leaf(5, 2)),
         ("ffn_b2", lambda b: _wsum(T.ffn(a234, f1, fb1, f2, b), w232), leaf(2)),
     ]
-    # drawn after all of the above: dropout under a fixed boolean mask, and
-    # the cosines of (3, 6) rows to a (2, 3, 6) block, whose gradient sums over its first axis
-    v236, w23 = c(2, 3, 6), c(2, 3)
-    drop = np.arange(12).reshape(3, 4) % 3 != 0
+    # drawn after all of the above: the ffn output under a fixed boolean keep
+    # mask, the cosines of (3, 6) rows to a (2, 3, 6) block, whose gradient
+    # sums over its first axis, and (2, 3, 11) logits
+    v236, w23, t23 = c(2, 3, 6), c(2, 3), targets.reshape(2, 3)
+    drop = np.arange(6).reshape(3, 2) % 3 != 0
     return cases + [
-        ("dropout", lambda x: _wsum(T.dropout(x, drop, 1.5), w34), leaf(3, 4)),
+        ("ffn_x_keep", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2, drop, 1.5), w32), leaf(3, 4)),
         ("cosine_rows_stacked", lambda u: _wsum(T.cosine_rows(u, v236), w23), leaf(3, 6)),
+        ("cross_entropy_rows_batched", lambda x: _wsum(T.cross_entropy_rows(x, t23), w23), leaf(2, 3, 11)),
     ]
 
 

@@ -4,15 +4,16 @@ Pre-LN layers, learned absolute positions, embeddings tied three ways
 (encoder input, decoder input, LM head).  Every forward function takes a padded
 (B, T) id batch plus its mask and returns tape tensors; a single sequence is a
 batch of one.  A pass uses dropout when it is given a generator ``rng``, and
-only then.  Two feed-forward projection heads (one per side) map (B, d) pooled
-representations before similarity scoring.
+only then: it draws each boolean keep mask just before the fused attention or
+feed-forward op that applies it.  Two feed-forward projection heads (one per
+side) map (B, d) pooled representations before similarity scoring.
 
 Generation runs the same decoder layers a position at a time: :func:`decode_step`
 takes a token per row and a :class:`DecoderCache` of the rows' earlier
 self-attention keys and values and the source's cross-attention ones.
 Keys and values are head-split, (B, H, T, d / H), wherever they are made,
 so the cache stores them as attention reads them and a source's
-cross-attention ones are split once.
+cross-attention ones are split once; attention returns the heads merged.
 """
 
 import math
@@ -144,11 +145,6 @@ def _keep_mask(shape, rate, rng, dtype):
     return rng.random(shape) >= rate, dt(1.0) / dt(1.0 - rate)
 
 
-def _dropout(x, rate, rng):
-    keep, scale = _keep_mask(x.data.shape, rate, rng, x.data.dtype)
-    return x if keep is None else T.dropout(x, keep, scale)
-
-
 def _queries(params, prefix, q_in, cfg):
     return T.split_heads(T.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), cfg.n_heads)
 
@@ -171,13 +167,14 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, rng):
     scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
     probs_shape = q.data.shape[:-1] + k.data.shape[-2:-1]
     keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, rng, q.data.dtype)
-    ctx = T.merge_heads(T.attention(q, k, v, scale, add_mask, keep, keep_scale))
+    ctx = T.attention(q, k, v, scale, add_mask, keep, keep_scale)
     return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params, prefix, x, cfg, rng):
-    out = T.ffn(x, *(params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
-    return _dropout(out, cfg.dropout_rate, rng)
+    w1, b1, w2, b2 = (params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2"))
+    keep, keep_scale = _keep_mask(x.data.shape[:-1] + b2.data.shape, cfg.dropout_rate, rng, x.data.dtype)
+    return T.ffn(x, w1, b1, w2, b2, keep, keep_scale)
 
 
 def _ln(params, prefix, x):
@@ -375,10 +372,7 @@ def pad_sources(src_ids_list):
 def nll_per_example(params, cfg, enc_states, enc_mask, tgt_in, labels, label_mask, rng=None):
     """Per-example mean NLL (B,) plus the decoder states used to compute it."""
     states = decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, label_mask, rng)
-    logits = lm_head(params, states)
-    b, t, v = logits.shape
-    nll = T.cross_entropy_rows(T.reshape(logits, (b * t, v)), labels.reshape(-1))
-    nll = T.reshape(nll, (b, t))
+    nll = T.cross_entropy_rows(lm_head(params, states), labels)
     mf = Tensor(label_mask.astype(nll.data.dtype))
     counts = Tensor(label_mask.sum(axis=1).astype(nll.data.dtype))
     per_example = T.div(T.sum_(T.mul(nll, mf), axis=1), counts)

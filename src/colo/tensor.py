@@ -39,21 +39,20 @@ gradient: a caller that scales one in place copies it first.
 
 Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
-model's projections), ``split_heads`` and ``merge_heads`` (a reshape and
-an axis swap, for multi-head attention), ``dropout`` (a product with a
-boolean keep mask and a scale), ``ffn`` (``linear``, gelu, ``linear``:
-the feed-forward block) and ``attention`` (the score product ``q @ kᵀ``,
-scale, additive mask and softmax, all in the one score buffer it
-allocates, then dropout on the probabilities and the product with the
-values).  What the tape holds for dropout is the boolean mask: ``dropout``
-keeps it instead of a float mask, and ``attention`` keeps the
-probabilities and the mask and remakes the dropped probabilities in
-backward.  ``ffn`` keeps the pre-activation and remakes the hidden layer
-in backward.  Where no tape records (no tape is active, or a ``no_grad``
-block is), an op returns right after its forward without building its
-backward rule, and a float32/float64 result is wrapped without
-conversion, so a no-grad pass over small arrays (one decoding step) pays
-little per op beyond numpy itself.
+model's projections), ``split_heads`` (a reshape and an axis swap),
+``ffn`` (``linear``, gelu, ``linear`` and dropout: the feed-forward
+block), ``attention`` (the score product ``q @ kᵀ``, scale, additive mask
+and softmax, all in the one score buffer it allocates, then dropout on
+the probabilities, the product with the values and the merge of the
+heads) and ``cross_entropy_rows`` (over logits of any leading shape).
+Dropout happens only inside ``ffn`` and ``attention``, which hold a
+boolean keep mask, not a float one; ``attention`` keeps the probabilities
+and remakes the dropped ones in backward, and ``ffn`` keeps the
+pre-activation and remakes the hidden layer.  Where no tape records (no
+tape is active, or a ``no_grad`` block is), an op returns right after its
+forward without building its backward rule, and a float32/float64 result
+is wrapped without conversion, so a no-grad pass over small arrays (one
+decoding step) pays little per op beyond numpy itself.
 
 Importing this module pins glibc's malloc thresholds (see
 :func:`_pin_malloc_thresholds`), so the heap the activations live on stays
@@ -436,24 +435,6 @@ def _keep_scaled(x, keep, scale):
     return out
 
 
-def dropout(a, keep, scale):
-    """Inverted dropout: ``a`` times a boolean ``keep`` mask of its shape, times ``scale``.
-
-    Values and gradient are those of ``mul(a, keep·scale)`` with the float
-    mask made in ``a``'s dtype; the op holds the boolean mask instead.
-    """
-    if keep.shape != a.data.shape:
-        raise ShapeError(f"dropout keep mask {keep.shape} does not match {a.data.shape}")
-    out = _keep_scaled(a.data, keep, scale)
-    if _untaped():
-        return _wrap(out)
-
-    def bwd(g):
-        return (_keep_scaled(g, keep, scale),)
-
-    return _make(out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -490,19 +471,6 @@ def split_heads(a, n_heads):
 
     def bwd(g):
         return (g.swapaxes(1, 2).reshape(b, t, d),)
-
-    return _make(out, (a,), bwd)
-
-
-def merge_heads(a):
-    """(B, H, T, dh) -> (B, T, H * dh), the inverse of :func:`split_heads`."""
-    b, h, t, dh = a.data.shape
-    out = a.data.swapaxes(1, 2).reshape(b, t, h * dh)
-    if _untaped():
-        return _wrap(out)
-
-    def bwd(g):
-        return (g.reshape(b, t, h, dh).swapaxes(1, 2),)
 
     return _make(out, (a,), bwd)
 
@@ -581,14 +549,16 @@ def linear(x, w, b=None):
     return _make(out, (x, w) if b is None else (x, w, b), bwd)
 
 
-def ffn(x, w1, b1, w2, b2):
-    """``gelu(x @ w1 + b1) @ w2 + b2`` as one op: ``x`` is (..., n) with two or more axes, ``w1`` (n, h), ``w2`` (h, m).
+def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
+    """``gelu(x @ w1 + b1) @ w2 + b2`` as one op, then dropout: ``x`` is (..., n) with two or more axes,
+    ``w1`` (n, h), ``w2`` (h, m).  ``keep``, a boolean mask of the (..., m) output's shape or None,
+    zeroes what it marks False and scales the rest by ``keep_scale``.
 
     Forward and backward compute exactly what ``linear``, a tanh-approximated
-    gelu and ``linear`` again compute, in the same order, with one tape
-    entry instead of three.  The op holds ``x`` and the pre-activation, not
-    the (..., h) hidden layer: backward remakes it from the tanh that gelu's
-    derivative reads (:func:`kernels.gelu_bwd`).
+    gelu, ``linear`` and ``mul`` by the float mask ``keep·keep_scale``
+    compute, in that order, with one tape entry.  The op holds ``x``, the
+    pre-activation and ``keep``, not the (..., h) hidden layer: backward
+    remakes it from the tanh that gelu's derivative reads (:func:`kernels.gelu_bwd`).
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     if xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]:
@@ -599,6 +569,10 @@ def ffn(x, w1, b1, w2, b2):
     pre += b1.data
     out = np.matmul(kernels.gelu_fwd(pre), w2d)
     out += b2.data
+    if keep is not None:
+        if keep.shape != out.shape:
+            raise ShapeError(f"ffn keep mask {keep.shape} does not match output {out.shape}")
+        out = _keep_scaled(out, keep, keep_scale)
     if _untaped():
         return _wrap(out)
     rx, rw1, rb1, rw2, rb2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
@@ -608,6 +582,8 @@ def ffn(x, w1, b1, w2, b2):
 
     def bwd(g):
         gx = gw1 = gb1 = gw2 = gb2 = None
+        if keep is not None:
+            g = _keep_scaled(g, keep, keep_scale)
         if to_pre:
             gpre, hidden = kernels.gelu_bwd(np.matmul(g, w2r.T), pre)
             if w1r is not None:
@@ -665,23 +641,24 @@ def slice0(a, start, stop):
 
 
 def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
-    """``softmax(q @ kᵀ * scale + add_mask) @ v`` as one op, with dropout on the probabilities.
+    """Multi-head ``softmax(q @ kᵀ * scale + add_mask) @ v`` as one op, with dropout on the
+    probabilities, returning the heads merged: the (B, Tq, H·dv) context.
 
-    ``q`` is (..., Tq, dh), ``k`` (..., Tk, dh) and ``v`` (..., Tk, dv), batch
-    axes broadcasting; ``scale`` is a scalar of their dtype and ``add_mask``
-    an additive numpy mask that broadcasts against the (..., Tq, Tk)
-    scores, or None.  ``keep``, a boolean array of the scores' shape, zeroes
-    the probabilities it marks False and scales the rest by ``keep_scale``;
-    None applies no dropout.  The op holds q, k, v, the probabilities and
-    ``keep``, and remakes the dropped probabilities in backward.  Values and
-    gradients are bit for bit those of the separate ops: the score matmul,
-    scale, mask and softmax, ``mul`` by the float mask ``keep·keep_scale``
-    and the matmul with ``v``.
+    ``q`` is (B, H, Tq, dh), ``k`` (B', H, Tk, dh) and ``v`` (B', H, Tk, dv),
+    where B' is B or 1 (one source's keys for every query row).  ``scale``
+    is a scalar of their dtype and ``add_mask`` an additive numpy mask that
+    broadcasts against the (B, H, Tq, Tk) scores, or None.  ``keep``, a
+    boolean array of the scores' shape or None, zeroes the probabilities it
+    marks False and scales the rest by ``keep_scale``.  The op holds q, k,
+    v, the probabilities and ``keep``, and remakes the dropped probabilities
+    in backward.  Values and gradients are bit for bit those of the separate
+    ops: score matmul, scale, mask, softmax, ``mul`` by the float mask
+    ``keep·keep_scale``, matmul with ``v`` and the head merge.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim < 2 or kd.ndim < 2 or qd.shape[-1] != kd.shape[-1]:
-        raise ShapeError(f"attention needs (..., Tq, dh) and (..., Tk, dh), got {qd.shape} and {kd.shape}")
-    if vd.ndim < 2 or vd.shape[-2] != kd.shape[-2]:
+    if qd.ndim != 4 or kd.ndim != 4 or qd.shape[-1] != kd.shape[-1]:
+        raise ShapeError(f"attention needs (B, H, Tq, dh) and (B, H, Tk, dh), got {qd.shape} and {kd.shape}")
+    if vd.ndim != 4 or vd.shape[-2] != kd.shape[-2]:
         raise ShapeError(f"attention values {vd.shape} do not match keys {kd.shape}")
     kt = np.swapaxes(kd, -1, -2)
     z = np.matmul(qd, kt)
@@ -697,7 +674,9 @@ def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
         pd = p.reshape(shape)
         return pd if keep is None else _keep_scaled(pd, keep, keep_scale)
 
-    out = np.matmul(dropped(), vd)
+    (b, h, tq, _), dv = shape, vd.shape[-1]
+    out = np.empty((b, tq, h * dv), np.result_type(p, vd))
+    np.matmul(dropped(), vd, out=out.reshape(b, tq, h, dv).swapaxes(1, 2))  # written with the heads merged
     if _untaped():
         return _wrap(out)
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
@@ -705,6 +684,7 @@ def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
 
     def bwd(g):
         gq = gk = gv = None
+        g = g.reshape(b, tq, h, dv).swapaxes(1, 2)
         if rq or rk:
             gp = _unbroadcast(np.matmul(g, np.swapaxes(vd, -1, -2)), shape)
             if keep is not None:
@@ -744,20 +724,23 @@ def layer_norm(x, gain, bias):
 
 
 def cross_entropy_rows(logits, targets):
-    """Per-row softmax NLL of target ids; log-sum-exp stabilized."""
-    if logits.ndim != 2:
-        raise ShapeError("cross_entropy_rows expects 2-D logits")
+    """Softmax NLL of target ids over the last axis, log-sum-exp stabilized: (..., V) logits and
+    (...) targets give (...) losses, computed over the logits as one (rows, V) array."""
+    shape = logits.shape
     targets = np.asarray(targets, dtype=np.int64)
-    v = logits.shape[1]
+    if logits.ndim < 1 or targets.shape != shape[:-1]:
+        raise ShapeError(f"cross_entropy_rows needs (..., V) logits and (...) targets, got {shape} and {targets.shape}")
+    v = shape[-1]
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise VocabularyError(f"target id outside vocabulary of size {v}")
-    nll, e, s = kernels.xent_fwd(np.ascontiguousarray(logits.data), targets)
-    out = nll.astype(logits.dtype, copy=False)
+    rows = targets.reshape(-1)
+    nll, e, s = kernels.xent_fwd(np.ascontiguousarray(logits.data.reshape(-1, v)), rows)
+    out = nll.astype(logits.dtype, copy=False).reshape(targets.shape)
     if _untaped():
         return _wrap(out)
 
     def bwd(g):
-        return (kernels.xent_bwd(np.ascontiguousarray(g), e, s, targets),)
+        return (kernels.xent_bwd(np.ascontiguousarray(g.reshape(-1)), e, s, rows).reshape(shape),)
 
     return _make(out, (logits,), bwd)
 

@@ -136,13 +136,13 @@ def adam_update(params, grads, state: AdamState, lr):
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so a finite global L2 norm is at most max_norm; return the norm before scaling."""
     sq = 0.0
     for g in grads.values():
         flat = g.reshape(-1)
         sq += float(flat @ flat)
     norm = math.sqrt(sq)
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         scale = max_norm / (norm + 1e-12)
         for g in grads.values():
             g *= scale

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -643,8 +645,9 @@ def test_run_children_fails_fast_and_reaps(monkeypatch):
     slow = [sys.executable, "-c", "import time; time.sleep(30)"]
     failing = [sys.executable, "-c", "raise SystemExit(5)"]
     t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match="exit 5"):
+    with pytest.raises(subprocess.CalledProcessError, match="exit status 5") as failed:
         cli._run_children([slow, failing], jobs=2)
+    assert failed.value.returncode == 5 and failed.value.cmd == failing
     assert time.monotonic() - t0 < 15
     assert len(started) == 2
     assert all(p.returncode is not None for p in started)
@@ -654,3 +657,30 @@ def test_run_children_runs_every_command(tmp_path):
     cmds = [[sys.executable, "-c", f"open({str(tmp_path / str(i))!r}, 'w').close()"] for i in range(3)]
     cli._run_children(cmds, jobs=2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2"]
+
+
+def _one_seed(value):
+    return {"mean": value, "sd": 0.0, "values": [value]}
+
+
+def test_ablate_trains_and_evaluates_each_arm_into_the_pinned_table(tmp_path, corpus_dir, monkeypatch, capfd):
+    """Two arms, one seed each, train and evaluate in child processes; ablation.json and the table pin the scores."""
+    src = str(Path(cli.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--corpus", str(corpus_dir), "--out", str(out), "--arms", "lm_only,full", "--seeds", "1",
+            "--epochs", "1", "--batch", "8", "--beam", "2", "--jobs", "2"]
+    assert cli.main(argv) == 0
+    b4 = _one_seed(0.007209871334837495)
+    assert json.loads((out / "ablation.json").read_text())["arms"] == {
+        "lm_only": {"seeds": [0], "cover": _one_seed(0.0), "entail": _one_seed(0.0), "b4": b4,
+                    "es_similarity": _one_seed(0.9994760354359945)},
+        "full": {"seeds": [0], "cover": _one_seed(0.0), "entail": _one_seed(0.0), "b4": b4,
+                 "es_similarity": _one_seed(0.9995938539505005)},
+    }
+    printed = capfd.readouterr().out.splitlines()
+    assert printed[-3:] == [
+        "arm                 Cover         Entail            B-4         ES-sim",
+        "lm_only        0.00± 0.00     0.00± 0.00     0.72± 0.00    99.95± 0.00",
+        "full           0.00± 0.00     0.00± 0.00     0.72± 0.00    99.96± 0.00",
+    ]

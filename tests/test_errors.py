@@ -76,11 +76,20 @@ def test_main_maps_each_project_error_by_its_base_class(monkeypatch, capsys, nam
         cli.main(["gradcheck"])
 
 
-@pytest.mark.parametrize("error", [KeyError("internal"), ValueError("internal"), TypeError("internal")], ids=repr)
+@pytest.mark.parametrize("error", [
+    KeyError("internal"), ValueError("internal"), TypeError("internal"), RuntimeError("internal"),
+    RecursionError("internal"),
+], ids=repr)
 def test_an_internal_builtin_error_propagates_out_of_main(monkeypatch, error):
     monkeypatch.setattr(G, "run_all", _raising(error))
     with pytest.raises(type(error), match="internal"):
         cli.main(["gradcheck"])
+
+
+def test_a_failed_child_process_exits_1_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(G, "run_all", _raising(subprocess.CalledProcessError(5, ["colo", "train"])))
+    assert cli.main(["gradcheck"]) == 1
+    assert "error: Command '['colo', 'train']' returned non-zero exit status 5." in capsys.readouterr().err
 
 
 def test_python_m_colo_exits_1_with_a_traceback_on_an_internal_key_error():
@@ -163,6 +172,15 @@ def test_non_ascii_config_file_is_config_error(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert cli.main(["gen-data", "--out", str(out), "--config", str(cfg)]) == cli.EXIT_CONFIG
     assert f"config error: {cfg}: not an ASCII file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_repeated_config_key_is_config_error_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("seed = 1\n# the seed again\nn_examples = 30\nseed=2\n")
+    out = tmp_path / "corpus"
+    assert cli.main(["gen-data", "--out", str(out), "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert f"config error: {cfg}:4: repeated key 'seed'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -158,7 +158,8 @@ def _dropout_float_mask(keep, scale, dtype):
 
 def ref_attention(q, k, v, scale, mask, keep_f, g):
     """(out, dq, dk, dv) of the chain ``matmul(q, kᵀ)`` → scale → mask → row softmax
-    → ``* keep_f`` → ``matmul(·, v)``, as that chain's tape ops computed them.
+    → ``* keep_f`` → ``matmul(·, v)`` → merge of the heads into (B, Tq, H·dv), as
+    that chain's tape ops computed them; ``g`` is the merged output's gradient.
 
     Keys and values with a batch axis of 1 broadcast over q's rows; their
     gradients sum back over that axis.
@@ -170,7 +171,10 @@ def ref_attention(q, k, v, scale, mask, keep_f, g):
         z = z + mask
     p = ref_softmax_fwd(z.reshape(-1, t)).reshape(shape)
     pk = p if keep_f is None else p * keep_f
-    out = np.matmul(pk, v)
+    heads = np.matmul(pk, v)
+    b, h, tq, dv = heads.shape
+    out = heads.swapaxes(1, 2).reshape(b, tq, h * dv)
+    g = g.reshape(b, tq, h, dv).swapaxes(1, 2)
 
     def unbroadcast(x, like):
         return x.sum(axis=0, keepdims=True) if like.shape[0] == 1 and x.shape[0] != 1 else x
@@ -190,7 +194,7 @@ def ref_attention(q, k, v, scale, mask, keep_f, g):
 @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
-    """The fused op against the unfused chain, bit for bit, in value and in the q, k and v gradients.
+    """The fused op against the unfused chain, bit for bit, in the merged value and in the q, k and v gradients.
 
     ``broadcast`` gives keys and values one batch row for all of q's rows,
     as cached decoding's cross-attention does.
@@ -218,7 +222,7 @@ def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
         keep_scale = dtype(1.0) / dtype(0.9)
         keep_f = _dropout_float_mask(keep, keep_scale, dtype)
     scale = dtype(1.0 / np.sqrt(16))
-    g = _data(dtype, (b, h, tq, dv), 12)
+    g = _data(dtype, (b, tq, h * dv), 12)
     want_out, *want_grads = ref_attention(q.data, k.data, v.data, scale, mask, keep_f, g)
 
     with T.Tape():
@@ -231,19 +235,28 @@ def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_dropout_mask_matches_two_pass_expression(dtype):
-    """The boolean mask is the float64 draw compared with the rate, and ``T.dropout`` over it
-    gives the value and gradient of the product with the float mask ``keep·scale``."""
-    rate, shape = 0.1, (4, 3, 17)
-    x = T.Tensor(_data(dtype, shape, 16), requires_grad=True)
-    g = _data(dtype, shape, 17)
-    keep = np.random.default_rng(13).random(shape) >= rate
-    keep_f = (np.random.default_rng(13).random(shape) >= rate).astype(dtype) / (1.0 - rate)
-    got_keep, scale = M._keep_mask(shape, rate, np.random.default_rng(13), np.dtype(dtype))
+    """The boolean mask is the float64 draw compared with the rate, and the model's feed-forward
+    block over it gives the value and gradients of the product of ``T.ffn`` with the float mask ``keep·scale``."""
+    rate, (b, t, n, h, m) = 0.1, (4, 3, 16, 17, 16)
+    names, shapes = ("w1", "b1", "w2", "b2"), [(n, h), (h,), (h, m), (m,)]
+    params = {
+        f"f.{k}": T.Tensor(_data(dtype, s, 30 + i, scale=0.5), requires_grad=True)
+        for i, (k, s) in enumerate(zip(names, shapes))
+    }
+    x = T.Tensor(_data(dtype, (b, t, n), 16), requires_grad=True)
+    g = _data(dtype, (b, t, m), 17)
+    keep = np.random.default_rng(13).random((b, t, m)) >= rate
+    keep_f = (np.random.default_rng(13).random((b, t, m)) >= rate).astype(dtype) / (1.0 - rate)
+    got_keep, scale = M._keep_mask((b, t, m), rate, np.random.default_rng(13), np.dtype(dtype))
     assert got_keep.dtype == np.bool_
     _same(got_keep, keep)
     _same(_dropout_float_mask(keep, scale, dtype), keep_f)
+    cfg = M.ModelConfig(vocab_size=8, d_model=m, d_ff=h, dropout_rate=rate)
+    leaves = [x] + list(params.values())
+    want_out, *want_grads = ref_ffn(*(v.data for v in leaves), g * keep_f)
     with T.Tape():
-        y = M._dropout(x, rate, np.random.default_rng(13))
+        y = M._ffn(params, "f", x, cfg, np.random.default_rng(13))
         grads = T.backward(T.sum_(T.mul(y, T.Tensor(g))))
-    _same(y.data, x.data * keep_f)
-    _same(grads[x], g * keep_f)
+    _same(y.data, want_out * keep_f)
+    for leaf, want in zip(leaves, want_grads):
+        _same(grads[leaf], want)

@@ -112,7 +112,9 @@ def test_split_heads_is_reshape_then_swapaxes_and_merge_inverts_it():
     x = t64(np.arange(2 * 3 * 8.0).reshape(2, 3, 8))
     heads = T.split_heads(x, 4)
     assert np.array_equal(heads.data, np.swapaxes(x.data.reshape(2, 3, 4, 2), 1, 2))
-    assert np.array_equal(T.merge_heads(heads).data, x.data)
+    # a mask that lets each position attend only to itself makes the probabilities the identity
+    own = np.where(np.eye(3, dtype=bool), 0.0, M.ATTN_MASK_OFF)
+    assert np.array_equal(T.attention(heads, heads, heads, 1.0, own).data, x.data)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,27 @@ def test_xent_out_of_range_target():
         cross_entropy_rows(t64(np.zeros((2, 4))), [1, 7])
 
 
+def test_xent_batched_logits_are_their_flattened_rows():
+    """(2, 3, V) logits give the (2, 3) losses and the gradient of their six rows, bit for bit."""
+    rng = np.random.default_rng(4)
+    logits, targets, g = rng.standard_normal((2, 3, 5)), rng.integers(0, 5, (2, 3)), rng.standard_normal((2, 3))
+
+    def run(shape):
+        x = t64(logits.reshape(shape), requires_grad=True)
+        with Tape():
+            nll = cross_entropy_rows(x, targets.reshape(shape[:-1]))
+            grads = backward(T.sum_(T.mul(nll, t64(g.reshape(nll.shape)))))
+        return nll.data.reshape(2, 3).tobytes(), grads[x].reshape(2, 3, 5).tobytes()
+
+    assert run((2, 3, 5)) == run((6, 5))
+
+
+@pytest.mark.parametrize("targets", [[1, 2, 3], [[1, 2]], 1])
+def test_xent_targets_must_match_the_logits_rows(targets):
+    with pytest.raises(ShapeError):
+        cross_entropy_rows(t64(np.zeros((2, 4))), targets)
+
+
 def test_xent_mask_excludes_rows():
     # rows are independent, so masking a padded row after the op (as
     # model.nll_per_example does) removes it entirely
@@ -276,45 +299,53 @@ def test_layer_norm_statistics():
 # softmax
 
 
-@pytest.mark.parametrize("q_shape, k_shape", [((5, 3), (7, 4)), ((3,), (7, 3))])
+@pytest.mark.parametrize("q_shape, k_shape", [((1, 1, 5, 3), (1, 1, 7, 4)), ((1, 5, 3), (1, 1, 7, 3))])
 def test_attention_probs_shape_mismatch(q_shape, k_shape):
     with pytest.raises(ShapeError):
-        T.attention(t64(np.ones(q_shape)), t64(np.ones(k_shape)), t64(np.ones((7, 2))), 0.5)
+        T.attention(t64(np.ones(q_shape)), t64(np.ones(k_shape)), t64(np.ones((1, 1, 7, 2))), 0.5)
 
 
-@pytest.mark.parametrize("v_shape, keep_shape", [((6, 2), None), ((7,), None), ((7, 2), (5, 6)), ((7, 2), (7, 5))],
-                         ids=["v_rows", "v_rank", "keep_cols", "keep_rows"])
+@pytest.mark.parametrize("v_shape, keep_shape", [
+    ((1, 1, 6, 2), None), ((1, 7, 2), None), ((1, 1, 7, 2), (1, 1, 5, 6)), ((1, 1, 7, 2), (1, 1, 7, 5)),
+], ids=["v_rows", "v_rank", "keep_cols", "keep_rows"])
 def test_attention_value_and_keep_shape_mismatch(v_shape, keep_shape):
     keep = None if keep_shape is None else np.ones(keep_shape, dtype=bool)
+    q, k = t64(np.ones((1, 1, 5, 3))), t64(np.ones((1, 1, 7, 3)))
     with pytest.raises(ShapeError):
-        T.attention(t64(np.ones((5, 3))), t64(np.ones((7, 3))), t64(np.ones(v_shape)), 0.5, None, keep, 1.25)
+        T.attention(q, k, t64(np.ones(v_shape)), 0.5, None, keep, 1.25)
 
 
 def test_dropout_keep_shape_mismatch():
-    with pytest.raises(ShapeError):
-        T.dropout(t64(np.ones((3, 4))), np.ones((4, 3), dtype=bool), 1.25)
+    """``ffn``'s keep mask must have its (3, 2) output's shape."""
+    w1, b1, w2, b2 = t64(np.ones((4, 5))), t64(np.ones(5)), t64(np.ones((5, 2))), t64(np.ones(2))
+    for keep_shape in ((2, 3), (3,), (3, 2, 1)):
+        with pytest.raises(ShapeError):
+            T.ffn(t64(np.ones((3, 4))), w1, b1, w2, b2, np.ones(keep_shape, dtype=bool), 1.25)
 
 
 def test_attention_and_dropout_hold_boolean_masks(tape_nbytes):
-    """``attention`` holds q, k, v, the float32 probabilities and the boolean keep mask,
-    and ``dropout`` its input and the boolean mask: no float mask, no dropped product."""
+    """``attention`` holds q, k, v, the float32 probabilities and the boolean keep mask, and
+    ``ffn`` its input, its weights, the pre-activation and the boolean mask: no float mask, no dropped product."""
     rng = np.random.default_rng(9)
     q, k, v = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 4)))
     mask, keep = np.zeros((2, 1, 1, 6), dtype=np.float32), rng.random((2, 3, 5, 6)) >= 0.1
     with T.Tape() as tape:
         T.attention(q, k, v, np.float32(0.5), mask, keep, np.float32(1.25))
         assert tape_nbytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes + 5 * keep.size
-    x, keep = Tensor(rng.standard_normal((4, 7)), True, np.float32), rng.random((4, 7)) >= 0.1
+    x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((4, 7), (7, 9), (9,), (9, 7), (7,)))
+    keep = rng.random((4, 7)) >= 0.1
     with T.Tape() as tape:
-        T.dropout(x, keep, np.float32(1.25))
-        assert tape_nbytes(tape) == x.data.nbytes + keep.size
+        T.ffn(x, w1, b1, w2, b2, keep, np.float32(1.25))
+        held = x.data.nbytes + w1.data.nbytes + b1.data.nbytes + w2.data.nbytes + b2.data.nbytes
+        pre = np.zeros((4, 9), np.float32)
+        assert tape_nbytes(tape) == held + pre.nbytes + keep.size
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
-    q, k = t64(rng.standard_normal((5, 3))), t64(rng.standard_normal((7, 3)))
+    q, k = t64(rng.standard_normal((1, 1, 5, 3))), t64(rng.standard_normal((1, 1, 7, 3)))
     # against identity values the output is the probabilities themselves
-    p = T.attention(q, k, t64(np.eye(7)), 0.5, np.zeros((1, 7))).data
+    p = T.attention(q, k, t64(np.eye(7)[None, None]), 0.5, np.zeros((1, 7))).data[0]
     assert p.shape == (5, 7)
     assert np.all(p > 0.0)
     assert np.allclose(p.sum(axis=1), 1.0)
@@ -649,7 +680,8 @@ _FANOUT_OPS = {
     "sum_broadcast": lambda a, b: T.add(a, T.sum_(b, axis=1, keepdims=True)),
     "mean_broadcast": lambda a, b: T.mul(a, T.mean_(b)),
     "reshape": lambda a, b: T.reshape(T.mul(T.reshape(a, (6, 4)), T.reshape(b, (6, 4))), _SHAPE),
-    "heads": lambda a, b: T.merge_heads(T.mul(T.split_heads(a, 2), T.split_heads(b, 2))),
+    # tanh bounds the queries, so the scores stay finite wherever b is
+    "heads": lambda a, b: T.attention(T.split_heads(T.tanh(a), 2), T.split_heads(b, 2), T.split_heads(b, 2), 0.5),
     # a float64 result: a float32 operand gets a float64 contribution
     "to_float64": lambda a, b: T.mul(a, _C64),
 }

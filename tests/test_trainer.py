@@ -101,6 +101,14 @@ def test_clip_gradients_no_change_when_small():
     assert np.array_equal(grads["g"], before)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_gradients_returns_a_non_finite_norm_without_scaling(bad):
+    grads = {"a": np.array([3.0, bad], dtype=np.float32), "b": np.array([4.0], dtype=np.float32)}
+    before = {n: g.tobytes() for n, g in grads.items()}
+    assert not np.isfinite(TR.clip_gradients(grads, max_norm=1.0))
+    assert {n: g.tobytes() for n, g in grads.items()} == before
+
+
 # ---------------------------------------------------------------------------
 # training determinism and logging
 
@@ -134,7 +142,6 @@ def test_nan_aborts_with_step_number(corpus, tiny_model_cfg, tcfg):
         TR.train(tcfg, corpus, tiny_model_cfg, params=params)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")  # clipping scales inf by 0
 def test_a_non_finite_gradient_under_a_finite_loss_stops_the_run_before_adam_and_the_log(
     corpus, tiny_model_cfg, tcfg, monkeypatch
 ):
