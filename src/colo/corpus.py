@@ -573,7 +573,8 @@ class Corpus:
         return [e for e in self.examples if e.split == name]
 
     def validate(self):
-        """Every example's tuple ids and profile attributes must be in the lexicon."""
+        """Every example's tuple ids, profile attributes and reference tokens must be in the lexicon."""
+        known = set(grammar_tokens(self.lexicon))
         for i, ex in enumerate(self.examples):
             try:
                 for slot, kind, _ in TUPLE_SLOTS:
@@ -583,6 +584,9 @@ class Corpus:
                         for attr in prof.attrs[cat]:
                             if attr not in self.lexicon.attributes[cat]:
                                 raise LexiconError(f"unknown {cat} attribute {attr!r} of {prof.entity_id}")
+                for token in ex.reference:
+                    if token not in known:  # the vocabulary would read it as UNK
+                        raise LexiconError(f"reference token {token!r} is not in the lexicon's vocabulary")
             except LexiconError as e:
                 raise LexiconError(f"corpus example {i} ({ex.split} split): {e}") from None
 
@@ -663,7 +667,9 @@ def read_corpus(path):
                 if not _is_strings(rec["reference"]):
                     raise CorpusError("reference must be a list of string tokens")
                 t = ClrTuple(*rec["tuple"])
-                if not all(isinstance(attrs, dict) for attrs in rec["profiles"][:2]):
+                if not (isinstance(rec["profiles"], list) and len(rec["profiles"]) == 2):
+                    raise CorpusError("profiles must be a list of 2 JSON objects")
+                if not all(isinstance(attrs, dict) for attrs in rec["profiles"]):
                     raise CorpusError("a profile is not a JSON object")
                 profiles = (
                     EntityProfile(t.entity_a, rec["profiles"][0]),

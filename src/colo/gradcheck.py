@@ -62,7 +62,7 @@ def op_cases():
     # decoder self-attention mask, (B, 1, T, T): causal, and the second example's last key is padding
     f64 = np.dtype(np.float64)
     amask = M.causal_mask(4, f64) + M.key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
-    w2412 = c(2, 4, 12)  # weights of the attention cases' merged (B, Tq, H·dh) output
+    w2412 = c(2, 4, 12)  # weights of the attention cases' (B, Tq, H·dh) output
     cases = [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
         ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
@@ -84,8 +84,8 @@ def op_cases():
         ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
-        # k2344 and v2344 are drawn below, after every other case; this leaf keeps its draw here
-        ("attention_q", lambda q: _wsum(T.attention(q, k2344, v2344, 0.7, amask), w2412), leaf(2, 3, 4, 4)),
+        # k2412 and v2412 are drawn below, after every other case; this leaf keeps its draw here
+        ("attention_q", lambda q: _wsum(T.attention(q, k2412, v2412, 3, amask), w2412), leaf(2, 4, 12)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
@@ -94,7 +94,7 @@ def op_cases():
         ("cosine_rows", lambda u: _wsum(T.cosine_rows(u, v36), w3), leaf(3, 6)),
     ]
     # drawn after the cases above, so cases added here leave those cases' values alone
-    b2, w2232 = c(2), c(2, 2, 3, 2)
+    b2 = c(2)
     cases += [
         ("linear_x", lambda x: _wsum(T.linear(x, b42, b2), w32), leaf(3, 4)),
         ("linear_x_batched", lambda x: _wsum(T.linear(x, b42, b2), w232), leaf(2, 3, 4)),
@@ -103,15 +103,14 @@ def op_cases():
         ("linear_weight", lambda w: _wsum(T.linear(a234, w, b2), w232), leaf(4, 2)),
         ("linear_weight_no_bias", lambda w: _wsum(T.linear(a234, w), w232), leaf(4, 2)),
         ("linear_bias", lambda b: _wsum(T.linear(a234, b42, b), w232), leaf(2)),
-        ("split_heads", lambda x: _wsum(T.split_heads(x, 2), w2232), leaf(2, 3, 4)),
     ]
     # the attention cases' other operands, drawn last in turn; the k and v
     # cases drop the probabilities a fixed boolean mask marks False
-    k2344, q2344, v2344 = c(2, 3, 4, 4), c(2, 3, 4, 4), c(2, 3, 4, 4)
+    k2412, q2412, v2412 = c(2, 4, 12), c(2, 4, 12), c(2, 4, 12)
     keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
     cases += [
-        ("attention_k", lambda k: _wsum(T.attention(q2344, k, v2344, 0.7, amask, keep, 1.25), w2412), leaf(2, 3, 4, 4)),
-        ("attention_v", lambda v: _wsum(T.attention(q2344, k2344, v, 0.7, amask, keep, 1.25), w2412), leaf(2, 3, 4, 4)),
+        ("attention_k", lambda k: _wsum(T.attention(q2412, k, v2412, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
+        ("attention_v", lambda v: _wsum(T.attention(q2412, k2412, v, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
     ]
     # the ffn cases' other operands, drawn after all of the above; the
     # weights' and biases' gradients sum over the batched input

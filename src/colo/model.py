@@ -11,12 +11,10 @@ side) map (B, d) pooled representations before similarity scoring.
 Generation runs the same decoder layers a position at a time: :func:`decode_step`
 takes a token per row and a :class:`DecoderCache` of the rows' earlier
 self-attention keys and values and the source's cross-attention ones.
-Keys and values are head-split, (B, H, T, d / H), wherever they are made,
-so the cache stores them as attention reads them and a source's
-cross-attention ones are split once; attention returns the heads merged.
+Queries, keys and values stay in the (B, T, d) layout their projections
+produce, and the cache stores them so; ``T.attention`` splits the heads.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,29 +143,26 @@ def _keep_mask(shape, rate, rng, dtype):
     return rng.random(shape) >= rate, dt(1.0) / dt(1.0 - rate)
 
 
-def _queries(params, prefix, q_in, cfg):
-    return T.split_heads(T.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), cfg.n_heads)
+def _queries(params, prefix, q_in):
+    return T.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
 
 
-def _keys_values(params, prefix, kv_in, cfg):
-    """Head-split (B, H, T, dh) keys and values of ``kv_in``."""
-    k = T.split_heads(T.linear(kv_in, params[f"{prefix}.wk"]), cfg.n_heads)
-    v = T.split_heads(T.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), cfg.n_heads)
-    return k, v
+def _keys_values(params, prefix, kv_in):
+    """The (B, T, d) keys and values of ``kv_in``."""
+    return T.linear(kv_in, params[f"{prefix}.wk"]), T.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
 
 
 def _attend(params, prefix, q, k, v, add_mask, cfg, rng):
-    """Multi-head attention over head-split q, k, v.
+    """Multi-head attention over (B, T, d) q, k, v.
 
     ``add_mask`` is an additive mask in the params' dtype, or None.
 
     Callers project q before k and v, so the tape records those projections
     in that order and their shared input's gradient always sums in one order.
     """
-    scale = q.data.dtype.type(1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
-    probs_shape = q.data.shape[:-1] + k.data.shape[-2:-1]
+    probs_shape = (q.shape[0], cfg.n_heads, q.shape[1], k.shape[1])
     keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, rng, q.data.dtype)
-    ctx = T.attention(q, k, v, scale, add_mask, keep, keep_scale)
+    ctx = T.attention(q, k, v, cfg.n_heads, add_mask, keep, keep_scale)
     return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -214,8 +209,8 @@ def encode_batch(params, cfg, src_ids, src_mask, rng=None):
     x = _embed(params, src_ids, "emb.pos_enc")
     for i in range(cfg.n_enc_layers):
         h, p = _ln(params, f"enc.{i}.ln1", x), f"enc.{i}.attn"
-        q = _queries(params, p, h, cfg)
-        x = T.add(x, _attend(params, p, q, *_keys_values(params, p, h, cfg), mask, cfg, rng))
+        q = _queries(params, p, h)
+        x = T.add(x, _attend(params, p, q, *_keys_values(params, p, h), mask, cfg, rng))
         x = T.add(x, _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x), cfg, rng))
     return _ln(params, "enc.ln_f", x)
 
@@ -235,22 +230,22 @@ def decode_states_batch(params, cfg, enc_states, enc_mask, tgt_in, tgt_mask, rng
     cross_mask = key_mask(enc_mask, dtype)
     x = _embed(params, tgt_in, "emb.pos_dec")
     return _decoder_layers(
-        params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h, cfg),
-        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states, cfg), self_mask, cross_mask, rng,
+        params, cfg, x, lambda i, h: _keys_values(params, f"dec.{i}.self", h),
+        lambda i: _keys_values(params, f"dec.{i}.cross", enc_states), self_mask, cross_mask, rng,
     )
 
 
 def _decoder_layers(params, cfg, x, self_kv, cross_kv, self_mask, cross_mask, rng):
     """Decoder layers and final norm over embedded targets ``x``.
 
-    ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's head-split keys and
+    ``self_kv(i, h)`` and ``cross_kv(i)`` give layer i's keys and
     values: the one thing teacher forcing and cached decoding do differently.
     """
     for i in range(cfg.n_dec_layers):
         h, p = _ln(params, f"dec.{i}.ln1", x), f"dec.{i}.self"
-        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *self_kv(i, h), self_mask, cfg, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h), *self_kv(i, h), self_mask, cfg, rng))
         h, p = _ln(params, f"dec.{i}.ln2", x), f"dec.{i}.cross"
-        x = T.add(x, _attend(params, p, _queries(params, p, h, cfg), *cross_kv(i), cross_mask, cfg, rng))
+        x = T.add(x, _attend(params, p, _queries(params, p, h), *cross_kv(i), cross_mask, cfg, rng))
         x = T.add(x, _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x), cfg, rng))
     return _ln(params, "dec.ln_f", x)
 
@@ -265,30 +260,29 @@ def lm_head(params, states):
 
 
 def source_keys_values(params, cfg, src_ids):
-    """Each decoder layer's head-split (1, H, S, dh) cross-attention (keys, values) for one source sequence."""
+    """Each decoder layer's (1, S, d) cross-attention (keys, values) for one source sequence."""
     src = np.asarray(src_ids, dtype=np.int32)[None, :]
     with T.no_grad():
         enc = encode_batch(params, cfg, src, np.ones(src.shape, dtype=bool))
-        return [_keys_values(params, f"dec.{i}.cross", enc, cfg) for i in range(cfg.n_dec_layers)]
+        return [_keys_values(params, f"dec.{i}.cross", enc) for i in range(cfg.n_dec_layers)]
 
 
 class DecoderCache:
     """``cross`` from :func:`source_keys_values`, and the self-attention keys and values
-    of the ``t`` positions decoded so far, head-split in a
-    (layers, 2, rows, n_heads, max_tgt_len + 1, d_model // n_heads) buffer written in
-    place.  A search starts from one row; :meth:`select` adds rows.
+    of the ``t`` positions decoded so far, in a
+    (layers, 2, rows, max_tgt_len + 1, d_model) buffer written in place.
+    A search starts from one row; :meth:`select` adds rows.
     """
 
     def __init__(self, cfg, cross):
         self.cross, self.t = cross, 0
-        dh = cfg.d_model // cfg.n_heads
-        self.kv = np.zeros((cfg.n_dec_layers, 2, 1, cfg.n_heads, cfg.max_tgt_len + 1, dh), dtype=cross[0][0].dtype)
+        self.kv = np.zeros((cfg.n_dec_layers, 2, 1, cfg.max_tgt_len + 1, cfg.d_model), dtype=cross[0][0].dtype)
 
     def write(self, i, k, v):
-        """Store layer i's (n, H, 1, dh) keys and values at position t; return those of positions 0..t."""
+        """Store layer i's (n, 1, d) keys and values at position t; return those of positions 0..t."""
         kv = self.kv[i, :, : k.shape[0]]
-        kv[0, :, :, self.t], kv[1, :, :, self.t] = k.data[:, :, 0], v.data[:, :, 0]
-        return Tensor(kv[0, :, :, : self.t + 1]), Tensor(kv[1, :, :, : self.t + 1])
+        kv[0, :, self.t], kv[1, :, self.t] = k.data[:, 0], v.data[:, 0]
+        return Tensor(kv[0, :, : self.t + 1]), Tensor(kv[1, :, : self.t + 1])
 
     def select(self, idx):
         """Row j takes over row ``idx[j]``; rows may repeat, move or drop.
@@ -300,12 +294,12 @@ class DecoderCache:
         n, t = len(idx), self.t
         if n > self.kv.shape[2]:
             grown = np.zeros(self.kv.shape[:2] + (n,) + self.kv.shape[3:], dtype=self.kv.dtype)
-            grown[:, :, :, :, :t] = self.kv[:, :, idx, :, :t]
+            grown[:, :, :, :t] = self.kv[:, :, idx, :t]
             self.kv = grown
             return
         moved = np.flatnonzero(idx != np.arange(n))
         if moved.size:
-            self.kv[:, :, moved, :, :t] = self.kv[:, :, idx[moved], :, :t]
+            self.kv[:, :, moved, :t] = self.kv[:, :, idx[moved], :t]
 
 
 def decode_step(params, cfg, cache, tokens):
@@ -319,7 +313,7 @@ def decode_step(params, cfg, cache, tokens):
     with T.no_grad():
         x = _embed(params, np.asarray(tokens)[:, None], "emb.pos_dec", start=cache.t)
         states = _decoder_layers(
-            params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h, cfg)),
+            params, cfg, x, lambda i, h: cache.write(i, *_keys_values(params, f"dec.{i}.self", h)),
             cache.cross.__getitem__, None, None, None,
         )
         cache.t += 1

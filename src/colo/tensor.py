@@ -39,12 +39,13 @@ gradient: a caller that scales one in place copies it first.
 
 Some ops fuse a chain into one tape entry and compute exactly what the
 chain computes, forward and backward: ``linear`` (``x @ w + b``, the
-model's projections), ``split_heads`` (a reshape and an axis swap),
-``ffn`` (``linear``, gelu, ``linear`` and dropout: the feed-forward
-block), ``attention`` (the score product ``q @ kᵀ``, scale, additive mask
-and softmax, all in the one score buffer it allocates, then dropout on
-the probabilities, the product with the values and the merge of the
-heads) and ``cross_entropy_rows`` (over logits of any leading shape).
+model's projections), ``ffn`` (``linear``, gelu, ``linear`` and dropout:
+the feed-forward block), ``attention`` (over the projections' (B, T, d)
+outputs: the split into heads, the score product ``q @ kᵀ``, the 1/√dh
+scale, additive mask and softmax, all in the one score buffer it
+allocates, then dropout on the probabilities, the product with the
+values and the merge of the heads) and ``cross_entropy_rows`` (over
+logits of any leading shape).  Only ``attention`` knows the head layout.
 Dropout happens only inside ``ffn`` and ``attention``, which hold a
 boolean keep mask, not a float one; ``attention`` keeps the probabilities
 and remakes the dropped ones in backward, and ``ffn`` keeps the
@@ -60,6 +61,7 @@ mapped from one training step to the next.
 """
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager
 
@@ -462,19 +464,6 @@ def swapaxes(a, ax1, ax2):
     return _make(out, (a,), bwd)
 
 
-def split_heads(a, n_heads):
-    """(B, T, d) -> (B, n_heads, T, d // n_heads): a reshape and a swap of axes 1 and 2, as one op."""
-    b, t, d = a.data.shape
-    out = a.data.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
-    if _untaped():
-        return _wrap(out)
-
-    def bwd(g):
-        return (g.swapaxes(1, 2).reshape(b, t, d),)
-
-    return _make(out, (a,), bwd)
-
-
 def sum_(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
     if _untaped():
@@ -640,28 +629,37 @@ def slice0(a, start, stop):
 # fused kernel ops
 
 
-def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
-    """Multi-head ``softmax(q @ kᵀ * scale + add_mask) @ v`` as one op, with dropout on the
-    probabilities, returning the heads merged: the (B, Tq, H·dv) context.
+def _heads(x, n_heads):
+    """(B, T, H·d) -> (B, H, T, d), a view."""
+    b, t, w = x.shape
+    return x.reshape(b, t, n_heads, w // n_heads).swapaxes(1, 2)
 
-    ``q`` is (B, H, Tq, dh), ``k`` (B', H, Tk, dh) and ``v`` (B', H, Tk, dv),
-    where B' is B or 1 (one source's keys for every query row).  ``scale``
-    is a scalar of their dtype and ``add_mask`` an additive numpy mask that
-    broadcasts against the (B, H, Tq, Tk) scores, or None.  ``keep``, a
-    boolean array of the scores' shape or None, zeroes the probabilities it
-    marks False and scales the rest by ``keep_scale``.  The op holds q, k,
-    v, the probabilities and ``keep``, and remakes the dropped probabilities
-    in backward.  Values and gradients are bit for bit those of the separate
-    ops: score matmul, scale, mask, softmax, ``mul`` by the float mask
-    ``keep·keep_scale``, matmul with ``v`` and the head merge.
+
+def attention(q, k, v, n_heads, add_mask=None, keep=None, keep_scale=None):
+    """Multi-head ``softmax(q @ kᵀ / √dh + add_mask) @ v`` as one op, with dropout on the probabilities.
+
+    ``q`` is (B, Tq, H·dh), ``k`` (B', Tk, H·dh) and ``v`` (B', Tk, H·dv),
+    the layout the projections produce, with H ``n_heads`` and B' either B
+    or 1 (one source's keys for every query row).  The op splits them into
+    heads as views, scales the scores by 1/√dh and returns the (B, Tq, H·dv)
+    context with the heads merged; the gradients come back in the operands'
+    layouts.  ``add_mask`` is an additive numpy mask that broadcasts against
+    the (B, H, Tq, Tk) scores, or None.  ``keep``, a boolean array of the
+    scores' shape or None, zeroes the probabilities it marks False and
+    scales the rest by ``keep_scale``.  The op holds q, k, v, the
+    probabilities and ``keep``, and remakes the dropped probabilities in
+    backward.  Values and gradients are bit for bit those of the separate
+    ops: head split, score matmul, scale, mask, softmax, ``mul`` by the
+    float mask ``keep·keep_scale``, matmul with ``v`` and head merge.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 4 or kd.ndim != 4 or qd.shape[-1] != kd.shape[-1]:
-        raise ShapeError(f"attention needs (B, H, Tq, dh) and (B, H, Tk, dh), got {qd.shape} and {kd.shape}")
-    if vd.ndim != 4 or vd.shape[-2] != kd.shape[-2]:
-        raise ShapeError(f"attention values {vd.shape} do not match keys {kd.shape}")
-    kt = np.swapaxes(kd, -1, -2)
-    z = np.matmul(qd, kt)
+    if qd.ndim != 3 or kd.ndim != 3 or vd.ndim != 3 or qd.shape[-1] != kd.shape[-1] or kd.shape[:2] != vd.shape[:2]:
+        raise ShapeError(f"attention needs (B, Tq, d), (B', Tk, d), (B', Tk, dv), got {qd.shape}, {kd.shape}, {vd.shape}")
+    if kd.shape[0] not in (1, qd.shape[0]) or qd.shape[-1] % n_heads or vd.shape[-1] % n_heads:
+        raise ShapeError(f"attention over {n_heads} heads cannot take {qd.shape}, {kd.shape} and {vd.shape}")
+    qh, kh, vh = _heads(qd, n_heads), _heads(kd, n_heads), _heads(vd, n_heads)
+    scale = qd.dtype.type(1.0 / math.sqrt(qh.shape[-1]))
+    z = np.matmul(qh, kh.swapaxes(-1, -2))
     shape = z.shape
     if keep is not None and keep.shape != shape:
         raise ShapeError(f"attention keep mask {keep.shape} does not match scores {shape}")
@@ -674,30 +672,30 @@ def attention(q, k, v, scale, add_mask=None, keep=None, keep_scale=None):
         pd = p.reshape(shape)
         return pd if keep is None else _keep_scaled(pd, keep, keep_scale)
 
-    (b, h, tq, _), dv = shape, vd.shape[-1]
+    (b, h, tq, _), dv = shape, vh.shape[-1]
     out = np.empty((b, tq, h * dv), np.result_type(p, vd))
-    np.matmul(dropped(), vd, out=out.reshape(b, tq, h, dv).swapaxes(1, 2))  # written with the heads merged
+    np.matmul(dropped(), vh, out=out.reshape(b, tq, h, dv).swapaxes(1, 2))  # written with the heads merged
     if _untaped():
         return _wrap(out)
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
-    sq, skt, sv = qd.shape, kt.shape, vd.shape
+    sq, sk, sv, skt, svh = qd.shape, kd.shape, vd.shape, kh.swapaxes(-1, -2).shape, vh.shape
 
     def bwd(g):
         gq = gk = gv = None
-        g = g.reshape(b, tq, h, dv).swapaxes(1, 2)
+        g = _heads(g, h)
         if rq or rk:
-            gp = _unbroadcast(np.matmul(g, np.swapaxes(vd, -1, -2)), shape)
+            gp = _unbroadcast(np.matmul(g, vh.swapaxes(-1, -2)), shape)
             if keep is not None:
                 gp = _keep_scaled(gp, keep, keep_scale)
             ds = kernels.softmax_bwd(gp.reshape(-1, shape[-1]), p)
             ds *= scale
             ds = ds.reshape(shape)
             if rq:
-                gq = _unbroadcast(np.matmul(ds, kd), sq)
+                gq = np.matmul(ds, kh).swapaxes(1, 2).reshape(sq)
             if rk:
-                gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), ds), skt), -1, -2)
+                gk = _unbroadcast(np.matmul(qh.swapaxes(-1, -2), ds), skt).transpose(0, 3, 1, 2).reshape(sk)
         if rv:
-            gv = _unbroadcast(np.matmul(np.swapaxes(dropped(), -1, -2), g), sv)
+            gv = _unbroadcast(np.matmul(dropped().swapaxes(-1, -2), g), svh).swapaxes(1, 2).reshape(sv)
         return gq, gk, gv
 
     return _make(out, (q, k, v), bwd)

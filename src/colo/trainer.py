@@ -246,6 +246,8 @@ def load_checkpoint(path) -> Checkpoint:
         kind, _, pname = name.partition("/")
         if kind not in groups:
             raise CheckpointError(f"{path}: unknown array {name!r}")
+        if pname in groups[kind]:
+            raise CheckpointError(f"{path}: manifest names array {name!r} twice")
         groups[kind][pname] = arr
 
     mcfg = _header_config(path, header, "model_config", M.ModelConfig, vocab_size=0)

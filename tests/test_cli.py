@@ -79,6 +79,21 @@ def test_evaluate_param_shape_off_config_is_data_error(tmp_path, corpus_dir, tra
     assert "param/enc.ln_f.g has shape [8, 8], the model config needs [64]" in capsys.readouterr().err
 
 
+def _repeat_tok_embedding(header):
+    """A second ``param/emb.tok`` entry, over ``adam_m/emb.tok``'s bytes, after the first."""
+    moments = next(e for e in header["manifest"] if e["name"] == "adam_m/emb.tok")
+    header["manifest"].append({**moments, "name": "param/emb.tok"})
+    return header
+
+
+def test_evaluate_manifest_naming_an_array_twice_is_data_error(tmp_path, corpus_dir, trained_ckpt, rewrite_header, capsys):
+    ckpt = rewrite_header(trained_ckpt, tmp_path / "model.ckpt", _repeat_tok_embedding)
+    out = tmp_path / "report.json"
+    assert cli.main(["evaluate", "--ckpt", str(ckpt), "--corpus", str(corpus_dir), "--out", str(out)]) == cli.EXIT_DATA
+    assert "manifest names array 'param/emb.tok' twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_adam_m_entry(header):
     header["manifest"] = [e for e in header["manifest"] if e["name"] != "adam_m/enc.ln_f.g"]
     return header
@@ -387,8 +402,9 @@ def test_profile_that_is_not_an_object_is_data_error_before_the_run_dir(tmp_path
         (lambda rec: rec.update(reference="ENT_000"), "reference must be a list of string tokens"),
         (lambda rec: rec.update(reference=" ".join(rec["reference"])), "reference must be a list of string tokens"),
         (lambda rec: rec["profiles"][0].update(fragance=["x"]), "unknown categories ['fragance']"),
+        (lambda rec: rec["profiles"].append(rec["profiles"][0]), "profiles must be a list of 2 JSON objects"),
     ],
-    ids=["list-id", "short-string-reference", "long-string-reference", "unknown-category"],
+    ids=["list-id", "short-string-reference", "long-string-reference", "unknown-category", "three-profiles"],
 )
 def test_mistyped_corpus_field_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys, edit, message):
     bad = shutil.copytree(corpus_dir, tmp_path / "corpus")

@@ -245,7 +245,7 @@ def test_corpus_file_round_trip(tmp_path, small_corpus):
         assert a.reference == b.reference
         assert a.split == b.split
         assert a.profiles[0].attrs == b.profiles[0].attrs
-    assert sum(1 for _ in open(path)) == len(examples)
+    assert len(path.read_text(encoding="ascii").splitlines()) == len(examples)
 
 
 def test_corpus_read_reports_bad_line(tmp_path, small_corpus):

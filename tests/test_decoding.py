@@ -122,6 +122,26 @@ def test_select_reorders_the_cache_like_fresh_prefixes(decoder_fixture, data):
         np.testing.assert_allclose(got[row], want[0], atol=1e-5, rtol=0)
 
 
+def test_rows_stepped_together_decode_bit_for_bit_as_each_row_alone():
+    """5 rows, 30 positions, at the default model width: a row's logits do not depend on the other rows."""
+    cfg = M.ModelConfig(vocab_size=200)
+    params = M.init_params(cfg, seed=4)
+    rng = np.random.default_rng(27)
+    cross = M.source_keys_values(params, cfg, rng.integers(len(tok.RESERVED), cfg.vocab_size, 20))
+    tokens = rng.integers(len(tok.RESERVED), cfg.vocab_size, (30, 5))
+    tokens[0] = tok.BOS_ID
+
+    def logits(rows):
+        """(len(rows), 30, V) logits of those columns of ``tokens``, stepped as one batch."""
+        cache = M.DecoderCache(cfg, cross)
+        cache.select(np.zeros(len(rows), dtype=np.intp))
+        return np.stack([M.decode_step(params, cfg, cache, step[rows]) for step in tokens], axis=1)
+
+    together = logits(np.arange(5))
+    for r in range(5):
+        assert np.array_equal(together[r], logits(np.array([r]))[0])
+
+
 # ---------------------------------------------------------------------------
 # greedy
 

@@ -290,11 +290,17 @@ def _unknown_attribute(rec):
     return {**rec, "profiles": [{**rec["profiles"][0], "efficacy": ["EFF_999"]}, rec["profiles"][1]]}
 
 
+def _unknown_alias(rec):
+    """An alias the lexicon's two per entity do not reach, which the vocabulary would read as UNK."""
+    return {**rec, "reference": ["ENT_000_ALT7"] + rec["reference"]}
+
+
 @pytest.mark.parametrize("split, edit, message", [
     ("train", _unknown_entity, "unknown entity id 'ENT_999'"),
     ("test", _unknown_entity, "unknown entity id 'ENT_999'"),
     ("train", _unknown_attribute, "unknown efficacy attribute 'EFF_999'"),
-], ids=["train-tuple-id", "test-tuple-id", "profile-attribute"])
+    ("valid", _unknown_alias, "reference token 'ENT_000_ALT7' is not in the lexicon's vocabulary"),
+], ids=["train-tuple-id", "test-tuple-id", "profile-attribute", "reference-token"])
 def test_corpus_the_lexicon_does_not_cover_is_data_error_before_the_run_dir(
     tmp_path, corpus_dir, capsys, split, edit, message
 ):

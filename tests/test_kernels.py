@@ -156,14 +156,25 @@ def _dropout_float_mask(keep, scale, dtype):
     return np.multiply(keep, scale, dtype=dtype)
 
 
-def ref_attention(q, k, v, scale, mask, keep_f, g):
-    """(out, dq, dk, dv) of the chain ``matmul(q, kᵀ)`` → scale → mask → row softmax
-    → ``* keep_f`` → ``matmul(·, v)`` → merge of the heads into (B, Tq, H·dv), as
-    that chain's tape ops computed them; ``g`` is the merged output's gradient.
+def ref_attention(q, k, v, h, scale, mask, keep_f, g):
+    """(out, dq, dk, dv) of the chain: split of (B, T, H·d) q, k and v into h heads
+    → ``matmul(q, kᵀ)`` → scale → mask → row softmax → ``* keep_f`` → ``matmul(·, v)``
+    → merge of the heads into (B, Tq, H·dv), as that chain's tape ops computed
+    them; ``g`` is the merged output's gradient, and the gradients come back merged.
 
     Keys and values with a batch axis of 1 broadcast over q's rows; their
     gradients sum back over that axis.
     """
+
+    def split(x):
+        n, t, w = x.shape
+        return x.reshape(n, t, h, w // h).swapaxes(1, 2)
+
+    def merge(x):
+        n, _, t, d = x.shape
+        return x.swapaxes(1, 2).reshape(n, t, h * d)
+
+    q, k, v = split(q), split(k), split(v)
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
     shape, t = scores.shape, scores.shape[-1]
     z = scores * scale
@@ -172,9 +183,8 @@ def ref_attention(q, k, v, scale, mask, keep_f, g):
     p = ref_softmax_fwd(z.reshape(-1, t)).reshape(shape)
     pk = p if keep_f is None else p * keep_f
     heads = np.matmul(pk, v)
-    b, h, tq, dv = heads.shape
-    out = heads.swapaxes(1, 2).reshape(b, tq, h * dv)
-    g = g.reshape(b, tq, h, dv).swapaxes(1, 2)
+    out = merge(heads)
+    g = split(g)
 
     def unbroadcast(x, like):
         return x.sum(axis=0, keepdims=True) if like.shape[0] == 1 and x.shape[0] != 1 else x
@@ -186,7 +196,7 @@ def ref_attention(q, k, v, scale, mask, keep_f, g):
     ds = ref_softmax_bwd(gp.reshape(-1, t), p.reshape(-1, t)).reshape(shape) * scale
     dq = np.matmul(ds, k)
     dk = np.swapaxes(unbroadcast(np.matmul(np.swapaxes(q, -1, -2), ds), np.swapaxes(k, -1, -2)), -1, -2)
-    return out, dq, dk, dv
+    return out, merge(dq), merge(dk), merge(dv)
 
 
 @pytest.mark.parametrize("broadcast", [False, True], ids=["rows", "kv_broadcast"])
@@ -202,9 +212,9 @@ def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
     b, h, dh, dv = 3, 2, 8, 5
     tq, tk = (4, 9) if broadcast else (9, 9)
     kv_b = 1 if broadcast else b
-    q = T.Tensor(_data(dtype, (b, h, tq, dh), 11), requires_grad=True)
-    k = T.Tensor(_data(dtype, (kv_b, h, tk, dh), 13), requires_grad=True)
-    v = T.Tensor(_data(dtype, (kv_b, h, tk, dv), 14), requires_grad=True)
+    q = T.Tensor(_data(dtype, (b, tq, h * dh), 11), requires_grad=True)
+    k = T.Tensor(_data(dtype, (kv_b, tk, h * dh), 13), requires_grad=True)
+    v = T.Tensor(_data(dtype, (kv_b, tk, h * dv), 14), requires_grad=True)
     np_dtype = np.dtype(dtype)
     keys = np.arange(tk)[None, :] < np.array([9, 5, 7])[:, None]
     mask = None
@@ -221,12 +231,12 @@ def test_attention_matches_numpy_chain(dtype, masked, dropped, broadcast):
         keep = np.random.default_rng(15).random((b, h, tq, tk)) >= 0.1
         keep_scale = dtype(1.0) / dtype(0.9)
         keep_f = _dropout_float_mask(keep, keep_scale, dtype)
-    scale = dtype(1.0 / np.sqrt(16))
+    scale = dtype(1.0 / np.sqrt(dh))
     g = _data(dtype, (b, tq, h * dv), 12)
-    want_out, *want_grads = ref_attention(q.data, k.data, v.data, scale, mask, keep_f, g)
+    want_out, *want_grads = ref_attention(q.data, k.data, v.data, h, scale, mask, keep_f, g)
 
     with T.Tape():
-        out = T.attention(q, k, v, scale, mask, keep, keep_scale)
+        out = T.attention(q, k, v, h, mask, keep, keep_scale)
         grads = T.backward(T.sum_(T.mul(out, T.Tensor(g))))
     _same(out.data, want_out)
     for got, want in zip((grads[q], grads[k], grads[v]), want_grads):

@@ -108,13 +108,15 @@ def test_linear_shape_mismatch(w_shape, b_shape):
         T.linear(t64(np.ones((3, 4))), t64(np.ones(w_shape)), b)
 
 
-def test_split_heads_is_reshape_then_swapaxes_and_merge_inverts_it():
+def test_attention_under_a_self_only_mask_returns_its_input():
     x = t64(np.arange(2 * 3 * 8.0).reshape(2, 3, 8))
-    heads = T.split_heads(x, 4)
-    assert np.array_equal(heads.data, np.swapaxes(x.data.reshape(2, 3, 4, 2), 1, 2))
     # a mask that lets each position attend only to itself makes the probabilities the identity
     own = np.where(np.eye(3, dtype=bool), 0.0, M.ATTN_MASK_OFF)
-    assert np.array_equal(T.attention(heads, heads, heads, 1.0, own).data, x.data)
+    assert np.array_equal(T.attention(x, x, x, 4, own).data, x.data)
+    # head j, columns 2j and 2j + 1, lets position i attend only to position (i + j) % 3
+    shifted = np.stack([np.roll(np.eye(3, dtype=bool), j, axis=1) for j in range(4)])
+    want = np.concatenate([np.roll(x.data[..., 2 * j : 2 * j + 2], -j, axis=1) for j in range(4)], axis=-1)
+    assert np.array_equal(T.attention(x, x, x, 4, np.where(shifted, 0.0, M.ATTN_MASK_OFF)).data, want)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +301,28 @@ def test_layer_norm_statistics():
 # softmax
 
 
-@pytest.mark.parametrize("q_shape, k_shape", [((1, 1, 5, 3), (1, 1, 7, 4)), ((1, 5, 3), (1, 1, 7, 3))])
+@pytest.mark.parametrize("q_shape, k_shape", [((1, 5, 6), (1, 7, 4)), ((1, 2, 5, 3), (1, 2, 7, 3))])
 def test_attention_probs_shape_mismatch(q_shape, k_shape):
+    """q and k must be 3-D and equally wide: the head-split (B, H, T, dh) layout is refused."""
     with pytest.raises(ShapeError):
-        T.attention(t64(np.ones(q_shape)), t64(np.ones(k_shape)), t64(np.ones((1, 1, 7, 2))), 0.5)
+        T.attention(t64(np.ones(q_shape)), t64(np.ones(k_shape)), t64(np.ones((1, 7, 4))), 2)
 
 
 @pytest.mark.parametrize("v_shape, keep_shape", [
-    ((1, 1, 6, 2), None), ((1, 7, 2), None), ((1, 1, 7, 2), (1, 1, 5, 6)), ((1, 1, 7, 2), (1, 1, 7, 5)),
+    ((1, 6, 4), None), ((1, 2, 7, 2), None), ((1, 7, 4), (1, 2, 5, 6)), ((1, 7, 4), (1, 2, 7, 5)),
 ], ids=["v_rows", "v_rank", "keep_cols", "keep_rows"])
 def test_attention_value_and_keep_shape_mismatch(v_shape, keep_shape):
     keep = None if keep_shape is None else np.ones(keep_shape, dtype=bool)
-    q, k = t64(np.ones((1, 1, 5, 3))), t64(np.ones((1, 1, 7, 3)))
+    q, k = t64(np.ones((1, 5, 6))), t64(np.ones((1, 7, 6)))
     with pytest.raises(ShapeError):
-        T.attention(q, k, t64(np.ones(v_shape)), 0.5, None, keep, 1.25)
+        T.attention(q, k, t64(np.ones(v_shape)), 2, None, keep, 1.25)
+
+
+@pytest.mark.parametrize("qk_width, v_width, kv_batch", [(6, 8, 1), (8, 6, 1), (8, 8, 2)], ids=["qk", "v", "kv_batch"])
+def test_attention_needs_widths_n_heads_divides_and_a_kv_batch_of_1_or_b(qk_width, v_width, kv_batch):
+    q, k = t64(np.ones((3, 5, qk_width))), t64(np.ones((kv_batch, 7, qk_width)))
+    with pytest.raises(ShapeError):
+        T.attention(q, k, t64(np.ones((kv_batch, 7, v_width))), 4)
 
 
 def test_dropout_keep_shape_mismatch():
@@ -327,10 +337,10 @@ def test_attention_and_dropout_hold_boolean_masks(tape_nbytes):
     """``attention`` holds q, k, v, the float32 probabilities and the boolean keep mask, and
     ``ffn`` its input, its weights, the pre-activation and the boolean mask: no float mask, no dropped product."""
     rng = np.random.default_rng(9)
-    q, k, v = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 4)))
+    q, k, v = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((2, 5, 12), (2, 6, 12), (2, 6, 12)))
     mask, keep = np.zeros((2, 1, 1, 6), dtype=np.float32), rng.random((2, 3, 5, 6)) >= 0.1
     with T.Tape() as tape:
-        T.attention(q, k, v, np.float32(0.5), mask, keep, np.float32(1.25))
+        T.attention(q, k, v, 3, mask, keep, np.float32(1.25))
         assert tape_nbytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes + 5 * keep.size
     x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((4, 7), (7, 9), (9,), (9, 7), (7,)))
     keep = rng.random((4, 7)) >= 0.1
@@ -343,9 +353,9 @@ def test_attention_and_dropout_hold_boolean_masks(tape_nbytes):
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
-    q, k = t64(rng.standard_normal((1, 1, 5, 3))), t64(rng.standard_normal((1, 1, 7, 3)))
+    q, k = t64(rng.standard_normal((1, 5, 3))), t64(rng.standard_normal((1, 7, 3)))
     # against identity values the output is the probabilities themselves
-    p = T.attention(q, k, t64(np.eye(7)[None, None]), 0.5, np.zeros((1, 7))).data[0]
+    p = T.attention(q, k, t64(np.eye(7)[None]), 1, np.zeros((1, 7))).data[0]
     assert p.shape == (5, 7)
     assert np.all(p > 0.0)
     assert np.allclose(p.sum(axis=1), 1.0)
@@ -681,7 +691,7 @@ _FANOUT_OPS = {
     "mean_broadcast": lambda a, b: T.mul(a, T.mean_(b)),
     "reshape": lambda a, b: T.reshape(T.mul(T.reshape(a, (6, 4)), T.reshape(b, (6, 4))), _SHAPE),
     # tanh bounds the queries, so the scores stay finite wherever b is
-    "heads": lambda a, b: T.attention(T.split_heads(T.tanh(a), 2), T.split_heads(b, 2), T.split_heads(b, 2), 0.5),
+    "heads": lambda a, b: T.attention(T.tanh(a), b, b, 2),
     # a float64 result: a float32 operand gets a float64 contribution
     "to_float64": lambda a, b: T.mul(a, _C64),
 }
