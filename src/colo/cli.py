@@ -133,6 +133,24 @@ def _default_out(seed):
     return Path("runs") / f"{stamp}-s{seed}"
 
 
+def _out_path(out, default, is_file=False):
+    """``--out`` (``default`` when unset) as a Path the command can write, checked before any work.
+
+    The command makes ``out``, or for an output file its parent, so the
+    nearest existing ancestor of that directory must be a directory, and an
+    output file must not be an existing directory.
+    """
+    out = Path(out) if out else default
+    if is_file and out.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a file")
+    ancestor = out.parent if is_file else out
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out {out} cannot be made: {ancestor} is not a directory")
+    return out
+
+
 def _load_bundle(corpus_dir):
     corpus_dir = Path(corpus_dir)
     corpus_path = corpus_dir / "corpus.jsonl"
@@ -153,7 +171,7 @@ def cmd_gen_data(args):
     resolved, _ = _resolve(dataclasses.asdict(CorpusConfig()), args)
     cfg = CorpusConfig(**resolved)
 
-    out = Path(args.out) if args.out else _default_out(cfg.seed)
+    out = _out_path(args.out, _default_out(cfg.seed))
     corpus_path = out / "corpus.jsonl"
     lexicon_path = out / "lexicon.json"
     for p in (corpus_path, lexicon_path):
@@ -239,7 +257,7 @@ def cmd_train(args):
     total_steps(tcfg, len(corpus.train), start_step)  # a budget that ends before the checkpoint raises here
     input_digests = _digests(inputs)
 
-    out = Path(args.out) if args.out else _default_out(tcfg.seed)
+    out = _out_path(args.out, _default_out(tcfg.seed))
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "model.ckpt"
     log_path = out / "train_log.jsonl"
@@ -295,7 +313,7 @@ def cmd_generate(args):
     corpus, vocab, corpus_path, lexicon_path = _load_bundle(args.corpus)
     examples = _examples(corpus, args.split, args.limit)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    out = Path(args.out) if args.out else _default_out(ckpt.train_config.seed) / "predictions.jsonl"
+    out = _out_path(args.out, _default_out(ckpt.train_config.seed) / "predictions.jsonl", is_file=True)
     input_digests = _input_digests([Path(args.ckpt), corpus_path, lexicon_path], out)
 
     preds = decode_corpus(
@@ -355,7 +373,7 @@ def cmd_evaluate(args):
     if args.ckpt:
         ckpt = _load_checkpoint(args.ckpt, vocab)
         _check_target_length(examples, vocab, ckpt.model_config, args.split or "/".join(SPLITS))
-    out = Path(args.out) if args.out else Path("report.json")
+    out = _out_path(args.out, Path("report.json"), is_file=True)
     inputs = [Path(p) for p in (corpus_path, lexicon_path, args.ckpt, args.predictions) if p]
     input_digests = _input_digests(inputs, out)
 
@@ -445,7 +463,7 @@ def cmd_ablate(args):
     if len(set(arms)) != len(arms):
         raise ConfigError(f"duplicate ablation arms in {arms}")
     _load_bundle(args.corpus)
-    out = Path(args.out) if args.out else _default_out(args.seed0)
+    out = _out_path(args.out, _default_out(args.seed0))
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed0 + i for i in range(args.seeds)]
 

@@ -147,6 +147,9 @@ class Lexicon:
         return self.surfaces(kind, item_id)[0]
 
     def validate(self):
+        for kind, table in (("entities", self.entities), ("aspects", self.aspects), ("opinions", self.opinions)):
+            if len(table) < 2:  # every training step draws an entity swap and an aspect and opinion substitution
+                raise LexiconError(f"lexicon has {len(table)} {kind}; contrastive negatives need >= 2")
         for item_id, ant in self.antonyms.items():
             if ant is None:
                 continue

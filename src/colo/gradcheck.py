@@ -52,18 +52,24 @@ def op_cases():
     rng = np.random.default_rng(2024)
     leaf = functools.partial(_t, rng)
     c = functools.partial(_t, rng, requires_grad=False)
+    # the constant operands, drawn first; each case's leaf is drawn after them, in list order
     w34, c34, b4, pos34 = c(3, 4), c(3, 4), c(4), _pos(rng, 3, 4, requires_grad=False)
-    b42, w32, w232, a54, w52, a234 = c(4, 2), c(3, 2), c(2, 3, 2), c(5, 4), c(5, 2), c(2, 3, 4)
+    b42, b2, w32, w232, a54, w52, a234 = c(4, 2), c(2), c(3, 2), c(2, 3, 2), c(5, 4), c(5, 2), c(2, 3, 4)
+    f1, fb1, f2, fb2 = c(4, 5), c(5), c(5, 2), c(2)
     w3, w43, w44 = c(3), c(4, 3), c(4, 4)
+    q2412, k2412, v2412, w2412 = c(2, 4, 12), c(2, 4, 12), c(2, 4, 12), c(2, 4, 12)
     gain, bias, wln, x48 = c(8), c(8), c(4, 8), c(4, 8)
-    targets, w6 = np.array([3, 0, 7, 2, 9, 5]), c(6)
-    pmask, w28 = np.array([[True, False, True, True, False], [False, True, False, False, False]]), c(2, 8)
-    v36 = c(3, 6)
+    w6, w23, w28, v36, v236 = c(6), c(2, 3), c(2, 8), c(3, 6), c(2, 3, 6)
+    targets = np.array([3, 0, 7, 2, 9, 5])
+    t23 = targets.reshape(2, 3)
+    pmask = np.array([[True, False, True, True, False], [False, True, False, False, False]])
     # decoder self-attention mask, (B, 1, T, T): causal, and the second example's last key is padding
     f64 = np.dtype(np.float64)
     amask = M.causal_mask(4, f64) + M.key_mask(np.array([[True] * 4, [True] * 3 + [False]]), f64)
-    w2412 = c(2, 4, 12)  # weights of the attention cases' (B, Tq, H·dh) output
-    cases = [
+    # fixed boolean dropout masks of attention's probabilities and of ffn's output
+    keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
+    drop = np.arange(6).reshape(3, 2) % 3 != 0
+    return [
         ("add_broadcast", lambda x: _wsum(T.add(x, b4), w34), leaf(3, 4)),
         ("sub", lambda x: _wsum(T.sub(x, c34), w34), leaf(3, 4)),
         ("mul", lambda x: _wsum(T.mul(x, c34), w34), leaf(3, 4)),
@@ -72,64 +78,40 @@ def op_cases():
         ("sqrt", lambda x: _wsum(T.sqrt(x), w34), _pos(rng, 3, 4)),
         ("tanh", lambda x: _wsum(T.tanh(x), w34), leaf(3, 4)),
         ("relu", lambda x: _wsum(T.relu(x), w34), leaf(3, 4)),
-        # f1, fb1, f2 and fb2 are drawn last; this leaf keeps its draw here
-        ("ffn_x", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2), w32), leaf(3, 4)),
         ("matmul_2d", lambda x: _wsum(T.matmul(x, b42), w32), leaf(3, 4)),
         ("matmul_batched", lambda x: _wsum(T.matmul(x, b42), w232), leaf(2, 3, 4)),
-        ("matmul_rhs", lambda x: _wsum(T.matmul(a54, x), w52), leaf(4, 2)),
-        # a 2-D right operand under a batched left one: its gradient sums over the batch
-        ("matmul_rhs_broadcast", lambda x: _wsum(T.matmul(a234, x), w232), leaf(4, 2)),
+        ("matmul_2d_bias", lambda x: _wsum(T.matmul(x, b42, b2), w32), leaf(3, 4)),
+        ("matmul_batched_bias", lambda x: _wsum(T.matmul(x, b42, b2), w232), leaf(2, 3, 4)),
+        ("matmul_rhs", lambda w: _wsum(T.matmul(a54, w), w52), leaf(4, 2)),
+        # under a batched left operand, the weight's and the bias's gradients sum over the batch
+        ("matmul_rhs_broadcast", lambda w: _wsum(T.matmul(a234, w), w232), leaf(4, 2)),
+        ("matmul_rhs_broadcast_bias", lambda w: _wsum(T.matmul(a234, w, b2), w232), leaf(4, 2)),
+        ("matmul_bias", lambda b: _wsum(T.matmul(a234, b42, b), w232), leaf(2)),
+        ("ffn_x", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2), w32), leaf(3, 4)),
+        ("ffn_x_keep", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2, drop, 1.5), w32), leaf(3, 4)),
+        # the weights' and biases' gradients sum over the batched input
+        ("ffn_w1", lambda w: _wsum(T.ffn(a234, w, fb1, f2, fb2), w232), leaf(4, 5)),
+        ("ffn_b1", lambda b: _wsum(T.ffn(a234, f1, b, f2, fb2), w232), leaf(5)),
+        ("ffn_w2", lambda w: _wsum(T.ffn(a234, f1, fb1, w, fb2), w232), leaf(5, 2)),
+        ("ffn_b2", lambda b: _wsum(T.ffn(a234, f1, fb1, f2, b), w232), leaf(2)),
         ("sum_axis", lambda x: _wsum(T.sum_(x, axis=1), w3), leaf(3, 4)),
         ("reshape", lambda x: _wsum(T.reshape(x, (4, 3)), w43), leaf(3, 4)),
         ("swapaxes", lambda x: _wsum(T.swapaxes(x, 0, 1), w43), leaf(3, 4)),
         ("slice0", lambda x: _wsum(T.slice0(x, 1, 4), w34), leaf(5, 4)),
         ("take_rows", lambda x: _wsum(T.take_rows(x, np.array([0, 2, 2, 5])), w44), leaf(6, 4)),
-        # k2412 and v2412 are drawn below, after every other case; this leaf keeps its draw here
+        # (B, Tq, H·dh) operands over 3 heads; the k and v cases also drop the probabilities ``keep`` marks False
         ("attention_q", lambda q: _wsum(T.attention(q, k2412, v2412, 3, amask), w2412), leaf(2, 4, 12)),
+        ("attention_k", lambda k: _wsum(T.attention(q2412, k, v2412, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
+        ("attention_v", lambda v: _wsum(T.attention(q2412, k2412, v, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
         ("layer_norm_x", lambda x: _wsum(T.layer_norm(x, gain, bias), wln), leaf(4, 8)),
         ("layer_norm_gain", lambda g: _wsum(T.layer_norm(x48, g, bias), wln), leaf(8)),
         ("layer_norm_bias", lambda b: _wsum(T.layer_norm(x48, gain, b), wln), leaf(8)),
         ("cross_entropy_rows", lambda x: _wsum(T.cross_entropy_rows(x, targets), w6), leaf(6, 11)),
+        ("cross_entropy_rows_batched", lambda x: _wsum(T.cross_entropy_rows(x, t23), w23), leaf(2, 3, 11)),
         ("masked_mean_pool", lambda x: _wsum(T.masked_mean_pool(x, pmask), w28), leaf(2, 5, 8)),
         ("cosine_rows", lambda u: _wsum(T.cosine_rows(u, v36), w3), leaf(3, 6)),
-    ]
-    # drawn after the cases above, so cases added here leave those cases' values alone
-    b2 = c(2)
-    cases += [
-        ("linear_x", lambda x: _wsum(T.linear(x, b42, b2), w32), leaf(3, 4)),
-        ("linear_x_batched", lambda x: _wsum(T.linear(x, b42, b2), w232), leaf(2, 3, 4)),
-        ("linear_x_no_bias", lambda x: _wsum(T.linear(x, b42), w232), leaf(2, 3, 4)),
-        # the weight's and the bias's gradients sum over the batched left operand
-        ("linear_weight", lambda w: _wsum(T.linear(a234, w, b2), w232), leaf(4, 2)),
-        ("linear_weight_no_bias", lambda w: _wsum(T.linear(a234, w), w232), leaf(4, 2)),
-        ("linear_bias", lambda b: _wsum(T.linear(a234, b42, b), w232), leaf(2)),
-    ]
-    # the attention cases' other operands, drawn last in turn; the k and v
-    # cases drop the probabilities a fixed boolean mask marks False
-    k2412, q2412, v2412 = c(2, 4, 12), c(2, 4, 12), c(2, 4, 12)
-    keep = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) % 5 != 0
-    cases += [
-        ("attention_k", lambda k: _wsum(T.attention(q2412, k, v2412, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
-        ("attention_v", lambda v: _wsum(T.attention(q2412, k2412, v, 3, amask, keep, 1.25), w2412), leaf(2, 4, 12)),
-    ]
-    # the ffn cases' other operands, drawn after all of the above; the
-    # weights' and biases' gradients sum over the batched input
-    f1, fb1, f2, fb2 = c(4, 5), c(5), c(5, 2), c(2)
-    cases += [
-        ("ffn_w1", lambda w: _wsum(T.ffn(a234, w, fb1, f2, fb2), w232), leaf(4, 5)),
-        ("ffn_b1", lambda b: _wsum(T.ffn(a234, f1, b, f2, fb2), w232), leaf(5)),
-        ("ffn_w2", lambda w: _wsum(T.ffn(a234, f1, fb1, w, fb2), w232), leaf(5, 2)),
-        ("ffn_b2", lambda b: _wsum(T.ffn(a234, f1, fb1, f2, b), w232), leaf(2)),
-    ]
-    # drawn after all of the above: the ffn output under a fixed boolean keep
-    # mask, the cosines of (3, 6) rows to a (2, 3, 6) block, whose gradient
-    # sums over its first axis, and (2, 3, 11) logits
-    v236, w23, t23 = c(2, 3, 6), c(2, 3), targets.reshape(2, 3)
-    drop = np.arange(6).reshape(3, 2) % 3 != 0
-    return cases + [
-        ("ffn_x_keep", lambda x: _wsum(T.ffn(x, f1, fb1, f2, fb2, drop, 1.5), w32), leaf(3, 4)),
+        # cosines to a (2, 3, 6) block, whose gradient sums over its first axis
         ("cosine_rows_stacked", lambda u: _wsum(T.cosine_rows(u, v236), w23), leaf(3, 6)),
-        ("cross_entropy_rows_batched", lambda x: _wsum(T.cross_entropy_rows(x, t23), w23), leaf(2, 3, 11)),
     ]
 
 

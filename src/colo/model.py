@@ -144,12 +144,12 @@ def _keep_mask(shape, rate, rng, dtype):
 
 
 def _queries(params, prefix, q_in):
-    return T.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    return T.matmul(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
 
 
 def _keys_values(params, prefix, kv_in):
     """The (B, T, d) keys and values of ``kv_in``."""
-    return T.linear(kv_in, params[f"{prefix}.wk"]), T.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    return T.matmul(kv_in, params[f"{prefix}.wk"]), T.matmul(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
 
 
 def _attend(params, prefix, q, k, v, add_mask, cfg, rng):
@@ -163,7 +163,7 @@ def _attend(params, prefix, q, k, v, add_mask, cfg, rng):
     probs_shape = (q.shape[0], cfg.n_heads, q.shape[1], k.shape[1])
     keep, keep_scale = _keep_mask(probs_shape, cfg.dropout_rate, rng, q.data.dtype)
     ctx = T.attention(q, k, v, cfg.n_heads, add_mask, keep, keep_scale)
-    return T.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return T.matmul(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params, prefix, x, cfg, rng):
@@ -326,8 +326,8 @@ def decode_step(params, cfg, cache, tokens):
 
 def project(params, side, x):
     """Side-specific two-layer tanh head over (..., d) pooled representations; ``side`` is "enc" or "dec"."""
-    h = T.tanh(T.linear(x, params[f"proj.{side}.w1"], params[f"proj.{side}.b1"]))
-    return T.linear(h, params[f"proj.{side}.w2"], params[f"proj.{side}.b2"])
+    h = T.tanh(T.matmul(x, params[f"proj.{side}.w1"], params[f"proj.{side}.b1"]))
+    return T.matmul(h, params[f"proj.{side}.w2"], params[f"proj.{side}.b2"])
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ returned dict may therefore be read-only or shared with another
 gradient: a caller that scales one in place copies it first.
 
 Some ops fuse a chain into one tape entry and compute exactly what the
-chain computes, forward and backward: ``linear`` (``x @ w + b``, the
-model's projections), ``ffn`` (``linear``, gelu, ``linear`` and dropout:
-the feed-forward block), ``attention`` (over the projections' (B, T, d)
+chain computes, forward and backward: ``matmul`` (``x @ w + b`` over a 2-D
+weight, the model's projections and, with no bias, its LM head), ``ffn``
+(two such products with a gelu between them, then dropout: the
+feed-forward block), ``attention`` (over the projections' (B, T, d)
 outputs: the split into heads, the score product ``q @ kᵀ``, the 1/√dh
 scale, additive mask and softmax, all in the one score buffer it
 allocates, then dropout on the probabilities, the product with the
@@ -488,38 +489,17 @@ def mean_(a):
 # linear algebra
 
 
-def matmul(a, b):
-    """Matrix product with numpy's batched-matmul broadcasting (operands >= 2-D)."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError("matmul operands must be at least 2-D")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
-    out = np.matmul(ad, bd)
-    if _untaped():
-        return _wrap(out)
-    sa, sb = ad.shape, bd.shape
-    rhs, lhs = (bd if a.requires_grad else None), (ad if b.requires_grad else None)
-
-    def bwd(g):
-        ga = None if rhs is None else _unbroadcast(np.matmul(g, np.swapaxes(rhs, -1, -2)), sa)
-        gb = None if lhs is None else _unbroadcast(np.matmul(np.swapaxes(lhs, -1, -2), g), sb)
-        return ga, gb
-
-    return _make(out, (a, b), bwd)
-
-
-def linear(x, w, b=None):
+def matmul(x, w, b=None):
     """``x @ w + b`` as one op: ``x`` is (..., n) with two or more axes, ``w`` (n, m), ``b`` (m,) or None.
 
-    Forward and backward compute exactly what ``add(matmul(x, w), b)``
+    With a bias, forward and backward compute exactly what ``add(matmul(x, w), b)``
     computes, in the same order, with one tape entry instead of two.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
-        raise ShapeError(f"linear needs (..., n) x (n, m), got {xd.shape} x {wd.shape}")
+        raise ShapeError(f"matmul needs (..., n) x (n, m), got {xd.shape} x {wd.shape}")
     if b is not None and b.data.shape != wd.shape[1:]:
-        raise ShapeError(f"linear bias {b.shape} does not match weight {wd.shape}")
+        raise ShapeError(f"matmul bias {b.shape} does not match weight {wd.shape}")
     out = np.matmul(xd, wd)
     if b is not None:
         out += b.data
@@ -543,11 +523,12 @@ def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
     ``w1`` (n, h), ``w2`` (h, m).  ``keep``, a boolean mask of the (..., m) output's shape or None,
     zeroes what it marks False and scales the rest by ``keep_scale``.
 
-    Forward and backward compute exactly what ``linear``, a tanh-approximated
-    gelu, ``linear`` and ``mul`` by the float mask ``keep·keep_scale``
-    compute, in that order, with one tape entry.  The op holds ``x``, the
-    pre-activation and ``keep``, not the (..., h) hidden layer: backward
-    remakes it from the tanh that gelu's derivative reads (:func:`kernels.gelu_bwd`).
+    Forward and backward compute exactly what ``matmul`` with ``b1``, a
+    tanh-approximated gelu, ``matmul`` with ``b2`` and ``mul`` by the float
+    mask ``keep·keep_scale`` compute, in that order, with one tape entry.
+    The op holds ``x``, the pre-activation and ``keep``, not the (..., h)
+    hidden layer: backward remakes it from the tanh that gelu's derivative
+    reads (:func:`kernels.gelu_bwd`).
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     if xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]:

@@ -440,6 +440,31 @@ def test_misshapen_lexicon_is_data_error(tmp_path, corpus_dir, capsys):
     assert "lexicon.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, slot", [("aspects", 2), ("opinions", 3)])
+def test_lexicon_with_one_aspect_or_opinion_is_data_error_before_the_run_dir(tmp_path, corpus_dir, capsys, kind, slot):
+    """Every arm, lm_only too, draws an aspect and an opinion substitution at every step; one item leaves none to draw."""
+    bad = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    doc = json.loads((bad / "lexicon.json").read_text())
+    table = doc[kind]
+    kept, *merged = sorted(table)
+    for item in merged:  # the corpus stays valid: every surface still names an item
+        if kind == "aspects":
+            table[kept] += table.pop(item)
+        else:  # the kept opinion's antonym is merged into it too
+            table[kept]["surfaces"] += table.pop(item)["surfaces"]
+            table[kept]["antonym"] = None
+    (bad / "lexicon.json").write_text(json.dumps(doc))
+    recs = [json.loads(line) for line in (bad / "corpus.jsonl").read_text().splitlines()]
+    for rec in recs:
+        rec["tuple"][slot] = kept
+    (bad / "corpus.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    run = tmp_path / "run"
+    argv = ["train", "--corpus", str(bad), "--out", str(run), "--max-steps", "1", "--no-ce", "--no-cd"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"lexicon has 1 {kind}; contrastive negatives need >= 2" in capsys.readouterr().err
+    assert not run.exists()
+
+
 @pytest.fixture(scope="module")
 def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
@@ -607,6 +632,38 @@ def test_out_naming_an_input_is_config_error_before_any_write(tmp_path, corpus_d
     assert f"--out {ckpt} is one of the command's inputs" in capsys.readouterr().err
     assert ckpt.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "command, blocker_kind",
+    [("gen-data", "file"), ("train", "file"), ("ablate", "file"), ("generate", "file"), ("evaluate", "file"),
+     ("generate", "dir"), ("evaluate", "dir")],
+)
+def test_out_the_command_cannot_write_is_config_error_before_any_write(
+    tmp_path, corpus_dir, trained_ckpt, capsys, command, blocker_kind,
+):
+    """A regular file where a command makes its --out directory, or an output file's parent; or an
+    output file's --out that is a directory."""
+    blocker = tmp_path / "blocker"
+    writes_a_file = command in ("generate", "evaluate")
+    if blocker_kind == "file":
+        blocker.write_text("kept\n")
+        out = blocker / "out.jsonl" if writes_a_file else blocker
+    else:
+        blocker.mkdir()
+        out = blocker
+    decode = ["--ckpt", str(trained_ckpt), "--corpus", str(corpus_dir), "--limit", "1"]
+    inputs = {
+        "gen-data": ["--n-examples", "30"],
+        "train": ["--corpus", str(corpus_dir), "--max-steps", "1"],
+        "ablate": ["--corpus", str(corpus_dir), "--seeds", "1", "--arms", "lm_only", "--epochs", "1"],
+        "generate": decode,
+        "evaluate": decode,
+    }
+    assert cli.main([command, *inputs[command], "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config error: --out {out} " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "kept\n" if blocker_kind == "file" else list(blocker.iterdir()) == []
 
 
 def test_missing_example_id_is_eval_error(tmp_path):

@@ -67,18 +67,17 @@ def test_every_taping_op_has_a_finite_difference_case():
 
 
 # ---------------------------------------------------------------------------
-# fused linear and head ops
+# fused matmul and head ops
 
 
 def _f32_leaf(rng, *shape):
     return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
 
 
-@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize("x_shape", [(7, 16), (4, 7, 16)], ids=["2d", "batched"])
-def test_linear_is_matmul_then_add_bit_for_bit(bias, x_shape):
+def test_matmul_with_bias_is_matmul_then_add_bit_for_bit(x_shape):
     rng = np.random.default_rng(5)
-    leaves = [_f32_leaf(rng, *x_shape), _f32_leaf(rng, 16, 24)] + ([_f32_leaf(rng, 24)] if bias else [])
+    leaves = [_f32_leaf(rng, *x_shape), _f32_leaf(rng, 16, 24), _f32_leaf(rng, 24)]
     g = rng.standard_normal(x_shape[:-1] + (24,)).astype(np.float32)
 
     def run(f):
@@ -87,25 +86,14 @@ def test_linear_is_matmul_then_add_bit_for_bit(bias, x_shape):
             grads = backward(T.sum_(T.mul(y, Tensor(g))))
         return [y.data.tobytes()] + [grads[t].tobytes() for t in leaves]
 
-    def unfused(x, w, b=None):
-        y = T.matmul(x, w)
-        return y if b is None else T.add(y, b)
-
-    assert run(T.linear) == run(unfused)
+    assert run(T.matmul) == run(lambda x, w, b: T.add(T.matmul(x, w), b))
 
 
-def test_linear_constant_operands_get_no_gradient():
+def test_matmul_constant_operands_get_no_gradient():
     x, w, b = t64(np.ones((2, 3, 4)), requires_grad=True), t64(np.ones((4, 5))), t64(np.ones(5))
     with Tape() as tape:
-        T.linear(x, w, b)
+        T.matmul(x, w, b)
         assert [g is not None for g in tape.ops[-1].bwd(np.ones((2, 3, 5)))] == [True, False, False]
-
-
-@pytest.mark.parametrize("w_shape, b_shape", [((5, 2), (2,)), ((4, 2), (3,)), ((4,), None)])
-def test_linear_shape_mismatch(w_shape, b_shape):
-    b = None if b_shape is None else t64(np.ones(b_shape))
-    with pytest.raises(ShapeError):
-        T.linear(t64(np.ones((3, 4))), t64(np.ones(w_shape)), b)
 
 
 def test_attention_under_a_self_only_mask_returns_its_input():
@@ -136,8 +124,17 @@ def test_matmul_hand_case():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+    """Inner widths that disagree, a bias that does not match the weight, and a weight that is not 2-D."""
+    for x_shape, w_shape, b_shape in (
+        ((2, 3), (2, 3), None),
+        ((3, 4), (5, 2), (2,)),
+        ((3, 4), (4, 2), (3,)),
+        ((3, 4), (4,), None),
+        ((2, 3, 4), (2, 4, 2), None),
+    ):
+        b = None if b_shape is None else t64(np.ones(b_shape))
+        with pytest.raises(ShapeError):
+            matmul(t64(np.ones(x_shape)), t64(np.ones(w_shape)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +488,7 @@ def test_constant_operand_gets_no_gradient(op):
     with Tape() as tape:
         for operands, grad_given in (((x, c), [True, False]), ((c, x), [False, True])):
             y = op(*operands)
-            grads = tape.ops[-1].bwd(np.ones_like(y.data))
+            grads = tape.ops[-1].bwd(np.ones_like(y.data))[:2]  # matmul's rule also returns a bias slot
             assert [g is not None for g in grads] == grad_given
 
 
