@@ -11,6 +11,7 @@ All text is ASCII and token-level; "words" are synthetic ids like ENT_007 or
 efficacy:EFF_004.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -332,7 +333,14 @@ def serialize_tuple(t: ClrTuple, lexicon: Lexicon, alias_choice=None):
     return seq
 
 
+@functools.cache
 def attr_token(category, attr):
+    """The token ``category:attr``, one shared ``str`` per pair.
+
+    References repeat each attribute token many times; sharing the string
+    keeps a generated corpus to one object per distinct token.  The cache
+    holds one entry per pair a lexicon's profiles name.
+    """
     return f"{category}:{attr}"
 
 

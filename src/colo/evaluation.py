@@ -8,7 +8,10 @@ accepts only extractions that match the tuple (any contradicting extraction
 fails the candidate).  It replaces a learned NLI judge, it does not approximate
 one.  Perplexity is the trained model's own held-out teacher-forced PPL, not a
 pretrained-LM score.  Perplexity and the ES similarity encode through
-``contrastive.encode_variants``, as the hinges do.
+``contrastive.encode_variants``, as the hinges do, in no-grad passes that
+:func:`score_passes` cuts to at most :data:`SCORE_TOKENS` padded tokens: the
+padded pass, not the example count, sets their attention buffers and so the
+process's peak memory.
 """
 
 import math
@@ -21,13 +24,16 @@ from . import model as M
 from . import tensor as T
 from . import tokens as tok
 from .contrastive import encode_variants, swap_entities
-from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, TUPLE_SLOTS, WIN, encode_example
+from .corpus import ASP, LOS, MASTER_TEMPLATES, OPN, SLOT_KINDS, TUPLE_SLOTS, WIN, build_source, encode_example
 from .decoding import beam_search
 from .errors import DataError
 from .fileio import write_json
 
 
-SCORE_BATCH = 32  # examples per no-grad pass of the model-dependent metrics
+# rows x longest row of one no-grad pass of the model-dependent metrics.  1024 keeps at least 32 of the
+# reference config's targets (at most 24 tokens + EOS) in a pass, and at most 6 of the default's 161-token
+# targets, whose (rows, heads, 161, 161) attention buffers set the process's peak memory
+SCORE_TOKENS = 1024
 
 
 class EvalError(DataError):
@@ -193,15 +199,33 @@ def entail_oracle(candidate, t, lexicon):
 # model-dependent metrics
 
 
+def score_passes(lengths, budget=SCORE_TOKENS):
+    """Slices that cut examples of row ``lengths``, in order, into consecutive passes of rows x longest row <= ``budget``.
+
+    A pass takes the next example while it stays within the budget; an
+    example longer than the budget is a pass of its own.
+    """
+    passes, start, longest = [], 0, 0
+    for i, n in enumerate(lengths):
+        if i > start and (i - start + 1) * max(longest, n) > budget:
+            passes.append(slice(start, i))
+            start, longest = i, 0
+        longest = max(longest, n)
+    if start < len(lengths):
+        passes.append(slice(start, len(lengths)))
+    return passes
+
+
 def perplexity(params, cfg, examples, lexicon, vocab):
     """exp of the token-mean teacher-forced NLL of the model itself."""
+    refs = [vocab.tokenize(ex.reference) for ex in examples]
     total_nll = 0.0
     total_tokens = 0
     with T.no_grad():
-        for i in range(0, len(examples), SCORE_BATCH):
-            chunk = examples[i : i + SCORE_BATCH]
+        for part in score_passes([len(r) + 1 for r in refs]):
+            chunk = examples[part]
             enc_states, smask = encode_variants(params, cfg, [ex.tuple for ex in chunk], chunk, lexicon, vocab)
-            tgt_in, labels, lmask = M.make_target_arrays([vocab.tokenize(ex.reference) for ex in chunk])
+            tgt_in, labels, lmask = M.make_target_arrays(refs[part])
             nll, _ = M.nll_per_example(params, cfg, enc_states, smask, tgt_in, labels, lmask)
             counts = lmask.sum(axis=1)
             total_nll += float((nll.data * counts).sum())
@@ -210,11 +234,16 @@ def perplexity(params, cfg, examples, lexicon, vocab):
 
 
 def mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab):
-    """Mean cosine between pooled encodings of each tuple and its entity swap."""
+    """Mean cosine between pooled encodings of each tuple and its entity swap.
+
+    A swap serializes to its original's length, so both passes of a chunk
+    have the chunk's source lengths.
+    """
+    lengths = [len(build_source(ex.tuple, ex.profiles, lexicon, cfg.max_src_len)) for ex in examples]
     sims = []
     with T.no_grad():
-        for i in range(0, len(examples), SCORE_BATCH):
-            chunk = examples[i : i + SCORE_BATCH]
+        for part in score_passes(lengths):
+            chunk = examples[part]
             pooled = []
             for tuples in ([ex.tuple for ex in chunk], [swap_entities(ex.tuple) for ex in chunk]):
                 states, mask = encode_variants(params, cfg, tuples, chunk, lexicon, vocab)

@@ -239,7 +239,7 @@ def load_checkpoint(path) -> Checkpoint:
     if header["adam_step"] != header["step"]:
         raise CheckpointError(f"{path}: header 'adam_step' {header['adam_step']} is not its 'step' {header['step']}")
 
-    payload = raw[header_end:]
+    payload = memoryview(raw)[header_end:]  # each array is copied once, out of this view of the file
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for entry in header["manifest"]:
         name, arr = _read_array(path, entry, payload)

@@ -183,6 +183,12 @@ def test_generation_deterministic(small_config):
     assert [e.tuple for e in ex_a] == [e.tuple for e in ex_b]
 
 
+def test_a_generated_corpus_holds_one_string_per_distinct_reference_token():
+    _, examples = C.generate_corpus(C.CorpusConfig(n_examples=200, seed=3))
+    tokens = [t for ex in examples for t in ex.reference]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
 def test_capacity_error():
     cfg = C.CorpusConfig(n_entities=2, n_aspects=2, n_opinions=2, n_examples=100)
     with pytest.raises(C.CapacityError):

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colo import evaluation as E
+from colo import model as M
 from colo.contrastive import swap_entities
-from colo.corpus import MASTER_TEMPLATES, ClrTuple, build_lexicon, CorpusConfig, realize_comparative
+from colo.corpus import MASTER_TEMPLATES, ClrTuple, Vocab, build_lexicon, CorpusConfig, generate_corpus, realize_comparative
 from colo.rng import derive_rng
 
 
@@ -291,6 +292,71 @@ def test_perplexity_near_vocab_size_at_init(tiny_bundle, tiny_model_cfg, tiny_mo
     ppl = E.perplexity(tiny_model_params, tiny_model_cfg, examples[:6], lexicon, vocab)
     assert ppl >= 1.0
     assert abs(ppl - len(vocab)) < 0.3 * len(vocab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 300), max_size=40), st.integers(1, 600))
+@example([3, 2000, 3], 1024)
+def test_score_passes_cut_the_examples_in_order_into_passes_within_the_budget(lengths, budget):
+    passes = E.score_passes(lengths, budget)
+    assert [i for p in passes for i in range(p.start, p.stop)] == list(range(len(lengths)))
+    for p in passes:
+        rows = p.stop - p.start
+        assert rows == 1 or rows * max(lengths[p]) <= budget
+        if p.stop < len(lengths):  # a pass ends only where the next example would take it over the budget
+            assert (rows + 1) * max(lengths[p.start : p.stop + 1]) > budget
+
+
+@pytest.fixture(scope="module")
+def default_lengths():
+    """(params, cfg, examples, lexicon, vocab): 40 examples of the default corpus config, a narrow model."""
+    lexicon, examples = generate_corpus(CorpusConfig(n_examples=40, seed=5))
+    vocab = Vocab.build(lexicon)
+    cfg = M.ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=8, proj_hidden=4)
+    return M.init_params(cfg, seed=0), cfg, examples, lexicon, vocab
+
+
+def _within_budget(shape):
+    rows, width = shape[:2]
+    return rows == 1 or rows * width <= E.SCORE_TOKENS
+
+
+def test_perplexity_scores_each_example_once_in_passes_within_the_token_budget(default_lengths, monkeypatch):
+    params, cfg, examples, lexicon, vocab = default_lengths
+    passes, make = [], M.make_target_arrays
+
+    def spy(refs):
+        arrays = make(refs)
+        passes.append((refs, arrays[0].shape))
+        return arrays
+
+    monkeypatch.setattr(M, "make_target_arrays", spy)
+    E.perplexity(params, cfg, examples, lexicon, vocab)
+    assert len(passes) > 1
+    assert all(_within_budget(shape) for _, shape in passes)
+    scored = [r.tolist() for refs, _ in passes for r in refs]
+    assert scored == [vocab.tokenize(ex.reference).tolist() for ex in examples]
+
+
+def test_entity_swap_similarity_scores_each_example_once_in_passes_within_the_token_budget(default_lengths, monkeypatch):
+    params, cfg, examples, lexicon, vocab = default_lengths
+    passes, encode = [], E.encode_variants
+
+    def spy(params, cfg, tuples, chunk, *args, **kwargs):
+        states, mask = encode(params, cfg, tuples, chunk, *args, **kwargs)
+        passes.append((tuples, list(chunk), mask.shape))
+        return states, mask
+
+    monkeypatch.setattr(E, "encode_variants", spy)
+    E.mean_entity_swap_similarity(params, cfg, examples, lexicon, vocab)
+    assert len(passes) > 2
+    assert all(_within_budget(shape) for _, _, shape in passes)
+    originals, swaps = passes[::2], passes[1::2]
+    for (tuples, chunk, shape), (swapped, swap_chunk, swap_shape) in zip(originals, swaps):
+        assert swap_chunk == chunk and swap_shape == shape
+        assert tuples == [ex.tuple for ex in chunk]
+        assert swapped == [swap_entities(ex.tuple) for ex in chunk]
+    assert [ex for _, chunk, _ in originals for ex in chunk] == examples
 
 
 def test_metrics_report_reference_as_prediction(tiny_bundle):

@@ -17,6 +17,8 @@ ARTIFACT_SHA256 = {
     "predictions.jsonl": "c13a75696a34e69ea5aa022995f79a74715db2de87c09cf39e16df8bcbd46d58",
     "report.json": "08918d103b5efddb08e2cc8494a2f4fa703d31e909522ce7ea11f39febb19c0c",
 }
+# the fixture's corpus.jsonl: how the generator holds its tokens in memory must not move these bytes
+CORPUS_SHA256 = "47d70c522b610b94c3f0903efa4cb8e2c8c28908c9dcbd3748e2c6832db7f5d2"
 CONFIG_DIGESTS = {
     "gen-data.manifest.json": "8a60b50aadd90cb6",
     "train.manifest.json": "2e6df22e7672875d",
@@ -54,6 +56,11 @@ def test_train_log_has_eval_records(pipeline):
 def test_artifact_bytes_are_pinned(pipeline, name):
     _, run = pipeline
     assert cli._sha256(run / name) == ARTIFACT_SHA256[name]
+
+
+def test_corpus_bytes_are_pinned(pipeline):
+    corpus, _ = pipeline
+    assert cli._sha256(corpus / "corpus.jsonl") == CORPUS_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_DIGESTS))

@@ -312,6 +312,55 @@ def test_checkpoint_round_trip(tmp_path, corpus, tiny_model_cfg, tcfg):
         assert back.adam.v[name].tobytes() == ckpt.adam.v[name].tobytes()
 
 
+@st.composite
+def _checkpoints(draw):
+    """A Checkpoint of a small random model: 0-2 layers per stack, float32 or float64, Adam moments with signed zeros, inf and NaN."""
+    heads = draw(st.integers(1, 2))
+    cfg = M.ModelConfig(
+        vocab_size=draw(st.integers(4, 9)),
+        d_model=heads * draw(st.integers(1, 3)),
+        n_heads=heads,
+        n_enc_layers=draw(st.integers(0, 2)),
+        n_dec_layers=draw(st.integers(0, 2)),
+        d_ff=draw(st.integers(1, 5)),
+        max_src_len=M.SOURCE_TUPLE_LEN + draw(st.integers(0, 3)),
+        max_tgt_len=draw(st.integers(2, 5)),
+        proj_hidden=draw(st.integers(1, 4)),
+    )
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed, step = draw(st.integers(0, 2**31 - 1)), draw(st.integers(0, 10**6))
+    params = M.init_params(cfg, seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+
+    def moment(t):
+        a = rng.standard_normal(t.data.shape).astype(dtype)
+        a.flat[: special.size] = special[: a.size]
+        return a
+
+    adam = TR.AdamState(m={n: moment(t) for n, t in params.items()}, v={n: moment(t) for n, t in params.items()}, step=step)
+    tcfg = TR.TrainConfig(seed=seed)
+    return TR.Checkpoint(cfg, params, adam, tcfg, {"seed": seed, "step": step}, step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ckpt=_checkpoints())
+def test_checkpoint_round_trips_bit_equal_into_arrays_of_their_own(tmp_path_factory, ckpt):
+    path = tmp_path_factory.mktemp("round-trip") / "model.ckpt"
+    TR.save_checkpoint(path, ckpt)
+    back = TR.load_checkpoint(path)
+    assert (back.model_config, back.train_config, back.rng_state, back.step, back.adam.step) == (
+        ckpt.model_config, ckpt.train_config, ckpt.rng_state, ckpt.step, ckpt.adam.step
+    )
+    assert list(back.params) == sorted(ckpt.params)
+    for name, t in ckpt.params.items():
+        for got, want in ((back.params[name].data, t.data), (back.adam.m[name], ckpt.adam.m[name]), (back.adam.v[name], ckpt.adam.v[name])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # an array of its own, not a read-only view of the file's bytes
+            assert got.flags.writeable and got.flags.owndata and got.base is None
+
+
 def test_checkpoint_manifest_byte_lengths(tmp_path, corpus, tiny_model_cfg, tcfg):
     import json
 
