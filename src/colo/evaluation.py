@@ -217,12 +217,21 @@ def score_passes(lengths, budget=SCORE_TOKENS):
 
 
 def perplexity(params, cfg, examples, lexicon, vocab):
-    """exp of the token-mean teacher-forced NLL of the model itself."""
+    """exp of the token-mean teacher-forced NLL of the model itself.
+
+    A pass runs its sources through the encoder and its targets through the
+    decoder, so a row is as long as the longer of its target (reference + 1)
+    and its source.
+    """
     refs = [vocab.tokenize(ex.reference) for ex in examples]
+    lengths = [
+        max(len(r) + 1, len(build_source(ex.tuple, ex.profiles, lexicon, cfg.max_src_len)))
+        for r, ex in zip(refs, examples)
+    ]
     total_nll = 0.0
     total_tokens = 0
     with T.no_grad():
-        for part in score_passes([len(r) + 1 for r in refs]):
+        for part in score_passes(lengths):
             chunk = examples[part]
             enc_states, smask = encode_variants(params, cfg, [ex.tuple for ex in chunk], chunk, lexicon, vocab)
             tgt_in, labels, lmask = M.make_target_arrays(refs[part])

@@ -5,9 +5,15 @@ time, so a profiler can wrap these names from outside.
 
 Kernels write into the arrays they allocate instead of building a temporary
 per arithmetic step; a backward kernel may also overwrite the cache its
-forward returned, which the tape hands it once.  :func:`softmax_fwd`
-overwrites its input: ``tensor.attention`` hands it the score buffer it
-has just made, so the probabilities take that buffer's place.  The order
+forward returned, which the tape hands it once.  Some kernels overwrite an
+argument and return it, where the caller made that buffer for them alone:
+:func:`softmax_fwd` its input (``tensor.attention`` hands it the score
+buffer it has just made, so the probabilities take that buffer's place),
+:func:`softmax_bwd` its gradient (the probabilities' gradient that
+``tensor.attention``'s backward has just made) and :func:`gelu_bwd` its
+pre-activation (which ``tensor.ffn``'s backward remakes), so gelu's output
+takes that buffer's place.  None overwrites a gradient the tape hands to a
+backward rule.  The order
 and association of every floating-point operation is fixed (e.g.
 ``((A*x)*x)*x``), so each result is bitwise equal to the plain expression
 it replaced; changing that order changes training output.
@@ -60,11 +66,11 @@ def softmax_fwd(x):
 
 
 def softmax_bwd(gy, p):
-    dx = gy * p
-    dot = dx.sum(axis=1, keepdims=True)
-    np.subtract(gy, dot, out=dx)
-    dx *= p
-    return dx
+    """Row softmax's input gradient from ``gy``, its output's, and the output ``p``; overwrites and returns ``gy``."""
+    dot = (gy * p).sum(axis=1, keepdims=True)
+    gy -= dot
+    gy *= p
+    return gy
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +130,7 @@ def gelu_bwd(gy, x):
 
     Both are bitwise what the plain expressions give, the second equal to
     :func:`gelu_fwd`, so a caller may drop gelu's output after the forward.
+    Overwrites ``x`` with gelu(``x``) and returns that buffer as the second.
     """
     t = _gelu_tanh(x)
     du = (3.0 * _GELU_A) * x
@@ -131,17 +138,17 @@ def gelu_bwd(gy, x):
     du += 1.0
     du *= _GELU_C
     # gy * (0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du), and gelu(x) = (0.5*x) * (1 + t)
-    right = t * t
-    np.subtract(1.0, right, out=right)
-    out = 0.5 * x
-    half_x = out * right
+    half_x = t * t
+    np.subtract(1.0, half_x, out=half_x)
+    x *= 0.5
+    half_x *= x
     half_x *= du
     t += 1.0
-    out *= t
+    x *= t
     t *= 0.5
     t += half_x
     t *= gy
-    return t, out
+    return t, x
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ over the same leaves.
 Gradient ownership: a backward rule never writes into its incoming
 gradient, and may return it, or a view of it, as a contribution (``add``
 hands the same array to both operands; ``sum_`` returns a read-only
-broadcast view).  So :func:`backward` keeps the first gradient
+broadcast view).  A rule runs at most once, so it may overwrite the
+buffers it makes and what it alone holds (``attention`` overwrites its
+probabilities).  So :func:`backward` keeps the first gradient
 contribution of an op or a leaf by reference and sums later ones out of
 place, never writing into a gradient array.  A leaf's gradient in the
 returned dict may therefore be read-only or shared with another
@@ -47,10 +49,15 @@ scale, additive mask and softmax, all in the one score buffer it
 allocates, then dropout on the probabilities, the product with the
 values and the merge of the heads) and ``cross_entropy_rows`` (over
 logits of any leading shape).  Only ``attention`` knows the head layout.
-Dropout happens only inside ``ffn`` and ``attention``, which hold a
-boolean keep mask, not a float one; ``attention`` keeps the probabilities
-and remakes the dropped ones in backward, and ``ffn`` keeps the
-pre-activation and remakes the hidden layer.  Where no tape records (no
+Dropout happens only inside ``ffn`` and ``attention``, which hold the
+boolean keep mask packed eight entries to a byte (:func:`_pack_mask`), not
+a float one, and unpack it once in backward.  ``attention`` holds q, k, v
+and the probabilities, and remakes the dropped probabilities in place of
+the held ones once softmax's backward has read them.  ``ffn`` holds its
+input and its weights and biases, nothing of the hidden width: backward
+remakes the pre-activation ``x @ w1 + b1`` with the forward's own ops and
+the hidden layer from it.  Both write their backward's scratch into the
+buffers they make for it.  Where no tape records (no
 tape is active, or a ``no_grad`` block is), an op returns right after its
 forward without building its backward rule, and a float32/float64 result
 is wrapped without conversion, so a no-grad pass over small arrays (one
@@ -431,11 +438,22 @@ def relu(a):
     return _make(out, (a,), bwd)
 
 
-def _keep_scaled(x, keep, scale):
-    """``x * keep * scale`` for a boolean ``keep``: bit for bit ``x`` times the float mask ``keep·scale``."""
-    out = x * keep
+def _keep_scaled(x, keep, scale, out=None):
+    """``x * keep * scale`` for a boolean ``keep``, into ``out`` (which may be ``x``) or a new array:
+    bit for bit ``x`` times the float mask ``keep·scale``."""
+    out = np.multiply(x, keep, out=out)
     out *= scale
     return out
+
+
+def _pack_mask(keep):
+    """A boolean mask as a backward rule holds it: (its entries packed eight to a byte, its shape)."""
+    return np.packbits(keep, axis=None), keep.shape
+
+
+def _unpack_mask(bits, shape):
+    """The boolean mask :func:`_pack_mask` packed into ``bits``."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(np.bool_).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +536,13 @@ def matmul(x, w, b=None):
     return _make(out, (x, w) if b is None else (x, w, b), bwd)
 
 
+def _affine(x, w, b):
+    """``x @ w + b``, the bias added into the product's buffer, as ``matmul`` with a bias computes it."""
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
 def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
     """``gelu(x @ w1 + b1) @ w2 + b2`` as one op, then dropout: ``x`` is (..., n) with two or more axes,
     ``w1`` (n, h), ``w2`` (h, m).  ``keep``, a boolean mask of the (..., m) output's shape or None,
@@ -526,46 +551,50 @@ def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
     Forward and backward compute exactly what ``matmul`` with ``b1``, a
     tanh-approximated gelu, ``matmul`` with ``b2`` and ``mul`` by the float
     mask ``keep·keep_scale`` compute, in that order, with one tape entry.
-    The op holds ``x``, the pre-activation and ``keep``, not the (..., h)
-    hidden layer: backward remakes it from the tanh that gelu's derivative
-    reads (:func:`kernels.gelu_bwd`).
+    The op holds ``x``, the weights and biases and ``keep`` packed eight
+    entries to a byte, nothing of width h: backward remakes the
+    pre-activation ``x @ w1 + b1`` with the forward's own ops, and gelu's
+    backward (:func:`kernels.gelu_bwd`) overwrites it with the hidden layer.
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     if xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]:
         raise ShapeError(f"ffn needs (..., n) x (n, h) x (h, m), got {xd.shape} x {w1d.shape} x {w2d.shape}")
     if b1.data.shape != w1d.shape[1:] or b2.data.shape != w2d.shape[1:]:
         raise ShapeError(f"ffn biases {b1.shape}, {b2.shape} do not match weights {w1d.shape}, {w2d.shape}")
-    pre = np.matmul(xd, w1d)
-    pre += b1.data
-    out = np.matmul(kernels.gelu_fwd(pre), w2d)
-    out += b2.data
+    b1d = b1.data
+    out = _affine(kernels.gelu_fwd(_affine(xd, w1d, b1d)), w2d, b2.data)
     if keep is not None:
         if keep.shape != out.shape:
             raise ShapeError(f"ffn keep mask {keep.shape} does not match output {out.shape}")
-        out = _keep_scaled(out, keep, keep_scale)
+        _keep_scaled(out, keep, keep_scale, out=out)
     if _untaped():
         return _wrap(out)
     rx, rw1, rb1, rw2, rb2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
-    sx, sw1, sb1, sw2, sb2 = xd.shape, w1d.shape, b1.data.shape, w2d.shape, b2.data.shape
+    sx, sw1, sb1, sw2, sb2 = xd.shape, w1d.shape, b1d.shape, w2d.shape, b2.data.shape
     to_pre = rx or rw1 or rb1  # whether a gradient flows back through the hidden layer
-    w1r, xl, w2r = (w1d if rx else None), (xd if rw1 else None), (w2d if to_pre else None)
+    # what remaking the pre-activation reads, where a gradient reads it or the hidden layer
+    held = (xd, w1d, b1d, w2d) if to_pre or rw2 else None
+    packed = None if keep is None else _pack_mask(keep)
 
     def bwd(g):
         gx = gw1 = gb1 = gw2 = gb2 = None
-        if keep is not None:
-            g = _keep_scaled(g, keep, keep_scale)
-        if to_pre:
-            gpre, hidden = kernels.gelu_bwd(np.matmul(g, w2r.T), pre)
-            if w1r is not None:
-                gx = _unbroadcast(np.matmul(gpre, w1r.T), sx)
-            if xl is not None:
-                gw1 = _unbroadcast(np.matmul(np.swapaxes(xl, -1, -2), gpre), sw1)
-            if rb1:
-                gb1 = _unbroadcast(gpre, sb1)
-        elif rw2:
-            hidden = kernels.gelu_fwd(pre)
-        if rw2:
-            gw2 = _unbroadcast(np.matmul(np.swapaxes(hidden, -1, -2), g), sw2)
+        if packed is not None:
+            g = _keep_scaled(g, _unpack_mask(*packed), keep_scale)
+        if held is not None:
+            xh, w1h, b1h, w2h = held
+            pre = _affine(xh, w1h, b1h)
+            if to_pre:
+                gpre, hidden = kernels.gelu_bwd(np.matmul(g, w2h.T), pre)
+                if rx:
+                    gx = _unbroadcast(np.matmul(gpre, w1h.T), sx)
+                if rw1:
+                    gw1 = _unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), gpre), sw1)
+                if rb1:
+                    gb1 = _unbroadcast(gpre, sb1)
+            else:
+                hidden = kernels.gelu_fwd(pre)
+            if rw2:
+                gw2 = _unbroadcast(np.matmul(np.swapaxes(hidden, -1, -2), g), sw2)
         if rb2:
             gb2 = _unbroadcast(g, sb2)
         return gx, gw1, gb1, gw2, gb2
@@ -628,10 +657,13 @@ def attention(q, k, v, n_heads, add_mask=None, keep=None, keep_scale=None):
     the (B, H, Tq, Tk) scores, or None.  ``keep``, a boolean array of the
     scores' shape or None, zeroes the probabilities it marks False and
     scales the rest by ``keep_scale``.  The op holds q, k, v, the
-    probabilities and ``keep``, and remakes the dropped probabilities in
-    backward.  Values and gradients are bit for bit those of the separate
-    ops: head split, score matmul, scale, mask, softmax, ``mul`` by the
-    float mask ``keep·keep_scale``, matmul with ``v`` and head merge.
+    probabilities and ``keep`` packed eight entries to a byte.  Backward
+    writes the probabilities' gradient, its dropout and softmax's backward
+    into one buffer it makes, and then, once softmax's backward has read the
+    held probabilities, overwrites them with the dropped ones.  Values and
+    gradients are bit for bit those of the separate ops: head split, score
+    matmul, scale, mask, softmax, ``mul`` by the float mask
+    ``keep·keep_scale``, matmul with ``v`` and head merge.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3 or kd.ndim != 3 or vd.ndim != 3 or qd.shape[-1] != kd.shape[-1] or kd.shape[:2] != vd.shape[:2]:
@@ -648,26 +680,26 @@ def attention(q, k, v, n_heads, add_mask=None, keep=None, keep_scale=None):
     if add_mask is not None:
         z += add_mask
     p = kernels.softmax_fwd(z.reshape(-1, shape[-1]))
-
-    def dropped():
-        pd = p.reshape(shape)
-        return pd if keep is None else _keep_scaled(pd, keep, keep_scale)
-
+    pd = p.reshape(shape)
     (b, h, tq, _), dv = shape, vh.shape[-1]
     out = np.empty((b, tq, h * dv), np.result_type(p, vd))
-    np.matmul(dropped(), vh, out=out.reshape(b, tq, h, dv).swapaxes(1, 2))  # written with the heads merged
+    dropped = pd if keep is None else _keep_scaled(pd, keep, keep_scale)
+    np.matmul(dropped, vh, out=out.reshape(b, tq, h, dv).swapaxes(1, 2))  # written with the heads merged
+    del dropped
     if _untaped():
         return _wrap(out)
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
     sq, sk, sv, skt, svh = qd.shape, kd.shape, vd.shape, kh.swapaxes(-1, -2).shape, vh.shape
+    packed = None if keep is None else _pack_mask(keep)
 
     def bwd(g):
         gq = gk = gv = None
         g = _heads(g, h)
+        kept = None if packed is None else _unpack_mask(*packed)
         if rq or rk:
-            gp = _unbroadcast(np.matmul(g, vh.swapaxes(-1, -2)), shape)
-            if keep is not None:
-                gp = _keep_scaled(gp, keep, keep_scale)
+            gp = np.matmul(g, vh.swapaxes(-1, -2))  # (B, H, Tq, Tk) whether or not k and v broadcast
+            if kept is not None:
+                _keep_scaled(gp, kept, keep_scale, out=gp)
             ds = kernels.softmax_bwd(gp.reshape(-1, shape[-1]), p)
             ds *= scale
             ds = ds.reshape(shape)
@@ -676,7 +708,9 @@ def attention(q, k, v, n_heads, add_mask=None, keep=None, keep_scale=None):
             if rk:
                 gk = _unbroadcast(np.matmul(qh.swapaxes(-1, -2), ds), skt).transpose(0, 3, 1, 2).reshape(sk)
         if rv:
-            gv = _unbroadcast(np.matmul(dropped().swapaxes(-1, -2), g), svh).swapaxes(1, 2).reshape(sv)
+            if kept is not None:  # softmax's backward has read p: drop it in place
+                _keep_scaled(pd, kept, keep_scale, out=pd)
+            gv = _unbroadcast(np.matmul(pd.swapaxes(-1, -2), g), svh).swapaxes(1, 2).reshape(sv)
         return gq, gk, gv
 
     return _make(out, (q, k, v), bwd)

@@ -122,19 +122,42 @@ def _held_arrays(obj, seen, roots):
             _held_arrays(cell.cell_contents, seen, roots)
 
 
-def _tape_nbytes(tape):
-    """Bytes of the distinct arrays a tape holds through its ops' leaf inputs and backward closures.
+def _tape_breakdown(tape):
+    """``{(kind, dtype name): [arrays]}``: the distinct base arrays a tape holds, by who holds them.
 
-    An op's other inputs are ops, which hold no array of their own.  Views
-    count as the array they view, once, however many ops share it.
+    Arrays a leaf input of some op holds (the parameters) are of kind
+    ``"leaf"``; every other array is of the kind of the first op, in
+    recording order, whose backward rule holds it (``"ffn"``, ``"attention"``,
+    ...: the function that built the rule).  An op's other inputs are ops,
+    which hold no array of their own.  Views count as the array they view,
+    once, however many ops share it.
     """
-    seen, roots = set(), {}
+    seen, roots, held = set(), {}, {}
+
+    def collect(obj, kind):
+        known = len(roots)  # roots keeps insertion order, so what obj adds comes last
+        _held_arrays(obj, seen, roots)
+        for a in list(roots.values())[known:]:
+            held.setdefault((kind, a.dtype.name), []).append(a)
+
     for op in tape.ops:
         for t in op.inputs:
             if isinstance(t, Tensor):
-                _held_arrays(t, seen, roots)
-        _held_arrays(op.bwd, seen, roots)
-    return sum(a.nbytes for a in roots.values())
+                collect(t, "leaf")
+    for op in tape.ops:
+        collect(op.bwd, op.bwd.__qualname__.split(".")[0])
+    return held
+
+
+@pytest.fixture
+def tape_breakdown():
+    """``tape_breakdown(tape)``: the distinct arrays ``tape`` holds, by op kind and dtype."""
+    return _tape_breakdown
+
+
+def _tape_nbytes(tape):
+    """Bytes of the distinct arrays a tape holds through its ops' leaf inputs and backward closures."""
+    return sum(a.nbytes for arrays in _tape_breakdown(tape).values() for a in arrays)
 
 
 @pytest.fixture

@@ -25,11 +25,14 @@ from colo.tensor import Tape
 TCFG = TR.TrainConfig(batch_size=4, epochs=1, seed=3, eval_every=0, max_steps=3)
 
 TAPE_OPS = 129  # moves when ops are fused or split; the digests below must not
-# distinct array bytes the step's tape holds (parameters included); a change
-# that keeps more activations for backward raises it
-TAPE_BYTES = 1635116
+# distinct array bytes the step's tape holds (parameters included).  Of the
+# fused ops, attention holds q, k, v, the probabilities and its keep mask at
+# one bit an entry, and ffn its input and its keep mask at one bit an entry,
+# remaking the (..., d_ff) pre-activation in backward.  A change that keeps
+# more for backward raises it
+TAPE_BYTES = 1375125
 # the same at the default corpus and model config, seed 7, batch 16
-DEFAULT_TAPE_BYTES = 81529604
+DEFAULT_TAPE_BYTES = 62763668
 PARAMS_SHA256 = "fa64546fdbb587150685e58b69419271e60ad445b69ab1744c3d8547d2d68312"
 BEAM5_SHA256 = "5df38913bfc0a4b7dbe69cb222122c61d8fcbe0ffe1b77849d530f63c96e1ae0"
 GREEDY_SHA256 = "17085c1c4f193ef9ac21c677cec0f242a02cce335c180953f6b3d7a8418da1f5"
@@ -64,11 +67,32 @@ def test_one_training_step_records_the_pinned_tape(toy, tape_nbytes):
     assert tape_nbytes(tape) == TAPE_BYTES
 
 
-def test_one_default_config_step_holds_the_pinned_tape_bytes(tape_nbytes):
+@pytest.fixture(scope="module")
+def default_step():
+    """(tape, model config) of one step at the default corpus and model config, seed 7, batch 16."""
     lexicon, examples = C.generate_corpus(C.CorpusConfig(seed=7))
     vocab = C.Vocab.build(lexicon)
     cfg = M.ModelConfig(vocab_size=len(vocab))
-    assert tape_nbytes(_one_step_tape(C.Corpus(lexicon, examples), vocab, cfg, 7, 16)) == DEFAULT_TAPE_BYTES
+    return _one_step_tape(C.Corpus(lexicon, examples), vocab, cfg, 7, 16), cfg
+
+
+def test_one_default_config_step_holds_the_pinned_tape_bytes(default_step, tape_nbytes):
+    assert tape_nbytes(default_step[0]) == DEFAULT_TAPE_BYTES
+
+
+def test_one_default_config_step_holds_no_hidden_layer_and_no_boolean_array(default_step, tape_breakdown):
+    """No op holds a float array of the feed-forward width (parameters aside) or a mask at a byte an entry."""
+    tape, cfg = default_step
+    held = tape_breakdown(tape)
+    assert not [key for key in held if key[1] == "bool"]
+    wide = [
+        (kind, a.shape)
+        for (kind, _), arrays in held.items()
+        if kind != "leaf"
+        for a in arrays
+        if a.dtype.kind == "f" and a.shape[-1:] == (cfg.d_ff,)
+    ]
+    assert not wide
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -336,6 +337,32 @@ def test_perplexity_scores_each_example_once_in_passes_within_the_token_budget(d
     assert all(_within_budget(shape) for _, shape in passes)
     scored = [r.tolist() for refs, _ in passes for r in refs]
     assert scored == [vocab.tokenize(ex.reference).tolist() for ex in examples]
+
+
+def test_perplexity_passes_stay_within_the_token_budget_in_sources_and_targets(default_lengths, monkeypatch):
+    """With references shorter than their sources, a pass's encoder rows, not its targets, reach the budget."""
+    params, cfg, examples, lexicon, vocab = default_lengths
+    short = [dataclasses.replace(ex, reference=ex.reference[:3]) for ex in examples]
+    shapes, encode, make = [], E.encode_variants, M.make_target_arrays
+
+    def spy_encode(*args, **kwargs):
+        states, mask = encode(*args, **kwargs)
+        shapes.append(mask.shape)
+        return states, mask
+
+    def spy_make(refs):
+        arrays = make(refs)
+        shapes.append(arrays[0].shape)
+        return arrays
+
+    monkeypatch.setattr(E, "encode_variants", spy_encode)
+    monkeypatch.setattr(M, "make_target_arrays", spy_make)
+    E.perplexity(params, cfg, short, lexicon, vocab)
+    sources, targets = shapes[::2], shapes[1::2]
+    assert len(sources) > 1 and [s[0] for s in sources] == [t[0] for t in targets]
+    assert sum(s[0] for s in sources) == len(short)
+    assert max(t[1] for t in targets) < min(s[1] for s in sources)  # the sources set the width
+    assert all(_within_budget(shape) for shape in shapes)
 
 
 def test_entity_swap_similarity_scores_each_example_once_in_passes_within_the_token_budget(default_lengths, monkeypatch):

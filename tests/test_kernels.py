@@ -2,7 +2,9 @@
 
 Each reference below is the expression the kernel used to evaluate, written
 out step by step.  The kernels must match them bit for bit, at float32 and
-float64, because training output is pinned bitwise.
+float64, because training output is pinned bitwise.  A kernel that
+overwrites an argument is handed a copy, must return that copy's buffer,
+and is compared with the reference on the unchanged original.
 """
 
 import numpy as np
@@ -85,7 +87,11 @@ def test_softmax_matches_reference(dtype, shape):
     p = kernels.softmax_fwd(buf)
     assert p is buf
     _same(p, ref_softmax_fwd(x))
-    _same(kernels.softmax_bwd(gy, p), ref_softmax_bwd(gy, p))
+    gbuf = gy.copy()
+    p.flags.writeable = False  # the gradient is the only argument it may overwrite
+    dx = kernels.softmax_bwd(gbuf, p)
+    assert dx is gbuf
+    _same(dx, ref_softmax_bwd(gy, p))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -94,7 +100,10 @@ def test_gelu_matches_reference(dtype, shape):
     x = _data(dtype, shape, 3)
     gy = _data(dtype, shape, 4)
     _same(kernels.gelu_fwd(x), ref_gelu_fwd(x))
-    dx, out = kernels.gelu_bwd(gy, x)
+    buf = x.copy()
+    gy.flags.writeable = False  # the pre-activation is the only argument it may overwrite
+    dx, out = kernels.gelu_bwd(gy, buf)
+    assert out is buf
     _same(dx, ref_gelu_bwd(gy, x))
     _same(out, ref_gelu_fwd(x))
 

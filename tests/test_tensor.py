@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from colo import contrastive as K
 from colo import model as M
@@ -333,21 +334,39 @@ def test_dropout_keep_shape_mismatch():
 
 
 def test_attention_and_dropout_hold_boolean_masks(tape_nbytes):
-    """``attention`` holds q, k, v, the float32 probabilities and the boolean keep mask, and
-    ``ffn`` its input, its weights, the pre-activation and the boolean mask: no float mask, no dropped product."""
+    """``attention`` holds q, k, v, the float32 probabilities and the keep mask at one bit an entry,
+    and ``ffn`` its input, its weights and biases and the mask at one bit an entry: no float or
+    byte mask, no dropped product and nothing of the hidden width."""
     rng = np.random.default_rng(9)
     q, k, v = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((2, 5, 12), (2, 6, 12), (2, 6, 12)))
     mask, keep = np.zeros((2, 1, 1, 6), dtype=np.float32), rng.random((2, 3, 5, 6)) >= 0.1
     with T.Tape() as tape:
         T.attention(q, k, v, 3, mask, keep, np.float32(1.25))
-        assert tape_nbytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes + 5 * keep.size
+        probs = 4 * keep.size
+        assert tape_nbytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes + probs + 23  # ⌈180/8⌉
     x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s), True, np.float32) for s in ((4, 7), (7, 9), (9,), (9, 7), (7,)))
     keep = rng.random((4, 7)) >= 0.1
     with T.Tape() as tape:
         T.ffn(x, w1, b1, w2, b2, keep, np.float32(1.25))
         held = x.data.nbytes + w1.data.nbytes + b1.data.nbytes + w2.data.nbytes + b2.data.nbytes
-        pre = np.zeros((4, 9), np.float32)
-        assert tape_nbytes(tape) == held + pre.nbytes + keep.size
+        assert tape_nbytes(tape) == held + 4  # ⌈28/8⌉
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=11)),
+    st.sampled_from([lambda a: a, lambda a: a.T, lambda a: a[..., ::2] if a.ndim else a]),
+)
+@example(np.ones((0, 3), dtype=bool), lambda a: a)
+@example(np.arange(60).reshape(3, 4, 5) % 3 == 0, lambda a: a.T)  # 60 entries, a non-contiguous view
+def test_pack_mask_round_trips_any_boolean_array(array, view):
+    """Any shape, size 0 and sizes that are no multiple of 8 included, and non-contiguous views."""
+    keep = view(array)
+    bits, shape = T._pack_mask(keep)
+    assert bits.dtype == np.uint8 and bits.shape == (-(-keep.size // 8),)
+    got = T._unpack_mask(bits, shape)
+    assert got.dtype == np.bool_ and got.shape == keep.shape
+    assert np.array_equal(got, keep)
 
 
 def test_softmax_rows_sum_to_one():
