@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields, replace
@@ -325,6 +326,18 @@ def test_corpus_file_byte_identical_for_same_seed(tmp_path, small_config):
     C.write_corpus(pa, ex_a)
     C.write_corpus(pb, ex_b)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# corpus.jsonl of CorpusConfig(seed=1): the 2000 examples at the default config the benchmark trains and decodes on
+DEFAULT_CORPUS_SHA256 = "7eb92d3c636f0fd32ee13880b2dea90c59c25293e7f0a4b6b0c7c40bf2028ce3"
+
+
+def test_the_default_config_corpus_keeps_its_bytes(tmp_path):
+    _, examples = C.generate_corpus(C.CorpusConfig(seed=1))
+    path = tmp_path / "corpus.jsonl"
+    C.write_corpus(path, examples)
+    assert len(examples) == 2000
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CORPUS_SHA256
 
 
 def test_corpus_file_is_ascii_json(tmp_path, small_corpus):
