@@ -9,10 +9,22 @@ checker in :mod:`colo.evaluation` shares it.
 
 All text is ASCII and token-level; "words" are synthetic ids like ENT_007 or
 efficacy:EFF_004.
+
+Every draw comes from a generator keyed by :mod:`colo.rng`.  The tuple
+``choice`` and :func:`build_profiles` call numpy's ``Generator`` itself;
+every draw of :func:`build_reference` runs through :class:`_WordSampler`,
+a replica of numpy's bounded-integer and ``choice(replace=False)``
+arithmetic fed with the generator's 32-bit words.  A numpy upgrade that
+changes its sampling can therefore move tuples and profiles, and one that
+changes PCG64 or its seeding can move everything.  Two byte pins guard the
+corpus: ``CORPUS_SHA256`` in ``tests/test_pipeline.py`` (50 examples) and
+``DEFAULT_CORPUS_SHA256`` in ``tests/test_corpus.py`` (the default config's
+2000 examples).
 """
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -471,8 +483,84 @@ def _extend_sentence(sent, profile, rng):
     sent.insert(-1, attr_token(cat, attrs[int(rng.integers(len(attrs)))]))
 
 
+_WORD_BLOCK = 256  # 32-bit words pulled per numpy call; a default-config reference takes 45-154
+_WORD_SPAN = 2**32
+_FLOYD_MAX = 10000  # numpy's choice(replace=False) samples populations up to this size by Floyd's algorithm
+
+
+class _WordSampler:
+    """The two draws reference building makes, bit for bit as a numpy ``Generator`` makes them.
+
+    ``Generator.integers(n)`` over a range of fewer than 2**32 values is
+    Lemire's multiply-shift on 32-bit words (each 64-bit output of the bit
+    generator gives its low half, then its high half), and
+    ``choice(n, size=k, replace=False)`` is Floyd's algorithm over such draws
+    followed by a Fisher-Yates shuffle.  Calling numpy once per draw spends
+    most of a reference's time on call overhead, so this pulls the words in
+    blocks and does the arithmetic in Python.  It draws words ahead of use,
+    so the generator it wraps is spent once the reference is built.  Any
+    call form it does not replicate raises.
+    """
+
+    __slots__ = ("_gen", "_words")
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._words = iter(())
+
+    def _word(self):
+        w = next(self._words, None)
+        if w is None:
+            self._words = iter(self._gen.integers(0, _WORD_SPAN, size=_WORD_BLOCK, dtype=np.uint64).tolist())
+            w = next(self._words)
+        return w
+
+    def _below(self, n):
+        """Uniform in [0, n) for 1 <= n < 2**32; n == 1 takes no word."""
+        if n == 1:
+            return 0
+        m = self._word() * n
+        if m % _WORD_SPAN < n:  # only then can the low half fall below the rejection threshold
+            threshold = (_WORD_SPAN - n) % n
+            while m % _WORD_SPAN < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def integers(self, low, high=None):
+        """``Generator.integers(low, high)`` for scalar int bounds 1 to 2**32 - 1 apart, as an int."""
+        low = operator.index(low)
+        if high is None:
+            low, high = 0, low
+        n = operator.index(high) - low
+        if not 0 < n < _WORD_SPAN:
+            raise ValueError(f"integers over {n} values is not replicated")
+        return low + self._below(n)
+
+    def choice(self, a, size, replace=True):
+        """``Generator.choice(a, size, replace=False)`` for an int population ``a`` up to 10000, as a list."""
+        n, k = operator.index(a), operator.index(size)
+        if replace or not 0 <= k <= n <= _FLOYD_MAX:
+            raise ValueError(f"choice of {k} from {n} with replace={replace} is not replicated")
+        picked, seen = [], set()
+        for j in range(n - k, n):
+            v = self._below(j + 1)
+            if v in seen:
+                v = j
+            seen.add(v)
+            picked.append(v)
+        for i in range(k - 1, 0, -1):
+            j = self._below(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
+
+
 def build_reference(t: ClrTuple, profiles, lexicon: Lexicon, config: CorpusConfig, rng):
-    """Comparative sentence wrapped in profile distractors, length within bounds."""
+    """Comparative sentence wrapped in profile distractors, length within bounds.
+
+    Every draw goes through a :class:`_WordSampler` around ``rng``, which
+    leaves ``rng`` spent: derive a fresh generator per reference.
+    """
+    rng = _WordSampler(rng)
     pool = template_pool(config.template_pool_size)
     usable = [tp for tp in pool if not tp.opinion_inverted or lexicon.antonyms.get(t.opinion)]
     template = usable[int(rng.integers(len(usable)))]

@@ -125,19 +125,21 @@ def gelu_fwd(x):
     return out
 
 
-def gelu_bwd(gy, x):
-    """(``gy`` times gelu's derivative at ``x``, gelu(``x``)): the second remade from the tanh the first reads.
+def gelu_bwd(x):
+    """(gelu's derivative at ``x``, gelu(``x``)): the second remade from the tanh the first reads.
 
     Both are bitwise what the plain expressions give, the second equal to
     :func:`gelu_fwd`, so a caller may drop gelu's output after the forward.
     Overwrites ``x`` with gelu(``x``) and returns that buffer as the second.
+    The caller multiplies the derivative by its incoming gradient in place,
+    so that gradient need not exist while the derivative is formed.
     """
     t = _gelu_tanh(x)
     du = (3.0 * _GELU_A) * x
     du *= x
     du += 1.0
     du *= _GELU_C
-    # gy * (0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du), and gelu(x) = (0.5*x) * (1 + t)
+    # 0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * du, and gelu(x) = (0.5*x) * (1 + t)
     half_x = t * t
     np.subtract(1.0, half_x, out=half_x)
     x *= 0.5
@@ -147,7 +149,6 @@ def gelu_bwd(gy, x):
     x *= t
     t *= 0.5
     t += half_x
-    t *= gy
     return t, x
 
 

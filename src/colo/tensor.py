@@ -555,6 +555,8 @@ def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
     entries to a byte, nothing of width h: backward remakes the
     pre-activation ``x @ w1 + b1`` with the forward's own ops, and gelu's
     backward (:func:`kernels.gelu_bwd`) overwrites it with the hidden layer.
+    gelu's derivative is formed before the gradient ``g @ w2ᵀ`` it multiplies,
+    so at most four buffers of width h are live at once.
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     if xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]:
@@ -584,7 +586,8 @@ def ffn(x, w1, b1, w2, b2, keep=None, keep_scale=None):
             xh, w1h, b1h, w2h = held
             pre = _affine(xh, w1h, b1h)
             if to_pre:
-                gpre, hidden = kernels.gelu_bwd(np.matmul(g, w2h.T), pre)
+                gpre, hidden = kernels.gelu_bwd(pre)  # gelu's derivative, until the product below
+                gpre *= np.matmul(g, w2h.T)
                 if rx:
                     gx = _unbroadcast(np.matmul(gpre, w1h.T), sx)
                 if rw1:

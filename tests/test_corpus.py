@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colo import corpus as C
 from colo import tokens as tok
@@ -235,6 +237,69 @@ def test_corpus_validate_names_the_example_the_lexicon_does_not_cover(small_corp
         with pytest.raises(C.LexiconError) as err:
             C.Corpus(lexicon, examples[:5] + [bad] + examples[6:]).validate()
         assert str(err.value) == f"corpus example 5 ({ex.split} split): {message}"
+
+
+# ---------------------------------------------------------------------------
+# the reference sampler against numpy's Generator
+
+# small ranges as the grammar draws them, and two near 2**32 whose Lemire draws are often rejected and redrawn
+SAMPLER_RANGES = [1, 2, 3, 6, 12, 2**31 + 5, 2**32 - 3]
+
+_sampler_call = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from(SAMPLER_RANGES)),
+    st.tuples(st.just("range"), st.integers(-50, 50), st.sampled_from(SAMPLER_RANGES)),
+    st.integers(1, 64).flatmap(lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, n))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), calls=st.lists(_sampler_call, max_size=80))
+def test_the_reference_sampler_draws_what_numpy_draws(seed, calls):
+    sampler, twin = C._WordSampler(np.random.default_rng(seed)), np.random.default_rng(seed)
+    for call in calls:
+        if call[0] == "integers":
+            got, want = sampler.integers(call[1]), twin.integers(call[1])
+        elif call[0] == "range":
+            lo, n = call[1:]
+            got, want = sampler.integers(lo, lo + n), twin.integers(lo, lo + n)
+        else:
+            n, k = call[1:]
+            got, want = sampler.choice(n, size=k, replace=False), twin.choice(n, size=k, replace=False).tolist()
+        assert got == want, call
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.choice(6, size=2),
+        lambda s: s.choice(6, size=2, replace=True),
+        lambda s: s.choice(6, size=7, replace=False),
+        lambda s: s.choice(C._FLOYD_MAX + 1, size=2, replace=False),
+        lambda s: s.integers(2**32),
+        lambda s: s.integers(-1, 2**32),
+        lambda s: s.integers(0),
+        lambda s: s.integers(5, 5),
+    ],
+    ids=["replace-default", "replace-true", "size-over-n", "n-over-floyd", "n-2**32", "span-2**32", "empty", "empty-range"],
+)
+def test_the_reference_sampler_rejects_a_range_it_does_not_replicate(call):
+    with pytest.raises(ValueError):
+        call(C._WordSampler(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.integers(np.array([3, 4])),
+        lambda s: s.integers(0, np.array([3, 4])),
+        lambda s: s.choice(np.array([3, 4]), size=1, replace=False),
+        lambda s: s.integers(6, size=3),
+    ],
+    ids=["array-bound", "array-high", "array-population", "size"],
+)
+def test_the_reference_sampler_rejects_array_bounds_and_sizes(call):
+    with pytest.raises(TypeError):
+        call(C._WordSampler(np.random.default_rng(0)))
 
 
 # ---------------------------------------------------------------------------

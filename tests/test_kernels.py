@@ -7,6 +7,8 @@ overwrites an argument is handed a copy, must return that copy's buffer,
 and is compared with the reference on the unchanged original.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,10 +103,10 @@ def test_gelu_matches_reference(dtype, shape):
     gy = _data(dtype, shape, 4)
     _same(kernels.gelu_fwd(x), ref_gelu_fwd(x))
     buf = x.copy()
-    gy.flags.writeable = False  # the pre-activation is the only argument it may overwrite
-    dx, out = kernels.gelu_bwd(gy, buf)
+    deriv, out = kernels.gelu_bwd(buf)
     assert out is buf
-    _same(dx, ref_gelu_bwd(gy, x))
+    deriv *= gy  # as tensor.ffn's backward applies it
+    _same(deriv, ref_gelu_bwd(gy, x))
     _same(out, ref_gelu_fwd(x))
 
 
@@ -136,6 +138,25 @@ def test_ffn_matches_numpy_chain(dtype):
     _same(out.data, want_out)
     for x, want in zip(leaves, want_grads):
         _same(grads[x], want)
+
+
+def test_ffn_backward_peaks_at_four_hidden_width_buffers():
+    """Live at the peak: the remade pre-activation, gelu's tanh and two terms of its derivative.
+    The gradient ``g @ w2ᵀ`` is formed after them; everything else the backward allocates is narrow."""
+    b, t, n, h, m = 4, 64, 16, 1024, 16
+    shapes = [(b, t, n), (n, h), (h,), (h, m), (m,)]
+    leaves = [T.Tensor(_data(np.float32, s, 30 + i, scale=0.5), requires_grad=True) for i, s in enumerate(shapes)]
+    with T.Tape():
+        loss = T.sum_(T.ffn(*leaves))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    hidden_bytes = b * t * h * 4
+    assert 4 * hidden_bytes <= peak - start < 4.5 * hidden_bytes
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
