@@ -549,6 +549,64 @@ def test_every_option_of_every_subcommand_has_help():
     assert bare == []
 
 
+def _typed(namespace):
+    """The parsed options without ``func``, each value with its type: ``1 == 1.0`` must not hide a changed type."""
+    return {k: (type(v), v) for k, v in vars(namespace).items() if k != "func"}
+
+
+# every subcommand parsed twice: with only its required options, so every default shows, and with every option set
+PARSED_SURFACE = [
+    (["gen-data"],
+     {"command": "gen-data", "out": None, "config": None, "seed": None, "n_examples": None, "n_entities": None,
+      "n_aspects": None, "n_opinions": None, "n_aliases_per_item": None, "template_pool_size": None, "force": False}),
+    (["gen-data", "--out", "o", "--config", "c.cfg", "--seed", "3", "--n-examples", "40", "--entities", "7",
+      "--aspects", "5", "--opinions", "6", "--aliases", "2", "--template-pool", "4", "--force"],
+     {"command": "gen-data", "out": "o", "config": "c.cfg", "seed": 3, "n_examples": 40, "n_entities": 7,
+      "n_aspects": 5, "n_opinions": 6, "n_aliases_per_item": 2, "template_pool_size": 4, "force": True}),
+    (["train", "--corpus", "c"],
+     {"command": "train", "corpus": "c", "out": None, "config": None, "learning_rate": None, "gamma": None,
+      "batch_size": None, "epochs": None, "seed": None, "eval_every": None, "max_steps": None, "grad_clip_norm": None,
+      "d_model": None, "use_ce": None, "use_cd": None, "neg_types": None, "project_in_ce": None, "resume": None}),
+    (["train", "--corpus", "c", "--out", "o", "--config", "t.cfg", "--lr", "0.01", "--gamma", "0.5", "--batch", "4",
+      "--epochs", "2", "--seed", "9", "--eval-every", "3", "--max-steps", "7", "--grad-clip", "0.25", "--d-model", "16",
+      "--no-ce", "--no-cd", "--neg-types", "os,es", "--project-in-ce", "--resume", "r.ckpt"],
+     {"command": "train", "corpus": "c", "out": "o", "config": "t.cfg", "learning_rate": 0.01, "gamma": 0.5,
+      "batch_size": 4, "epochs": 2, "seed": 9, "eval_every": 3, "max_steps": 7, "grad_clip_norm": 0.25, "d_model": 16,
+      "use_ce": False, "use_cd": False, "neg_types": ("OS", "ES"), "project_in_ce": True, "resume": "r.ckpt"}),
+    (["generate", "--ckpt", "m.ckpt", "--corpus", "c"],
+     {"command": "generate", "ckpt": "m.ckpt", "corpus": "c", "split": "test", "beam": 5, "length_norm": 1.0,
+      "limit": 0, "out": None}),
+    (["generate", "--ckpt", "m.ckpt", "--corpus", "c", "--split", "valid", "--beam", "2", "--length-norm", "0.5",
+      "--limit", "3", "--out", "p.jsonl"],
+     {"command": "generate", "ckpt": "m.ckpt", "corpus": "c", "split": "valid", "beam": 2, "length_norm": 0.5,
+      "limit": 3, "out": "p.jsonl"}),
+    (["evaluate", "--corpus", "c"],
+     {"command": "evaluate", "ckpt": None, "predictions": None, "corpus": "c", "split": "test", "beam": 5,
+      "length_norm": 1.0, "limit": 0, "out": None}),
+    (["evaluate", "--ckpt", "m.ckpt", "--predictions", "p.jsonl", "--corpus", "c", "--split", "", "--beam", "1",
+      "--length-norm", "0", "--limit", "4", "--out", "r.json"],
+     {"command": "evaluate", "ckpt": "m.ckpt", "predictions": "p.jsonl", "corpus": "c", "split": "", "beam": 1,
+      "length_norm": 0.0, "limit": 4, "out": "r.json"}),
+    (["ablate", "--corpus", "c"],
+     {"command": "ablate", "corpus": "c", "out": None, "seeds": 3, "seed0": 0, "epochs": 10, "batch": 16,
+      "lr": 0.0002, "gamma": 0.01, "beam": 5, "eval_every": 0, "jobs": 1, "arms": None}),
+    (["ablate", "--corpus", "c", "--out", "o", "--seeds", "2", "--seed0", "5", "--epochs", "3", "--batch", "6",
+      "--lr", "0.002", "--gamma", "0.1", "--beam", "3", "--eval-every", "4", "--jobs", "2", "--arms", "full,lm_only"],
+     {"command": "ablate", "corpus": "c", "out": "o", "seeds": 2, "seed0": 5, "epochs": 3, "batch": 6, "lr": 0.002,
+      "gamma": 0.1, "beam": 3, "eval_every": 4, "jobs": 2, "arms": "full,lm_only"}),
+    (["gradcheck"], {"command": "gradcheck"}),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", PARSED_SURFACE, ids=[
+    f"{command}-{kind}" for command in ("gen-data", "train", "generate", "evaluate", "ablate")
+    for kind in ("required", "every")
+] + ["gradcheck"])
+def test_every_subcommand_parses_to_its_pinned_options(argv, parsed):
+    """Every flag's name, dest, type and default; a change here changes the command-line surface."""
+    assert _typed(cli.build_parser().parse_args(argv)) == _typed(argparse.Namespace(**parsed))
+
+
 def test_ablate_training_defaults_equal_train_configs():
     args = cli.build_parser().parse_args(["ablate", "--corpus", "c"])
     defaults = TrainConfig()
@@ -734,6 +792,36 @@ def test_run_children_runs_every_command(tmp_path):
 
 def _one_seed(value):
     return {"mean": value, "sd": 0.0, "values": [value]}
+
+
+def test_ablate_runs_the_pinned_child_command_lines(tmp_path, corpus_dir, monkeypatch):
+    """2 arms x 2 seeds: each child's argv, in order; the evaluate children are stood in for by stub reports."""
+    batches = []
+
+    def run_children(cmds, jobs):
+        batches.append((cmds, jobs))
+        for cmd in cmds:
+            if "evaluate" in cmd:
+                report = Path(cmd[cmd.index("--out") + 1])
+                report.parent.mkdir()
+                report.write_text(json.dumps({"cover": 0.5, "entail": 0.25, "b4": 0.125, "es_similarity": 1.0}))
+
+    monkeypatch.setattr(cli, "_run_children", run_children)
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--corpus", str(corpus_dir), "--out", str(out), "--arms", "no_cd,es_only", "--seeds", "2",
+            "--seed0", "7", "--epochs", "2", "--batch", "4", "--lr", "0.0005", "--beam", "3", "--eval-every", "3",
+            "--jobs", "2"]
+    assert cli.main(argv) == 0
+    base, corpus = [sys.executable, "-m", "colo"], str(corpus_dir)
+    trains, evals = [], []
+    for arm, arm_flags in (("no_cd", ["--no-cd"]), ("es_only", ["--neg-types", "ES"])):
+        for seed in ("7", "8"):
+            run = str(out / f"{arm}-s{seed}")
+            trains.append(base + ["train", "--corpus", corpus, "--out", run, "--seed", seed, "--epochs", "2",
+                                  "--batch", "4", "--lr", "0.0005", "--gamma", "0.01", "--eval-every", "3"] + arm_flags)
+            evals.append(base + ["evaluate", "--corpus", corpus, "--ckpt", str(out / f"{arm}-s{seed}" / "model.ckpt"),
+                                 "--split", "test", "--beam", "3", "--out", str(out / f"{arm}-s{seed}" / "report.json")])
+    assert batches == [(trains, 2), (evals, 2)]
 
 
 def test_ablate_trains_and_evaluates_each_arm_into_the_pinned_table(tmp_path, corpus_dir, monkeypatch, capfd):
