@@ -8,15 +8,18 @@ under it (``--lr`` as ``learning_rate``).  Exit codes: 0 success, 2
 configuration error, 3 data error, 4 numeric abort, 1 a failed ablate
 child.  An error's exit code follows its base class in :mod:`colo.errors`,
 and a missing input path is a data error.  Any other exception is a
-programming error and propagates (exit 1 with a traceback).
+programming error and propagates (exit 1 with a traceback).  Options that
+several commands share (``--corpus``; generate's and evaluate's
+``--split``, ``--beam``, ``--length-norm`` and ``--limit``) are declared
+once, in parent parsers.
 """
 
 import argparse
 import dataclasses
 import datetime
 import hashlib
-import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -69,8 +72,11 @@ def _digests(paths):
     return {str(p): _sha256(p) for p in paths}
 
 
-def write_manifest(path, command, config, seed, inputs, outputs, started, ended):
-    """``inputs`` maps each input path to its digest, taken before the command could change it."""
+def write_manifest(path, command, config, seed, inputs, outputs, started):
+    """``inputs`` maps each input path to its digest, taken before the command could change it.
+
+    The manifest's ``ended_at`` is the time of this call.
+    """
     doc = {
         "command": command,
         "config": config,
@@ -80,7 +86,7 @@ def write_manifest(path, command, config, seed, inputs, outputs, started, ended)
         "outputs": _digests(outputs),
         "artifacts": [str(p) for p in outputs],
         "started_at": started,
-        "ended_at": ended,
+        "ended_at": _now(),
     }
     write_json(path, doc)
     return doc
@@ -182,16 +188,8 @@ def cmd_gen_data(args):
     out.mkdir(parents=True, exist_ok=True)
     write_lexicon(lexicon_path, lexicon)
     write_corpus(corpus_path, examples)
-    write_manifest(
-        out / "gen-data.manifest.json",
-        "gen-data",
-        resolved,
-        cfg.seed,
-        {},
-        [corpus_path, lexicon_path],
-        started,
-        _now(),
-    )
+    outputs = [corpus_path, lexicon_path]
+    write_manifest(out / "gen-data.manifest.json", "gen-data", resolved, cfg.seed, {}, outputs, started)
     counts = {s: sum(1 for e in examples if e.split == s) for s in SPLITS}
     print(f"wrote {len(examples)} examples {counts} to {corpus_path}")
     return 0
@@ -234,6 +232,25 @@ def _check_target_length(examples, vocab, mcfg, splits):
         raise ConfigError(f"max_tgt_len is {mcfg.max_tgt_len}, but the corpus has a {splits} reference of {longest} tokens")
 
 
+def _log_offset(path, step):
+    """Where the log at ``path`` has its first record at or past ``step``, or a crash-cut last line, in bytes.
+
+    A complete line before that offset that is not a record raises.
+    """
+    offset = 0
+    with open(path, "rb") as f:
+        for line in f:
+            if not line.endswith(b"\n"):
+                break
+            try:
+                if json.loads(line)["step"] >= step:
+                    break
+            except (ValueError, KeyError, TypeError) as e:
+                raise CheckpointError(f"resume: malformed line in {path}: {e!r}") from None
+            offset += len(line)
+    return offset
+
+
 def cmd_train(args):
     started = _now()
     train_defaults = dataclasses.asdict(TrainConfig())
@@ -262,15 +279,10 @@ def cmd_train(args):
     ckpt_path = out / "model.ckpt"
     log_path = out / "train_log.jsonl"
 
-    kept = []  # a resume keeps the log's leading records from before the checkpoint; a crash-cut line comes later
-    if args.resume and log_path.exists():
-        with open(log_path, encoding="ascii") as f:
-            try:
-                kept = list(itertools.takewhile(lambda line: json.loads(line)["step"] < start_step, f))
-            except (ValueError, KeyError, TypeError) as e:
-                raise CheckpointError(f"resume: malformed line in {log_path}: {e!r}") from None
-    with open(log_path, "w", encoding="ascii") as log_file:
-        log_file.writelines(kept)
+    if args.resume and log_path.exists():  # the records from before the checkpoint stay where they lie
+        os.truncate(log_path, _log_offset(log_path, start_step))
+    # line-buffered: each record reaches the file as its step ends
+    with open(log_path, "a" if args.resume else "w", encoding="ascii", buffering=1) as log_file:
         ckpt, _ = train(tcfg, corpus, mcfg, params=params, adam=adam, start_step=start_step, log_file=log_file)
     save_checkpoint(ckpt_path, ckpt)
 
@@ -279,10 +291,8 @@ def cmd_train(args):
         "model": dataclasses.asdict(mcfg),
         "corpus_digest": input_digests[str(corpus_path)],
     }
-    write_manifest(
-        out / "train.manifest.json", "train", manifest_cfg, tcfg.seed,
-        input_digests, [ckpt_path, log_path], started, _now(),
-    )
+    outputs = [ckpt_path, log_path]
+    write_manifest(out / "train.manifest.json", "train", manifest_cfg, tcfg.seed, input_digests, outputs, started)
     print(f"trained {ckpt.step} steps -> {ckpt_path}")
     return 0
 
@@ -325,10 +335,8 @@ def cmd_generate(args):
         for i, pred in enumerate(preds):
             f.write(json.dumps({"example_id": i, "prediction": pred}, sort_keys=True) + "\n")
     config = {"beam": args.beam, "length_norm": args.length_norm, "split": args.split, "limit": args.limit}
-    write_manifest(
-        Path(str(out) + ".manifest.json"), "generate", config,
-        ckpt.train_config.seed, input_digests, [out], started, _now(),
-    )
+    seed = ckpt.train_config.seed
+    write_manifest(Path(str(out) + ".manifest.json"), "generate", config, seed, input_digests, [out], started)
     print(f"wrote {len(examples)} predictions -> {out}")
     return 0
 
@@ -405,10 +413,8 @@ def cmd_evaluate(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     extra = {"es_similarity": es_sim, "config_digest": _digest_of(config)}
     write_report(out, report, extra=extra)
-    write_manifest(
-        Path(str(out) + ".manifest.json"), "evaluate", config,
-        ckpt.train_config.seed if ckpt else 0, input_digests, [out], started, _now(),
-    )
+    seed = ckpt.train_config.seed if ckpt else 0
+    write_manifest(Path(str(out) + ".manifest.json"), "evaluate", config, seed, input_digests, [out], started)
     print(json.dumps(report.scaled(), sort_keys=True))
     return 0
 
@@ -418,6 +424,11 @@ def cmd_evaluate(args):
 
 
 CHILD_POLL_S = 0.05
+
+# TrainConfig field -> ablate's dest; each run's train child gets it as the flag argparse makes of that dest
+ABLATE_TRAIN_OPTIONS = {
+    "epochs": "epochs", "batch_size": "batch", "learning_rate": "lr", "gamma": "gamma", "eval_every": "eval_every",
+}
 
 
 def _run_children(cmds, jobs):
@@ -454,8 +465,7 @@ def cmd_ablate(args):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     # what every child reads is checked once here, not in each child after others have run
-    TrainConfig(learning_rate=args.lr, gamma=args.gamma, batch_size=args.batch, epochs=args.epochs,
-                seed=args.seed0, eval_every=args.eval_every)
+    TrainConfig(seed=args.seed0, **{field: getattr(args, dest) for field, dest in ABLATE_TRAIN_OPTIONS.items()})
     arms = list(ABLATION_ARMS) if not args.arms else [a.strip() for a in args.arms.split(",")]
     for arm in arms:
         if arm not in ABLATION_ARMS:
@@ -468,31 +478,21 @@ def cmd_ablate(args):
     seeds = [args.seed0 + i for i in range(args.seeds)]
 
     base = [sys.executable, "-m", "colo"]
+    forwarded = []
+    for dest in ABLATE_TRAIN_OPTIONS.values():
+        forwarded += ["--" + dest.replace("_", "-"), str(getattr(args, dest))]
     train_cmds, eval_cmds = [], []
     for arm in arms:
         for seed in seeds:
             run_dir = out / f"{arm}-s{seed}"
-            train_cmd = base + [
-                "train",
-                "--corpus", str(args.corpus),
-                "--out", str(run_dir),
-                "--seed", str(seed),
-                "--epochs", str(args.epochs),
-                "--batch", str(args.batch),
-                "--lr", str(args.lr),
-                "--gamma", str(args.gamma),
-                "--eval-every", str(args.eval_every),
-            ] + ABLATION_ARMS[arm]
-            eval_cmd = base + [
-                "evaluate",
-                "--corpus", str(args.corpus),
-                "--ckpt", str(run_dir / "model.ckpt"),
-                "--split", "test",
-                "--beam", str(args.beam),
-                "--out", str(run_dir / "report.json"),
-            ]
-            train_cmds.append(train_cmd)
-            eval_cmds.append(eval_cmd)
+            train_cmds.append(
+                base + ["train", "--corpus", str(args.corpus), "--out", str(run_dir), "--seed", str(seed)]
+                + forwarded + ABLATION_ARMS[arm]
+            )
+            eval_cmds.append(base + [
+                "evaluate", "--corpus", str(args.corpus), "--ckpt", str(run_dir / "model.ckpt"), "--split", "test",
+                "--beam", str(args.beam), "--out", str(run_dir / "report.json"),
+            ])
 
     _run_children(train_cmds, args.jobs)
     _run_children(eval_cmds, args.jobs)
@@ -526,10 +526,7 @@ def cmd_ablate(args):
             return f"{row[key]['mean'] * 100:6.2f}±{row[key]['sd'] * 100:5.2f}"
 
         print(f"{arm:10s} {ms('cover'):>14s} {ms('entail'):>14s} {ms('b4'):>14s} {ms('es_similarity'):>14s}")
-    write_manifest(
-        out / "ablate.manifest.json", "ablate", doc["config"], args.seed0,
-        {}, [ablation_path], started, _now(),
-    )
+    write_manifest(out / "ablate.manifest.json", "ablate", doc["config"], args.seed0, {}, [ablation_path], started)
     return 0
 
 
@@ -559,6 +556,16 @@ def _neg_types(text):
 def build_parser():
     p = argparse.ArgumentParser(prog="colo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    decode = argparse.ArgumentParser(add_help=False)  # generate's and evaluate's choice of examples and search
+    decode.add_argument("--split", default="test", help="split to read; an empty value means all (default %(default)s)")
+    decode.add_argument("--beam", type=int, default=5, help="beam size when decoding; 1 decodes greedily (default %(default)s)")
+    decode.add_argument(
+        "--length-norm", type=float, default=1.0,
+        help="beams rank by log-prob / length ** this; 0 ranks by raw log-prob (default %(default)s)",
+    )
+    decode.add_argument("--limit", type=int, default=0, help="read only the split's first N examples; 0 means all")
 
     g = sub.add_parser("gen-data", help="generate the synthetic corpus and lexicon")
     g.add_argument("--out", help="output directory (default runs/<ts>-s<seed>)")
@@ -573,8 +580,7 @@ def build_parser():
     g.add_argument("--force", action="store_true", help="overwrite existing files")
     g.set_defaults(func=cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a model on a generated corpus")
-    t.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    t = sub.add_parser("train", parents=[corpus], help="train a model on a generated corpus")
     t.add_argument("--out", help="run directory (default runs/<ts>-s<seed>)")
     t.add_argument("--config", help="flat key = value config file of TrainConfig and ModelConfig fields")
     t.add_argument("--lr", type=float, dest="learning_rate", help="Adam learning rate")
@@ -599,35 +605,18 @@ def build_parser():
     t.add_argument("--resume", help="checkpoint to resume from; its model and training settings are kept")
     t.set_defaults(func=cmd_train)
 
-    d = sub.add_parser("generate", help="decode tuples from a corpus file")
+    d = sub.add_parser("generate", parents=[corpus, decode], help="decode tuples from a corpus file")
     d.add_argument("--ckpt", required=True, help="checkpoint to decode with")
-    d.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
-    d.add_argument("--split", default="test", help="split to decode; an empty value means all (default %(default)s)")
-    d.add_argument("--beam", type=int, default=5, help="beam size; 1 decodes greedily (default %(default)s)")
-    d.add_argument(
-        "--length-norm", type=float, default=1.0,
-        help="beams rank by log-prob / length ** this; 0 ranks by raw log-prob (default %(default)s)",
-    )
-    d.add_argument("--limit", type=int, default=0, help="decode only the split's first N examples; 0 means all")
     d.add_argument("--out", help="predictions JSONL file (default runs/<ts>-s<seed>/predictions.jsonl)")
     d.set_defaults(func=cmd_generate)
 
-    e = sub.add_parser("evaluate", help="compute the metric report for a split")
+    e = sub.add_parser("evaluate", parents=[corpus, decode], help="compute the metric report for a split")
     e.add_argument("--ckpt", help="checkpoint to decode with and to score perplexity and ES similarity of")
     e.add_argument("--predictions", help="JSONL predictions instead of decoding")
-    e.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
-    e.add_argument("--split", default="test", help="split to score; an empty value means all (default %(default)s)")
-    e.add_argument("--beam", type=int, default=5, help="beam size when decoding; 1 decodes greedily (default %(default)s)")
-    e.add_argument(
-        "--length-norm", type=float, default=1.0,
-        help="beams rank by log-prob / length ** this; 0 ranks by raw log-prob (default %(default)s)",
-    )
-    e.add_argument("--limit", type=int, default=0, help="score only the split's first N examples; 0 means all")
     e.add_argument("--out", help="report JSON file (default report.json)")
     e.set_defaults(func=cmd_evaluate)
 
-    a = sub.add_parser("ablate", help="train and evaluate the ablation arms")
-    a.add_argument("--corpus", required=True, help="directory with corpus.jsonl and lexicon.json")
+    a = sub.add_parser("ablate", parents=[corpus], help="train and evaluate the ablation arms")
     a.add_argument("--out", help="directory of the arms' runs and ablation.json (default runs/<ts>-s<seed0>)")
     a.add_argument("--seeds", type=int, default=3, help="runs per arm, seeded seed0, seed0 + 1, ... (default %(default)s)")
     a.add_argument("--seed0", type=int, default=0, help="seed of each arm's first run (default %(default)s)")

@@ -171,6 +171,61 @@ def test_resume_in_place_keeps_the_earlier_log(resumed_in_place):
     assert (split / "model.ckpt").read_bytes() == (whole / "model.ckpt").read_bytes()
 
 
+# a train run whose process dies, with no clean-up, inside its third step
+KILLED_ON_THE_THIRD_STEP = """
+import os, sys
+from colo import cli, trainer
+real, calls = trainer.step_gradients, []
+def step_gradients(*args):
+    calls.append(None)
+    if len(calls) == 3:
+        os._exit(9)
+    return real(*args)
+trainer.step_gradients = step_gradients
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_resume_killed_mid_run_keeps_its_log_and_a_second_resume_finishes_it(tmp_path, corpus_dir, monkeypatch):
+    """Records reach the log as each step ends: a kill loses none from before the checkpoint, nor the two steps
+    that finished, and resuming again writes what an uninterrupted resume writes."""
+    src = str(Path(cli.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    killed, whole = tmp_path / "killed", tmp_path / "whole"
+    argv = ["train", "--corpus", str(corpus_dir), "--d-model", "16", "--eval-every", "0"]
+    assert cli.main(argv + ["--out", str(killed), "--max-steps", "6"]) == 0
+    shutil.copytree(killed, whole)
+    first_six = (killed / "train_log.jsonl").read_bytes()
+
+    def resume(out):
+        return argv + ["--out", str(out), "--max-steps", "12", "--resume", str(out / "model.ckpt")]
+
+    child = subprocess.run([sys.executable, "-c", KILLED_ON_THE_THIRD_STEP, *resume(killed)], timeout=300)
+    assert child.returncode == 9
+    log = (killed / "train_log.jsonl").read_bytes()
+    assert log.startswith(first_six)
+    assert [json.loads(line)["step"] for line in log.splitlines()] == list(range(8))
+    assert cli.main(resume(killed)) == 0
+    assert cli.main(resume(whole)) == 0
+    for name in ("train_log.jsonl", "model.ckpt"):
+        assert (killed / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_resume_drops_a_crash_cut_last_line_of_the_log(tmp_path, corpus_dir, resumed_in_place):
+    """A record cut off mid-write has no newline; resuming in place at the checkpoint's own step leaves the log
+    as it was before the cut."""
+    _, split, _ = resumed_in_place
+    for name in ("model.ckpt", "train_log.jsonl"):
+        shutil.copy(split / name, tmp_path / name)
+    log = (tmp_path / "train_log.jsonl").read_bytes()
+    with open(tmp_path / "train_log.jsonl", "ab") as f:
+        f.write(b'{"cd": 0.06, "ce"')
+    argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path), "--resume", str(tmp_path / "model.ckpt"),
+            "--max-steps", "4"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "train_log.jsonl").read_bytes() == log
+
+
 def test_resume_manifest_digests_the_checkpoint_it_read(resumed_in_place):
     _, split, before = resumed_in_place
     manifest = json.loads((split / "train.manifest.json").read_text())
